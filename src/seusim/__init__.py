@@ -12,8 +12,7 @@ from .campaign import (CampaignConfig, CampaignStats, ClassStats, OutcomeClass,
                        standard_error)
 from .errors import (BenchParseError, ConfigError, InputError, InvariantError,
                      ProfileError, SeuSimError, StimulusError)
-from .golden import (Stimulus, Trace, cycle_snapshot, parse_stimulus,
-                     simulate_reference)
+from .golden import Stimulus, Trace, parse_stimulus, simulate_reference
 from .injector import (INSTANT, CapturePolicy, PulseEvent, SampleResult,
                        SimContext, StrikeSample, capture_at_edge, disturb_gate,
                        disturb_register, parse_policy, run_sample)

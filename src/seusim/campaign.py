@@ -7,8 +7,9 @@ until every watched estimate is tight enough (relative standard error below
 ``stderr_target``) or the sample budget runs out.
 
 Determinism contract: each sample index owns an RNG stream derived from
-(seed, index) by a stable hash, and aggregation is commutative, so the
-stats and the raw sample log are byte-identical for any worker count.
+(seed, index) by a stable hash, and samples are evaluated in index order in
+one thread, so the stats and the raw sample log are a pure function of the
+inputs and the seed.
 """
 
 import csv
@@ -17,15 +18,13 @@ import hashlib
 import io
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InputError, InvariantError
 from .injector import INSTANT, SimContext, StrikeSample, run_sample
 from .techmodel import enumerate_drains
 
 STRIKE_CLASSES = ("gate", "register")
-_BATCH = 256
 
 
 class OutcomeClass(enum.Enum):
@@ -256,76 +255,12 @@ def _criterion_met(per_class, target, stderr_target):
     return True
 
 
-def run_campaign(config, workers=1, sample_runner=None):
-    """Run the Monte Carlo campaign to the stopping rule.
-
-    ``sample_runner(sample, rng) -> SampleResult`` may replace the real
-    injector (used by tests to stub outcome behaviour).  ``workers`` only
-    sets the parallelism budget; results are identical for any value.
-    """
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    circuit, profile, trace = config.circuit, config.profile, config.trace
-    if trace.cycle_count < 3:
-        raise ConfigError("trace must cover at least 3 cycles")
-    table = enumerate_drains(circuit, profile)
-    ctx = SimContext.build(circuit, profile)
-
-    if sample_runner is None:
-        def sample_runner(sample, rng):
-            return run_sample(circuit, profile, trace, sample,
-                              policy=config.policy, rng=rng, ctx=ctx)
-
-    def eval_index(i):
-        rng = sample_rng(config.rng_seed, i)
-        sample = sample_strike(rng, table, trace, ctx.period, ctx.settle)
-        result = sample_runner(sample, rng)
-        return SampleRecord(
-            index=i, drain_id=sample.drain.id,
-            strike_class=sample.strike_class, k=sample.k, t=sample.t,
-            n_e1=len(result.flips_e1), n_e2=len(result.flips_e2),
-            outcome=classify(result))
-
-    per_class = {s: ClassStats() for s in STRIKE_CLASSES}
-    records = []
-    stop_reason = "max-samples"
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        start = 0
-        stopped = False
-        while start < config.max_samples and not stopped:
-            end = min(start + _BATCH, config.max_samples)
-            indices = range(start, end)
-            if pool is not None:
-                batch = list(pool.map(eval_index, indices, chunksize=16))
-            else:
-                batch = [eval_index(i) for i in indices]
-            # The stop decision walks samples in index order so the halt
-            # point is a pure function of the seed, whatever the pool did.
-            for rec in batch:
-                records.append(rec)
-                cs = per_class[rec.strike_class]
-                cs.n += 1
-                cs.counts[rec.outcome] += 1
-                n_total = len(records)
-                if n_total >= config.min_samples and _criterion_met(
-                        per_class, config.target_estimate,
-                        config.stderr_target):
-                    stop_reason = "stderr-met"
-                    stopped = True
-                    break
-            start = end
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    for cs in per_class.values():
-        cs.finalize()
-    total = len(records)
+def _build_stats(config, ctx, per_class, class_share, stop_reason, records):
+    """CampaignStats for a finished run over ``per_class`` counts."""
     p_m, p_gm, p_rm = derive_metrics(per_class)
     return CampaignStats(
-        circuit_name=circuit.name,
-        profile_label=profile.node_label,
+        circuit_name=config.circuit.name,
+        profile_label=config.profile.node_label,
         policy_label=config.policy.label,
         rng_seed=config.rng_seed,
         period=ctx.period,
@@ -335,13 +270,58 @@ def run_campaign(config, workers=1, sample_runner=None):
         min_samples=config.min_samples,
         max_samples=config.max_samples,
         per_class=per_class,
-        class_share={s: per_class[s].n / total if total else 0.0
-                     for s in STRIKE_CLASSES},
+        class_share=class_share,
         p_m=p_m, p_gm=p_gm, p_rm=p_rm,
         stop_reason=stop_reason,
-        total_samples=total,
+        total_samples=sum(cs.n for cs in per_class.values()),
         records=records,
     )
+
+
+def run_campaign(config, sample_runner=None):
+    """Run the Monte Carlo campaign to the stopping rule.
+
+    Samples are evaluated in index order and the stopping rule is checked
+    after each one.  ``sample_runner(sample, rng) -> SampleResult`` may
+    replace the real injector (used by tests to stub outcome behaviour).
+    """
+    circuit, profile, trace = config.circuit, config.profile, config.trace
+    if trace.cycle_count < 3:
+        raise ConfigError("trace must cover at least 3 cycles")
+    table = enumerate_drains(circuit, profile)
+    ctx = SimContext.build(circuit, profile)
+
+    if sample_runner is None:
+        def sample_runner(sample, rng):
+            return run_sample(ctx, trace, sample, config.policy, rng)
+
+    per_class = {s: ClassStats() for s in STRIKE_CLASSES}
+    records = []
+    stop_reason = "max-samples"
+    for i in range(config.max_samples):
+        rng = sample_rng(config.rng_seed, i)
+        sample = sample_strike(rng, table, trace, ctx.period, ctx.settle)
+        result = sample_runner(sample, rng)
+        rec = SampleRecord(
+            index=i, drain_id=sample.drain.id,
+            strike_class=sample.strike_class, k=sample.k, t=sample.t,
+            n_e1=len(result.flips_e1), n_e2=len(result.flips_e2),
+            outcome=classify(result))
+        records.append(rec)
+        cs = per_class[rec.strike_class]
+        cs.n += 1
+        cs.counts[rec.outcome] += 1
+        if len(records) >= config.min_samples and _criterion_met(
+                per_class, config.target_estimate, config.stderr_target):
+            stop_reason = "stderr-met"
+            break
+
+    for cs in per_class.values():
+        cs.finalize()
+    total = len(records)
+    share = {s: per_class[s].n / total if total else 0.0
+             for s in STRIKE_CLASSES}
+    return _build_stats(config, ctx, per_class, share, stop_reason, records)
 
 
 _ORACLE_BUDGET = 10_000_000
@@ -382,8 +362,7 @@ def exhaustive_campaign(config, t_grid):
             for i in range(t_grid):
                 t = ctx.settle + i * step
                 sample = StrikeSample(drain=drain, k=k, t=t)
-                result = run_sample(circuit, profile, trace, sample,
-                                    policy=INSTANT, ctx=ctx)
+                result = run_sample(ctx, trace, sample)
                 drain_counts[classify(result)] += 1
         cs = per_class[sclass]
         cells = len(k_values) * t_grid
@@ -401,26 +380,9 @@ def exhaustive_campaign(config, t_grid):
         cs.stderrs = {c: 0.0 for c in OutcomeClass}
 
     total_area = table.total_area
-    p_m, p_gm, p_rm = derive_metrics(per_class)
-    return CampaignStats(
-        circuit_name=circuit.name,
-        profile_label=profile.node_label,
-        policy_label=INSTANT.label,
-        rng_seed=config.rng_seed,
-        period=ctx.period,
-        settle=ctx.settle,
-        stderr_target=config.stderr_target,
-        target_estimate=config.target_estimate,
-        min_samples=config.min_samples,
-        max_samples=config.max_samples,
-        per_class=per_class,
-        class_share={"gate": table.gate_area / total_area,
-                     "register": table.flop_area / total_area},
-        p_m=p_m, p_gm=p_gm, p_rm=p_rm,
-        stop_reason="exhaustive",
-        total_samples=sum(cs.n for cs in per_class.values()),
-        records=[],
-    )
+    share = {"gate": table.gate_area / total_area,
+             "register": table.flop_area / total_area}
+    return _build_stats(config, ctx, per_class, share, "exhaustive", [])
 
 
 # --- raw sample log (CSV) ---------------------------------------------------
@@ -452,11 +414,15 @@ def read_sample_log(fh):
     for row in reader:
         if not row:
             continue
-        idx, drain, sclass, k, t, n1, n2, outcome = row
-        records.append(SampleRecord(
-            index=int(idx), drain_id=drain, strike_class=sclass,
-            k=int(k), t=float(t), n_e1=int(n1), n_e2=int(n2),
-            outcome=_BY_LABEL[outcome]))
+        try:
+            idx, drain, sclass, k, t, n1, n2, outcome = row
+            records.append(SampleRecord(
+                index=int(idx), drain_id=drain, strike_class=sclass,
+                k=int(k), t=float(t), n_e1=int(n1), n_e2=int(n2),
+                outcome=_BY_LABEL[outcome]))
+        except (ValueError, KeyError):
+            raise InputError(f"sample log line {reader.line_num}: malformed "
+                             f"row {row}") from None
     return records
 
 

@@ -24,12 +24,13 @@ from pathlib import Path
 
 from . import campaign as camp
 from .campaign import (CampaignConfig, CampaignStats, ClassStats, OutcomeClass,
-                       Ratio, recompute_from_log, sample_rng, standard_error)
+                       Ratio, recompute_from_log, sample_rng, sample_strike,
+                       standard_error)
 from .errors import ConfigError, InputError, InvariantError, SeuSimError
 from .golden import Stimulus, parse_stimulus, simulate_reference
-from .injector import parse_policy
+from .injector import SimContext, parse_policy, run_sample
 from .netlist import parse_bench, validate, wrap_combinational
-from .techmodel import load_bundled_profile, load_profile_file
+from .techmodel import enumerate_drains, load_bundled_profile, load_profile_file
 
 PAPER_CLASSES = (OutcomeClass.NN, OutcomeClass.NF, OutcomeClass.FN,
                  OutcomeClass.FF)
@@ -100,76 +101,78 @@ def _prepare_sequential(args):
 
 # --- stats (de)serialization ------------------------------------------------
 
-def _ratio_to_dict(r):
-    return {"num": r.num, "den": r.den, "value": r.value, "stderr": r.stderr}
-
-
-def _ratio_from_dict(d):
-    return Ratio(d["num"], d["den"])
+# (JSON key, CampaignStats attribute) for every top-level stats.json field
+# except the per-class tables and the metrics.
+_STATS_FIELDS = (
+    ("circuit", "circuit_name"),
+    ("profile", "profile_label"),
+    ("policy", "policy_label"),
+    ("rng_seed", "rng_seed"),
+    ("period_ps", "period"),
+    ("settle_ps", "settle"),
+    ("stderr_target", "stderr_target"),
+    ("target_estimate", "target_estimate"),
+    ("min_samples", "min_samples"),
+    ("max_samples", "max_samples"),
+    ("stop_reason", "stop_reason"),
+    ("total_samples", "total_samples"),
+    ("wrapped", "wrapped"),
+    ("class_share", "class_share"),
+)
+_METRIC_FIELDS = (("P_m", "p_m"), ("P_GM", "p_gm"), ("P_RM", "p_rm"))
+# ClassStats tables keyed by outcome class, serialized by outcome label.
+_CLASS_TABLES = ("counts", "probs", "stderrs")
 
 
 def stats_to_dict(stats):
-    classes = {}
-    for name, cs in stats.per_class.items():
-        classes[name] = {
-            "n": cs.n,
-            "counts": {c.value: cs.counts[c] for c in OutcomeClass},
-            "probs": {c.value: cs.probs[c] for c in OutcomeClass},
-            "stderrs": {c.value: cs.stderrs[c] for c in OutcomeClass},
-        }
-    return {
-        "circuit": stats.circuit_name,
-        "profile": stats.profile_label,
-        "policy": stats.policy_label,
-        "rng_seed": stats.rng_seed,
-        "period_ps": stats.period,
-        "settle_ps": stats.settle,
-        "stderr_target": stats.stderr_target,
-        "target_estimate": stats.target_estimate,
-        "min_samples": stats.min_samples,
-        "max_samples": stats.max_samples,
-        "stop_reason": stats.stop_reason,
-        "total_samples": stats.total_samples,
-        "wrapped": stats.wrapped,
-        "class_share": dict(stats.class_share),
-        "classes": classes,
-        "metrics": {
-            "P_m": _ratio_to_dict(stats.p_m),
-            "P_GM": _ratio_to_dict(stats.p_gm),
-            "P_RM": _ratio_to_dict(stats.p_rm),
-        },
-    }
+    doc = {key: getattr(stats, attr) for key, attr in _STATS_FIELDS}
+    doc["classes"] = {
+        name: {"n": cs.n, **{
+            table: {c.value: getattr(cs, table)[c] for c in OutcomeClass}
+            for table in _CLASS_TABLES}}
+        for name, cs in stats.per_class.items()}
+    doc["metrics"] = {}
+    for key, attr in _METRIC_FIELDS:
+        r = getattr(stats, attr)
+        doc["metrics"][key] = {"num": r.num, "den": r.den, "value": r.value,
+                               "stderr": r.stderr}
+    return doc
 
 
 def stats_from_dict(doc):
-    per_class = {}
-    for name, sub in doc["classes"].items():
-        cs = ClassStats(n=sub["n"])
-        cs.counts = {c: sub["counts"][c.value] for c in OutcomeClass}
-        cs.probs = {c: sub["probs"][c.value] for c in OutcomeClass}
-        cs.stderrs = {c: sub["stderrs"][c.value] for c in OutcomeClass}
-        per_class[name] = cs
-    return CampaignStats(
-        circuit_name=doc["circuit"],
-        profile_label=doc["profile"],
-        policy_label=doc["policy"],
-        rng_seed=doc["rng_seed"],
-        period=doc["period_ps"],
-        settle=doc["settle_ps"],
-        stderr_target=doc["stderr_target"],
-        target_estimate=doc["target_estimate"],
-        min_samples=doc["min_samples"],
-        max_samples=doc["max_samples"],
-        per_class=per_class,
-        class_share=doc["class_share"],
-        p_m=_ratio_from_dict(doc["metrics"]["P_m"]),
-        p_gm=_ratio_from_dict(doc["metrics"]["P_GM"]),
-        p_rm=_ratio_from_dict(doc["metrics"]["P_RM"]),
-        stop_reason=doc["stop_reason"],
-        total_samples=doc["total_samples"],
-        wrapped=doc["wrapped"],
-        records=[],
-    )
+    """Rebuild CampaignStats (without records) from a stats.json document.
+
+    Raises InputError when a field is missing or the layout is wrong.
+    """
+    try:
+        fields = {attr: doc[key] for key, attr in _STATS_FIELDS}
+        for key, attr in _METRIC_FIELDS:
+            fields[attr] = Ratio(doc["metrics"][key]["num"],
+                                 doc["metrics"][key]["den"])
+        per_class = {}
+        for name, sub in doc["classes"].items():
+            cs = per_class[name] = ClassStats(n=sub["n"])
+            for table in _CLASS_TABLES:
+                setattr(cs, table,
+                        {c: sub[table][c.value] for c in OutcomeClass})
+    except KeyError as exc:
+        raise InputError(f"stats document has no key {exc}") from None
+    except (TypeError, AttributeError):
+        raise InputError("stats document does not have the stats.json "
+                         "layout") from None
+    return CampaignStats(per_class=per_class, records=[], **fields)
+
+
+def _load_stats(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"'{path}' is not valid JSON: {exc}") from None
+    try:
+        return stats_from_dict(doc)
+    except InputError as exc:
+        raise InputError(f"'{path}': {exc}") from None
 
 
 def stats_json(stats):
@@ -432,9 +435,11 @@ def _campaign_config(args, circuit, profile, trace):
 
 
 def cmd_campaign(args):
+    if args.workers < 1:
+        raise ConfigError("workers must be >= 1")
     circuit, profile, trace, wrapped = _prepare_sequential(args)
     config = _campaign_config(args, circuit, profile, trace)
-    stats = camp.run_campaign(config, workers=args.workers)
+    stats = camp.run_campaign(config)
     stats.wrapped = wrapped
     out = Path(args.out)
     _write(out / "stats.json", stats_json(stats))
@@ -455,17 +460,12 @@ def cmd_campaign(args):
 
 def debug_sample(circuit, profile, trace, config, index):
     """Replay one sample index with the full event log attached."""
-    from .campaign import sample_strike
-    from .injector import SimContext, run_sample as run_one
-    from .techmodel import enumerate_drains
-
     ctx = SimContext.build(circuit, profile)
     table = enumerate_drains(circuit, profile)
     rng = sample_rng(config.rng_seed, index)
     sample = sample_strike(rng, table, trace, ctx.period, ctx.settle)
     lines = [f"debug replay of sample {index} (seed {config.rng_seed})"]
-    result = run_one(circuit, profile, trace, sample, policy=config.policy,
-                     rng=rng, ctx=ctx, debug=lines)
+    result = run_sample(ctx, trace, sample, config.policy, rng, debug=lines)
     lines.append(f"flips_e1={sorted(result.flips_e1)} "
                  f"flips_e2={sorted(result.flips_e2)} "
                  f"window_hits={result.window_hits}")
@@ -486,8 +486,7 @@ def cmd_oracle(args):
 
 
 def cmd_report(args):
-    with open(args.stats, "r", encoding="utf-8") as fh:
-        stats = stats_from_dict(json.load(fh))
+    stats = _load_stats(args.stats)
     records = None
     if args.log:
         with open(args.log, "r", encoding="utf-8") as fh:
@@ -500,8 +499,7 @@ def cmd_report(args):
               "statistics exactly")
     oracle = None
     if args.oracle:
-        with open(args.oracle, "r", encoding="utf-8") as fh:
-            oracle = stats_from_dict(json.load(fh))
+        oracle = _load_stats(args.oracle)
     bundle = build_report(stats, oracle=oracle,
                           paper_columns=args.paper_columns)
     out = Path(args.out)
@@ -587,7 +585,9 @@ def build_parser():
     p = sub.add_parser("campaign", help="Monte Carlo strike campaign")
     add_campaign_inputs(p)
     p.add_argument("--workers", type=int, default=1,
-                   help="parallelism budget; never changes the results")
+                   help="accepted for compatibility and ignored: campaigns "
+                        "run in one thread, and the value never changes "
+                        "the results")
     p.add_argument("--debug-sample", type=int, default=None, metavar="INDEX",
                    help="also write an event-by-event replay of one sample")
     p.set_defaults(func=cmd_campaign)

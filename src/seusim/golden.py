@@ -218,17 +218,3 @@ def simulate_reference(circuit, stimulus):
         flop_states=tuple(states),
         settled=tuple(settled_rows),
     )
-
-
-def cycle_snapshot(trace, k):
-    """(flop_state, pi_values, settled_nets) dicts for strike cycle ``k``.
-
-    ``k`` must leave room for the observation edges: 1 <= k <= cycles - 2.
-    """
-    if not 1 <= k <= trace.cycle_count - 2:
-        raise InvariantError(
-            f"strike cycle {k} out of range [1, {trace.cycle_count - 2}] "
-            f"for a {trace.cycle_count}-cycle trace")
-    flop_state = dict(zip(trace.flop_ids, trace.flop_states[k]))
-    pi_values = dict(zip(trace.pi_ids, trace.pi_vectors[k]))
-    return flop_state, pi_values, dict(trace.settled_map(k))

@@ -89,17 +89,16 @@ class StrikeSample:
 class PulseEvent:
     """A disturbance interval [start, start+width) on one net.
 
-    ``value`` is the disturbed value, always the complement of the net's
-    golden value in the strike cycle.  ``step`` marks register-strike
-    disturbances that persist until the capture edge: they propagate by pure
-    delay shift and are not subject to electrical attenuation, because both
-    their edges are full-swing transitions rather than a narrow glitch.
+    The net holds the complement of its golden value in the strike cycle
+    for the whole interval.  ``step`` marks register-strike disturbances
+    that persist until the capture edge: they propagate by pure delay shift
+    and are not subject to electrical attenuation, because both their edges
+    are full-swing transitions rather than a narrow glitch.
     """
 
     net: str
     start: float
     width: float
-    value: int
     step: bool = False
 
     @property
@@ -146,38 +145,33 @@ class SimContext:
                    flop_ids_by_data=circuit.flops_by_data)
 
 
-def _covers(start, end, edge):
-    # The flop samples the data value immediately before the edge, so an
-    # interval ending exactly at the edge still lands and one starting
-    # exactly at the edge does not.
-    return start < edge <= end
-
-
-def _grazes(start, end, edge, setup, hold):
-    return start <= edge + hold and end > edge - setup and not _covers(
-        start, end, edge)
-
-
-def capture_at_edge(golden, disturbance, edge, profile, policy=INSTANT,
+def capture_at_edge(golden, intervals, edge, profile, policy=INSTANT,
                     rng=None):
     """Resolve one flop capture: (captured_bit, window_hit).
 
-    ``disturbance`` is a (start, end) interval during which the data net
-    holds the complement of ``golden``, or None for a clean capture.
+    ``intervals`` is a sequence of (start, end) intervals during which the
+    data net holds the complement of ``golden``; an empty one is a clean
+    capture.  An interval that covers the edge wins over any that only
+    graze it, and a flop that is only grazed counts one window hit and,
+    under ``window-random``, draws once from ``rng``.
     """
-    if disturbance is None:
+    setup_start, hold_end = edge - profile.ff_setup, edge + profile.ff_hold
+    grazed = False
+    for start, end in intervals:
+        # The flop samples the data value immediately before the edge, so an
+        # interval ending exactly at the edge still lands and one starting
+        # exactly at the edge does not.
+        if start < edge <= end:
+            return 1 - golden, False
+        grazed = grazed or (start <= hold_end and end > setup_start)
+    if not grazed:
         return golden, False
-    start, end = disturbance
-    if _covers(start, end, edge):
-        return 1 - golden, False
-    if _grazes(start, end, edge, profile.ff_setup, profile.ff_hold):
-        if policy.kind == "window-random":
-            if rng is None:
-                raise ConfigError("window-random capture needs an RNG stream")
-            if rng.random() < policy.p:
-                return 1 - golden, True
-        return golden, True
-    return golden, False
+    if policy.kind == "window-random":
+        if rng is None:
+            raise ConfigError("window-random capture needs an RNG stream")
+        if rng.random() < policy.p:
+            return 1 - golden, True
+    return golden, True
 
 
 def _attenuate(width, delay, theta):
@@ -192,7 +186,7 @@ def _attenuate(width, delay, theta):
 def _propagate(ctx, settled, seed_event, debug=None):
     """Event-wise propagation through the combinational fanout.
 
-    Returns {data net -> [PulseEvent, ...]} for nets that feed flops.
+    Returns {data net -> [(start, end), ...]} for nets that feed flops.
     Reconvergent arrivals are propagated independently; duplicate
     (net, start, width) events are collapsed.
     """
@@ -215,10 +209,10 @@ def _propagate(ctx, settled, seed_event, debug=None):
                 f"'{circuit.name}'")
         if debug is not None:
             debug.append(f"pulse net={ev.net} start={ev.start:.2f} "
-                         f"width={ev.width:.2f} value={ev.value}"
+                         f"width={ev.width:.2f} value={1 - settled[ev.net]}"
                          + (" step" if ev.step else ""))
         if ev.net in ctx.flop_ids_by_data:
-            at_flops.setdefault(ev.net, []).append(ev)
+            at_flops.setdefault(ev.net, []).append((ev.start, ev.end))
         for gate in circuit.gate_fanout.get(ev.net, ()):
             ctrl = CONTROLLING[gate.kind]
             if ctrl is not None:
@@ -236,41 +230,34 @@ def _propagate(ctx, settled, seed_event, debug=None):
                     if debug is not None:
                         debug.append(f"  masked at {gate.id} (electrical)")
                     continue
-            queue.append(PulseEvent(
-                net=gate.output, start=ev.start + d, width=new_width,
-                value=1 - settled[gate.output], step=ev.step))
+            queue.append(PulseEvent(net=gate.output, start=ev.start + d,
+                                    width=new_width, step=ev.step))
     return at_flops
 
 
 def _capture_all(ctx, settled, at_flops, policy, rng, debug=None,
                  forced=None):
-    """Evaluate every flop's capture at the edge ending the strike cycle.
+    """Resolve each disturbed flop's capture at the edge ending the cycle.
 
     ``forced`` optionally maps a flop id to a forced captured bit (used for
-    capture-node strikes).  Returns (flips_e2, window_hits).
+    capture-node strikes).  Flops are visited in circuit order, so
+    window-random draws come in a fixed order; a flop with neither a
+    disturbance nor a forced bit keeps its golden value and is skipped.
+    Returns (flips_e2, window_hits).
     """
     edge = ctx.period
-    setup, hold = ctx.profile.ff_setup, ctx.profile.ff_hold
     flips, hits = set(), 0
     for flop in ctx.circuit.flops:
-        golden_next = settled[flop.data]
         if forced and flop.id in forced:
             captured = forced[flop.id]
         else:
-            events = at_flops.get(flop.data, ())
-            captured = golden_next
-            grazing = False
-            for ev in events:
-                if _covers(ev.start, ev.end, edge):
-                    captured = 1 - golden_next
-                    grazing = False
-                    break
-                if _grazes(ev.start, ev.end, edge, setup, hold):
-                    grazing = True
-            if grazing:
-                hits += 1
-                if policy.kind == "window-random" and rng.random() < policy.p:
-                    captured = 1 - golden_next
+            intervals = at_flops.get(flop.data)
+            if intervals is None:
+                continue
+            captured, hit = capture_at_edge(settled[flop.data], intervals,
+                                            edge, ctx.profile, policy, rng)
+            hits += hit
+        golden_next = settled[flop.data]
         if captured != golden_next:
             flips.add(flop.id)
             if debug is not None:
@@ -302,7 +289,7 @@ def disturb_gate(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
                          f"(net={drain.net} value={golden})")
         return _empty("gate")
     seed = PulseEvent(net=drain.net, start=sample.t,
-                      width=ctx.profile.glitch_width, value=1 - golden)
+                      width=ctx.profile.glitch_width)
     at_flops = _propagate(ctx, settled, seed, debug)
     flips_e2, hits = _capture_all(ctx, settled, at_flops, policy, rng, debug)
     return SampleResult(frozenset(), flips_e2, "gate", hits)
@@ -321,8 +308,7 @@ def disturb_register(ctx, trace, sample, policy=INSTANT, rng=None,
         # The stored bit flips at t and holds until the capture edge, where
         # the flop recaptures its (possibly disturbed) data input.
         seed = PulseEvent(net=flop.output, start=sample.t,
-                          width=ctx.period - sample.t, value=1 - golden,
-                          step=True)
+                          width=ctx.period - sample.t, step=True)
         at_flops = _propagate(ctx, settled, seed, debug)
         flips_e2, hits = _capture_all(ctx, settled, at_flops, policy, rng,
                                       debug)
@@ -342,16 +328,13 @@ def disturb_register(ctx, trace, sample, policy=INSTANT, rng=None,
         f"'{drain.ff_node_class}'")
 
 
-def run_sample(circuit, profile, trace, sample, policy=INSTANT, rng=None,
-               ctx=None, debug=None):
+def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
     """Run one strike end to end; returns the raw flip sets.
 
-    Classification into outcome classes is the campaign's job.  ``ctx`` may
-    carry a prebuilt SimContext to amortize setup across a campaign;
-    ``debug`` may be a list collecting human-readable event lines.
+    Classification into outcome classes is the campaign's job.  ``ctx`` is
+    the SimContext built once per (circuit, profile); ``debug`` may be a
+    list collecting human-readable event lines.
     """
-    if ctx is None:
-        ctx = SimContext.build(circuit, profile)
     if not 0.0 <= sample.t < ctx.period:
         raise InvariantError(
             f"strike time {sample.t} outside the clock period "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ProfileError
-from .netlist import GATE_KINDS
+from .netlist import GATE_KINDS, levelize
 
 POLARITIES = ("pulls-low", "pulls-high")
 FF_NODE_CLASSES = ("none", "state-node", "capture-node")
@@ -265,8 +265,6 @@ def enumerate_drains(circuit, profile):
 
 def _arrivals(circuit, profile, pi_offset, flop_offset):
     """Arrival time per net with the given source offsets."""
-    from .netlist import levelize
-
     arrival = {n: pi_offset for n in circuit.primary_inputs}
     for f in circuit.flops:
         arrival[f.output] = flop_offset

@@ -5,7 +5,9 @@ Each test prints a single ``ACCEPTANCE <n>: PASS/FAIL - <description>`` line
 as a checklist.  Shared campaigns are computed once at module scope.
 """
 
+import contextlib
 import io
+import json
 import time
 
 import pytest
@@ -28,7 +30,8 @@ from seusim.injector import SampleResult
 from seusim.netlist import parse_bench, validate, wrap_combinational
 from seusim.techmodel import load_bundled_profile
 
-from conftest import BUNDLED_CIRCUITS, bundled_circuit, profile_from, truth_eval
+from conftest import (BUNDLED_CIRCUITS, bundled_bench_text, bundled_circuit,
+                      profile_from, truth_eval)
 
 
 def _verdict(num, description, ok, detail=""):
@@ -116,38 +119,46 @@ def test_acceptance_1_monte_carlo_matches_oracle(toy_results):
     )
 
 
-def test_acceptance_2_worker_count_invisible():
-    circuit = bundled_circuit("fsm3")
-    profile = load_bundled_profile("65nm-like")
-    trace = simulate_reference(circuit, Stimulus.random(12, 7))
-    configs = {
-        "stderr-met": CampaignConfig(
-            circuit=circuit, profile=profile, trace=trace, rng_seed=17,
-            max_samples=5_000, min_samples=100, stderr_target=0.1,
-        ),
-        "max-samples": CampaignConfig(
-            circuit=circuit, profile=profile, trace=trace, rng_seed=17,
-            max_samples=2_000, min_samples=100, stderr_target=0.01,
-        ),
+def test_acceptance_2_worker_count_invisible(tmp_path):
+    bench = tmp_path / "fsm3.bench"
+    bench.write_text(bundled_bench_text("fsm3"))
+    stop_paths = {
+        "stderr-met": ("5000", "0.1"),
+        "max-samples": ("2000", "0.01"),
     }
     ok = True
     detail = []
-    for expected_stop, cfg in configs.items():
-        ref = run_campaign(cfg, workers=1)
-        if ref.stop_reason != expected_stop:
+    for expected_stop, (max_samples, stderr_target) in stop_paths.items():
+        outputs = {}
+        for workers in ("1", "4", "8"):
+            out = tmp_path / f"{expected_stop}-{workers}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([
+                    "campaign", "--circuit", str(bench), "--tech", "65nm-like",
+                    "--stimulus", "random:12:7", "--seed", "17",
+                    "--max-samples", max_samples, "--min-samples", "100",
+                    "--stderr-target", stderr_target, "--workers", workers,
+                    "--out", str(out)])
+            if code != 0:
+                ok = False
+                detail.append(f"{expected_stop}: workers={workers} exit {code}")
+                continue
+            outputs[workers] = tuple(
+                (out / name).read_bytes() for name in ("stats.json", "samples.csv"))
+        if "1" not in outputs:
+            continue
+        stop = json.loads(outputs["1"][0])["stop_reason"]
+        if stop != expected_stop:
             ok = False
-            detail.append(f"{expected_stop}: got {ref.stop_reason}")
-        ref_stats = cli.stats_json(ref)
-        ref_log = sample_log_text(ref.records)
-        for workers in (4, 8):
-            alt = run_campaign(cfg, workers=workers)
-            if cli.stats_json(alt) != ref_stats or sample_log_text(alt.records) != ref_log:
+            detail.append(f"{expected_stop}: got {stop}")
+        for workers, files in outputs.items():
+            if files != outputs["1"]:
                 ok = False
                 detail.append(f"{expected_stop}: workers={workers} diverged")
     _verdict(
         2,
         "campaign statistics and sample logs are byte-identical for "
-        "1, 4, and 8 workers on both stop paths",
+        "--workers 1, 4, and 8 on both stop paths",
         ok,
         "; ".join(detail),
     )

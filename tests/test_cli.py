@@ -210,6 +210,15 @@ def test_campaign_rejects_bad_sample_budget(bench_dir, tmp_path):
     assert "error:config-error" in err
 
 
+def test_campaign_rejects_bad_worker_count(bench_dir, tmp_path):
+    code, _, err = run_cli(
+        campaign_args(bench_dir, "toy_chain", tmp_path / "x", **{"--workers": "0"})
+    )
+    assert code == 3
+    assert err.startswith("error:config-error: workers must be >= 1")
+    assert not (tmp_path / "x").exists()
+
+
 def test_campaign_rejects_cyclic_circuit(bench_dir, tmp_path):
     code, _, err = run_cli(campaign_args(bench_dir, "cyclic", tmp_path / "x"))
     assert code == 3
@@ -341,6 +350,66 @@ def test_report_missing_stats_file(tmp_path):
     )
     assert code == 2
     assert "error:input-error" in err or "error:" in err
+
+
+def _assert_input_error(code, err):
+    assert code == 2
+    assert err.startswith("error:input-error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--stats", "--oracle"])
+def test_report_rejects_invalid_json(finished_campaign, tmp_path, flag):
+    camp, _ = finished_campaign
+    broken = tmp_path / "broken.json"
+    broken.write_text((camp / "stats.json").read_text()[:-10])
+    files = {"--stats": str(camp / "stats.json"), "--oracle": str(camp / "stats.json")}
+    files[flag] = str(broken)
+    argv = ["report"]
+    for k, v in files.items():
+        argv += [k, v]
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / "rj")])
+    _assert_input_error(code, err)
+    assert "is not valid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("classes",), ("period_ps",), ("metrics", "P_GM"), ("classes", "gate", "probs")],
+    ids=".".join,
+)
+def test_report_rejects_stats_missing_key(finished_campaign, tmp_path, path):
+    camp, _ = finished_campaign
+    doc = json.loads((camp / "stats.json").read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    broken = tmp_path / "missing.json"
+    broken.write_text(json.dumps(doc))
+    code, _, err = run_cli(["report", "--stats", str(broken), "--out", str(tmp_path / "rk")])
+    _assert_input_error(code, err)
+    assert f"no key '{path[-1]}'" in err
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["7,gate,1,0", "7,g1,gate,one,200.5,0,1,NF", "7,g1,gate,1,200.5,0,1,XX"],
+    ids=["short", "non-numeric", "unknown-outcome"],
+)
+def test_report_rejects_malformed_log_row(finished_campaign, tmp_path, row):
+    camp, _ = finished_campaign
+    lines = (camp / "samples.csv").read_text().splitlines()
+    lines[3] = row
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(
+        ["report", "--stats", str(camp / "stats.json"), "--log", str(broken),
+         "--out", str(tmp_path / "rl")]
+    )
+    _assert_input_error(code, err)
+    assert "sample log line 4: malformed row" in err
 
 
 def test_report_paper_columns_projection(finished_campaign, tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from seusim.errors import InvariantError, StimulusError
 from seusim.golden import (
     Stimulus,
-    cycle_snapshot,
     eval_gate,
     parse_stimulus,
     simulate_reference,
@@ -210,27 +209,6 @@ def test_trace_csv_shape():
     assert lines[0] == "cycle,flop,bit"
     assert len(lines) == 1 + 5 * len(c.flops)
     assert lines[1].startswith("0,")
-
-
-def test_cycle_snapshot_contents():
-    c = bundled_circuit("fsm3")
-    tr = simulate_reference(c, Stimulus.random(6, seed=1))
-    state, pis, settled = cycle_snapshot(tr, 2)
-    assert set(state) == {f.id for f in c.flops}
-    assert set(pis) == set(c.primary_inputs)
-    assert set(settled) == set(c.nets)
-    for f in c.flops:
-        assert state[f.id] == tr.flop_value(2, f.id)
-
-
-def test_cycle_snapshot_rejects_observation_edges():
-    c = bundled_circuit("fsm3")
-    tr = simulate_reference(c, Stimulus.random(6, seed=1))
-    for bad in (0, 5, 6, -1):
-        with pytest.raises(InvariantError):
-            cycle_snapshot(tr, bad)
-    cycle_snapshot(tr, 1)
-    cycle_snapshot(tr, 4)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -37,8 +37,7 @@ def held(circuit, bits, cycles=5):
 
 def strike(circuit, profile, trace, site, t, k=1, policy=INSTANT, rng=None, debug=None):
     return run_sample(
-        circuit,
-        profile,
+        SimContext.build(circuit, profile),
         trace,
         StrikeSample(drain=site, k=k, t=t),
         policy=policy,
@@ -87,7 +86,7 @@ def test_attenuation_never_widens(width, delay):
 
 
 def test_pulse_event_end():
-    ev = PulseEvent(net="n", start=100.0, width=40.0, value=1)
+    ev = PulseEvent(net="n", start=100.0, width=40.0)
     assert ev.end == 140.0
     assert not ev.step
 
@@ -102,45 +101,70 @@ def prof():
 
 
 def test_capture_cover_flips_bit(prof):
-    assert capture_at_edge(1, (250.0, 320.0), 300.0, prof) == (0, False)
+    assert capture_at_edge(1, [(250.0, 320.0)], 300.0, prof) == (0, False)
 
 
 def test_capture_start_on_edge_only_grazes(prof):
-    assert capture_at_edge(1, (300.0, 350.0), 300.0, prof) == (1, True)
+    assert capture_at_edge(1, [(300.0, 350.0)], 300.0, prof) == (1, True)
 
 
 def test_capture_grazes_in_hold_window(prof):
-    assert capture_at_edge(1, (310.0, 315.0), 300.0, prof) == (1, True)
+    assert capture_at_edge(1, [(310.0, 315.0)], 300.0, prof) == (1, True)
 
 
 def test_capture_grazes_in_setup_window(prof):
-    assert capture_at_edge(1, (250.0, 270.0), 300.0, prof) == (1, True)
+    assert capture_at_edge(1, [(250.0, 270.0)], 300.0, prof) == (1, True)
     # a pulse starting exactly at the end of the hold window still grazes...
-    assert capture_at_edge(1, (320.0, 400.0), 300.0, prof) == (1, True)
-    assert capture_at_edge(1, (200.0, 261.0), 300.0, prof) == (1, True)
+    assert capture_at_edge(1, [(320.0, 400.0)], 300.0, prof) == (1, True)
+    assert capture_at_edge(1, [(200.0, 261.0)], 300.0, prof) == (1, True)
 
 
 def test_capture_misses_cleanly(prof):
-    assert capture_at_edge(1, (250.0, 259.0), 300.0, prof) == (1, False)
+    assert capture_at_edge(1, [(250.0, 259.0)], 300.0, prof) == (1, False)
     # ...but one ending exactly at the start of the setup window does not
-    assert capture_at_edge(1, (200.0, 260.0), 300.0, prof) == (1, False)
-    assert capture_at_edge(1, (330.0, 400.0), 300.0, prof) == (1, False)
-    assert capture_at_edge(0, None, 300.0, prof) == (0, False)
+    assert capture_at_edge(1, [(200.0, 260.0)], 300.0, prof) == (1, False)
+    assert capture_at_edge(1, [(330.0, 400.0)], 300.0, prof) == (1, False)
+    assert capture_at_edge(0, (), 300.0, prof) == (0, False)
 
 
 def test_capture_window_random_resolves_grazes(prof):
     always = CapturePolicy("window-random", 1.0)
     never = CapturePolicy("window-random", 0.0)
-    graze = (310.0, 315.0)
+    graze = [(310.0, 315.0)]
     assert capture_at_edge(1, graze, 300.0, prof, policy=always, rng=random.Random(0)) == (0, True)
     assert capture_at_edge(1, graze, 300.0, prof, policy=never, rng=random.Random(0)) == (1, True)
     # covered pulses flip regardless of policy
-    assert capture_at_edge(1, (250.0, 320.0), 300.0, prof, policy=never, rng=random.Random(0)) == (0, False)
+    assert capture_at_edge(1, [(250.0, 320.0)], 300.0, prof, policy=never, rng=random.Random(0)) == (0, False)
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [[(310.0, 315.0), (250.0, 320.0)], [(250.0, 320.0), (310.0, 315.0)]],
+)
+def test_capture_cover_beats_graze_in_any_order(prof, intervals):
+    # reconvergent paths can bring several intervals to one flop: a covering
+    # one flips the bit, counts no window hit and draws nothing from the RNG
+    assert capture_at_edge(1, intervals, 300.0, prof) == (0, False)
+    rng = random.Random(3)
+    before = rng.getstate()
+    never = CapturePolicy("window-random", 0.0)
+    assert capture_at_edge(1, intervals, 300.0, prof, policy=never, rng=rng) == (0, False)
+    assert rng.getstate() == before
+
+
+def test_capture_several_grazes_count_one_hit_and_one_draw(prof):
+    rng = random.Random(3)
+    expected = random.Random(3)
+    expected.random()
+    pol = CapturePolicy("window-random", 0.0)
+    grazes = [(250.0, 270.0), (310.0, 315.0), (330.0, 400.0)]
+    assert capture_at_edge(1, grazes, 300.0, prof, policy=pol, rng=rng) == (1, True)
+    assert rng.getstate() == expected.getstate()
 
 
 def test_capture_window_random_needs_rng(prof):
     with pytest.raises(ConfigError, match="needs an RNG"):
-        capture_at_edge(1, (310.0, 315.0), 300.0, prof, policy=CapturePolicy("window-random", 0.5))
+        capture_at_edge(1, [(310.0, 315.0)], 300.0, prof, policy=CapturePolicy("window-random", 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +268,25 @@ def test_capture_strike_forces_captured_bit(chain1_setup, prof):
     assert r2.flips_e1 == r2.flips_e2 == frozenset()
 
 
+def test_capture_strike_spares_flops_sharing_the_data_net(prof):
+    # B and C latch the same net; a capture-node strike corrupts only the
+    # struck flop's latch, while a glitch on the shared net reaches both
+    c = parse_bench(
+        "INPUT(x)\nOUTPUT(B)\nOUTPUT(C)\nA = DFF(x)\nB = DFF(ny)\nC = DFF(ny)\n"
+        "ny = NOT(A)\n",
+        name="shared",
+    )
+    tr = held(c, (1,))
+    table = enumerate_drains(c, prof)
+    site = find_site(table, "B", "capture-node", "pulls-high")
+    r = strike(c, prof, tr, site, 170.0)
+    assert r.flips_e1 == frozenset()
+    assert r.flips_e2 == frozenset({"B"})
+    assert r.window_hits == 0
+    gate = find_site(table, "ny", polarity="pulls-high")
+    assert strike(c, prof, tr, gate, 200.0).flips_e2 == frozenset({"B", "C"})
+
+
 def test_gate_strike_sensitized_everywhere(chain1_setup, prof):
     c, tr, table = chain1_setup
     site = find_site(table, "ny", polarity="pulls-high")
@@ -332,17 +375,18 @@ def test_three_inverter_chain_filters_pulse(prof):
 def test_fanout_strike_corrupts_both_flops():
     c = bundled_circuit("toy_fanout")
     p = load_bundled_profile("toy-equal")
+    ctx = SimContext.build(c, p)
     tr = held(c, (1,))
     site = find_site(enumerate_drains(c, p), "t", polarity="pulls-high")
     for t in (540.0, 600.0, 659.0):
-        r = run_sample(c, p, tr, StrikeSample(drain=site, k=1, t=t))
+        r = run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=t))
         assert r.flips_e2 == frozenset({"f1", "f2"})
     # immediately outside the shared coverage window both sinks graze
     for t in (539.0, 660.0):
-        r = run_sample(c, p, tr, StrikeSample(drain=site, k=1, t=t))
+        r = run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=t))
         assert r.flips_e2 == frozenset()
         assert r.window_hits == 2
-    early = run_sample(c, p, tr, StrikeSample(drain=site, k=1, t=500.0))
+    early = run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=500.0))
     assert early.flip_counts == (0, 0)
     assert early.window_hits == 0
 
@@ -350,11 +394,12 @@ def test_fanout_strike_corrupts_both_flops():
 def test_mask_circuit_staggered_coverage():
     c = bundled_circuit("toy_mask")
     p = load_bundled_profile("toy-equal")
+    ctx = SimContext.build(c, p)
     tr = held(c, (1, 1))
     site = find_site(enumerate_drains(c, p), "g1", polarity="pulls-low")
 
     def hit(t):
-        return run_sample(c, p, tr, StrikeSample(drain=site, k=1, t=t)).flips_e2
+        return run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=t)).flips_e2
 
     # two sinks at different depths: f2 is one gate further than f1, so the
     # coverage windows are offset by one gate delay
@@ -367,13 +412,14 @@ def test_mask_circuit_staggered_coverage():
 def test_mask_circuit_logical_masking():
     c = bundled_circuit("toy_mask")
     p = load_bundled_profile("toy-equal")
+    ctx = SimContext.build(c, p)
     # with b = 0 the AND gate's side input controls its output, so the pulse
     # on g1 dies there no matter when it lands
     tr = held(c, (1, 0))
     site = find_site(enumerate_drains(c, p), "g1", polarity="pulls-low")
     for t in (500.0, 570.0, 630.0, 690.0):
         dbg = []
-        r = run_sample(c, p, tr, StrikeSample(drain=site, k=1, t=t), debug=dbg)
+        r = run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=t), debug=dbg)
         assert r.flip_counts == (0, 0)
         assert any("masked at g2 (logical)" in line for line in dbg)
 
@@ -439,7 +485,7 @@ def test_wide_glitch_at_cycle_start_always_captured(depth):
     golden_g1 = tr.net_value(1, "g1")
     pol = "pulls-high" if golden_g1 == 0 else "pulls-low"
     site = find_site(table, "g1", polarity=pol)
-    r = run_sample(c, p, tr, StrikeSample(drain=site, k=1, t=0.0))
+    r = run_sample(SimContext.build(c, p), tr, StrikeSample(drain=site, k=1, t=0.0))
     assert r.flips_e2 == frozenset({"B"})
 
 
@@ -470,7 +516,7 @@ def test_wider_glitches_dominate_narrower_ones(name):
         flips = {}
         for s in gate_sites:
             for t in grid:
-                r = run_sample(c, p, tr, StrikeSample(drain=s, k=1, t=t), ctx=ctx)
+                r = run_sample(ctx, tr, StrikeSample(drain=s, k=1, t=t))
                 flips[(s.id, t)] = r.flips_e2
         flips_by_width[w] = flips
     for lo, hi in zip(widths, widths[1:]):
