@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import campaign as camp
-from .campaign import (CampaignConfig, CampaignStats, ClassStats, OutcomeClass,
-                       Ratio, recompute_from_log, sample_rng, sample_strike,
-                       standard_error)
+from .campaign import (STRIKE_CLASSES, CampaignConfig, CampaignStats,
+                       ClassStats, OutcomeClass, Ratio, recompute_from_log,
+                       sample_rng, sample_strike, standard_error)
 from .errors import ConfigError, InputError, InvariantError, SeuSimError
 from .golden import Stimulus, parse_stimulus, simulate_reference
 from .injector import SimContext, parse_policy, run_sample
 from .netlist import parse_bench, validate, wrap_combinational
-from .techmodel import enumerate_drains, load_bundled_profile, load_profile_file
+from .techmodel import enumerate_drains, load_bundled_profile, load_profile
 
 PAPER_CLASSES = (OutcomeClass.NN, OutcomeClass.NF, OutcomeClass.FN,
                  OutcomeClass.FF)
@@ -44,19 +44,24 @@ def _fmt(x, digits=6):
 
 # --- input loading ----------------------------------------------------------
 
-def _load_circuit(path):
-    p = Path(path)
+def _read_lines(path, what):
+    """Lines of an input file; InputError if unreadable or not UTF-8."""
     try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read circuit '{path}': {exc}") from None
-    return parse_bench(text, name=p.stem)
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} '{path}': {exc}") from None
+
+
+def _load_circuit(path):
+    text = "".join(_read_lines(path, "circuit"))
+    return parse_bench(text, name=Path(path).stem)
 
 
 def _load_profile(spec):
     p = Path(spec)
     if p.suffix == ".json" or p.exists():
-        return load_profile_file(p)
+        return load_profile("".join(_read_lines(p, "profile")), source=str(p))
     return load_bundled_profile(spec)
 
 
@@ -70,12 +75,7 @@ def _load_stimulus(spec):
             return Stimulus.random(int(parts[1]), int(parts[2]))
         except ValueError:
             raise InputError(f"bad stimulus spec '{spec}'") from None
-    p = Path(spec)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read stimulus '{spec}': {exc}") from None
-    return parse_stimulus(text)
+    return parse_stimulus("".join(_read_lines(spec, "stimulus")))
 
 
 def _prepare_sequential(args):
@@ -139,22 +139,35 @@ def stats_to_dict(stats):
     return doc
 
 
+def _int(value, what):
+    if type(value) is not int:
+        raise InputError(f"stats document has a non-integer {what}: {value!r}")
+    return value
+
+
 def stats_from_dict(doc):
     """Rebuild CampaignStats (without records) from a stats.json document.
 
-    Raises InputError when a field is missing or the layout is wrong.
+    Raises InputError when a field is missing or not an integer where one
+    is due, or the layout or the set of strike classes is wrong.
     """
     try:
         fields = {attr: doc[key] for key, attr in _STATS_FIELDS}
         for key, attr in _METRIC_FIELDS:
-            fields[attr] = Ratio(doc["metrics"][key]["num"],
-                                 doc["metrics"][key]["den"])
+            m = doc["metrics"][key]
+            fields[attr] = Ratio(_int(m["num"], f"{key} num"),
+                                 _int(m["den"], f"{key} den"))
+        if set(doc["classes"]) != set(STRIKE_CLASSES):
+            raise InputError(f"stats document classes must be {STRIKE_CLASSES}")
         per_class = {}
-        for name, sub in doc["classes"].items():
-            cs = per_class[name] = ClassStats(n=sub["n"])
+        for name in STRIKE_CLASSES:
+            sub = doc["classes"][name]
+            cs = per_class[name] = ClassStats(n=_int(sub["n"], f"{name} n"))
             for table in _CLASS_TABLES:
                 setattr(cs, table,
                         {c: sub[table][c.value] for c in OutcomeClass})
+            for c, count in cs.counts.items():
+                _int(count, f"{name} count {c.value}")
     except KeyError as exc:
         raise InputError(f"stats document has no key {exc}") from None
     except (TypeError, AttributeError):
@@ -164,13 +177,11 @@ def stats_from_dict(doc):
 
 
 def _load_stats(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise InputError(f"'{path}' is not valid JSON: {exc}") from None
+    text = "".join(_read_lines(path, "stats"))
     try:
-        return stats_from_dict(doc)
+        return stats_from_dict(json.loads(text))
+    except ValueError as exc:
+        raise InputError(f"'{path}' is not valid JSON: {exc}") from None
     except InputError as exc:
         raise InputError(f"'{path}': {exc}") from None
 
@@ -489,8 +500,7 @@ def cmd_report(args):
     stats = _load_stats(args.stats)
     records = None
     if args.log:
-        with open(args.log, "r", encoding="utf-8") as fh:
-            records = camp.read_sample_log(fh)
+        records = camp.read_sample_log(_read_lines(args.log, "sample log"))
     if args.recompute:
         if records is None:
             raise ConfigError("--recompute needs --log")

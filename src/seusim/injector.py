@@ -20,14 +20,13 @@ against golden.  Under this convention a gate strike can never appear at e1,
 and a register strike contributes at most its own flop at e1.
 """
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, InvariantError
 from .netlist import CONTROLLING
 from .techmodel import clock_period, settle_bound
-
-_MAX_EVENTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -187,33 +186,27 @@ def _propagate(ctx, settled, seed_event, debug=None):
     """Event-wise propagation through the combinational fanout.
 
     Returns {data net -> [(start, end), ...]} for nets that feed flops.
-    Reconvergent arrivals are propagated independently; duplicate
-    (net, start, width) events are collapsed.
+    Duplicate (net, start, width) glitches are collapsed.  A step ends past
+    every capture edge, so only its start decides a capture: a net is
+    followed again only when a step reaches it strictly earlier.
     """
-    circuit = ctx.circuit
     theta = ctx.profile.filter_threshold
     at_flops = {}
-    seen = set()
+    seen = {}
     queue = deque([seed_event])
-    emitted = 0
     while queue:
         ev = queue.popleft()
-        key = (ev.net, ev.start, ev.width)
-        if key in seen:
+        key = ev.net if ev.step else (ev.net, ev.start, ev.width)
+        if seen.get(key, math.inf) <= ev.start:
             continue
-        seen.add(key)
-        emitted += 1
-        if emitted > _MAX_EVENTS:
-            raise InvariantError(
-                f"pulse propagation exceeded {_MAX_EVENTS} events on "
-                f"'{circuit.name}'")
+        seen[key] = ev.start
         if debug is not None:
             debug.append(f"pulse net={ev.net} start={ev.start:.2f} "
                          f"width={ev.width:.2f} value={1 - settled[ev.net]}"
                          + (" step" if ev.step else ""))
         if ev.net in ctx.flop_ids_by_data:
             at_flops.setdefault(ev.net, []).append((ev.start, ev.end))
-        for gate in circuit.gate_fanout.get(ev.net, ()):
+        for gate in ctx.circuit.gate_fanout.get(ev.net, ()):
             ctrl = CONTROLLING[gate.kind]
             if ctrl is not None:
                 side = [n for n in gate.inputs if n != ev.net]
@@ -235,29 +228,23 @@ def _propagate(ctx, settled, seed_event, debug=None):
     return at_flops
 
 
-def _capture_all(ctx, settled, at_flops, policy, rng, debug=None,
-                 forced=None):
+def _capture_all(ctx, settled, at_flops, policy, rng, debug=None):
     """Resolve each disturbed flop's capture at the edge ending the cycle.
 
-    ``forced`` optionally maps a flop id to a forced captured bit (used for
-    capture-node strikes).  Flops are visited in circuit order, so
-    window-random draws come in a fixed order; a flop with neither a
-    disturbance nor a forced bit keeps its golden value and is skipped.
-    Returns (flips_e2, window_hits).
+    Flops are visited in circuit order, so window-random draws come in a
+    fixed order; a flop without a disturbance keeps its golden value and is
+    skipped.  Returns (flips_e2, window_hits).
     """
     edge = ctx.period
     flips, hits = set(), 0
     for flop in ctx.circuit.flops:
-        if forced and flop.id in forced:
-            captured = forced[flop.id]
-        else:
-            intervals = at_flops.get(flop.data)
-            if intervals is None:
-                continue
-            captured, hit = capture_at_edge(settled[flop.data], intervals,
-                                            edge, ctx.profile, policy, rng)
-            hits += hit
+        intervals = at_flops.get(flop.data)
+        if intervals is None:
+            continue
         golden_next = settled[flop.data]
+        captured, hit = capture_at_edge(golden_next, intervals, edge,
+                                        ctx.profile, policy, rng)
+        hits += hit
         if captured != golden_next:
             flips.add(flop.id)
             if debug is not None:
@@ -319,10 +306,10 @@ def disturb_register(ctx, trace, sample, policy=INSTANT, rng=None,
             return _empty("register")
         # The value being latched is corrupted: the flop captures the
         # complement of its golden next state, which always differs.
-        forced = {flop.id: 1 - incoming}
-        flips_e2, hits = _capture_all(ctx, settled, {}, policy, rng, debug,
-                                      forced=forced)
-        return SampleResult(frozenset(), flips_e2, "register", hits)
+        if debug is not None:
+            debug.append(f"capture flop={flop.id} edge={ctx.period:.2f} "
+                         f"captured={1 - incoming} golden={incoming}")
+        return SampleResult(frozenset(), frozenset([flop.id]), "register")
     raise InvariantError(
         f"register strike on drain {drain.id} with ff_node_class "
         f"'{drain.ff_node_class}'")

@@ -448,3 +448,61 @@ def test_stats_json_round_trip(finished_campaign):
     text = (camp / "stats.json").read_text()
     stats = cli.stats_from_dict(json.loads(text))
     assert cli.stats_json(stats) == text
+
+
+@pytest.mark.parametrize("flag", ["--circuit", "--tech", "--stimulus", "--log"])
+def test_non_utf8_input_is_an_input_error(finished_campaign, bench_dir, tmp_path, flag):
+    bad = bench_dir / "bad.bench"
+    bad.write_bytes(b"\xff\xfe\x00I\x00N\x00P\x00U\x00T\x00")
+    camp, _ = finished_campaign
+    out = str(tmp_path / "u")
+    if flag == "--circuit":
+        argv = campaign_args(bench_dir, "bad", out)
+    elif flag == "--log":
+        argv = ["report", "--stats", str(camp / "stats.json"), "--log", str(bad), "--out", out]
+    else:
+        argv = campaign_args(bench_dir, "toy_chain", out, **{flag: str(bad)})
+    code, _, err = run_cli(argv)
+    _assert_input_error(code, err)
+    assert f"'{bad}'" in err
+    assert "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("change", ["drop-register", "extra-class"])
+def test_report_rejects_stats_with_wrong_classes(finished_campaign, tmp_path, change):
+    camp, _ = finished_campaign
+    doc = json.loads((camp / "stats.json").read_text())
+    if change == "drop-register":
+        del doc["classes"]["register"]
+    else:
+        doc["classes"]["latch"] = doc["classes"]["gate"]
+    broken = tmp_path / "classes.json"
+    broken.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        ["report", "--stats", str(broken), "--log", str(camp / "samples.csv"),
+         "--recompute", "--out", str(tmp_path / "rc")]
+    )
+    _assert_input_error(code, err)
+    assert "classes must be ('gate', 'register')" in err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("classes", "gate", "n"), "x"),
+     (("classes", "register", "counts", "NF"), 1.5),
+     (("metrics", "P_m", "num"), "3"),
+     (("metrics", "P_GM", "den"), True)],
+    ids=["n", "count", "num", "den"],
+)
+def test_report_rejects_non_integer_stats_counts(finished_campaign, tmp_path, path, value):
+    camp, _ = finished_campaign
+    doc = json.loads((camp / "stats.json").read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    broken = tmp_path / "typed.json"
+    broken.write_text(json.dumps(doc))
+    code, _, err = run_cli(["report", "--stats", str(broken), "--out", str(tmp_path / "rt")])
+    _assert_input_error(code, err)
+    assert "non-integer" in err

@@ -268,6 +268,18 @@ def test_capture_strike_forces_captured_bit(chain1_setup, prof):
     assert r2.flips_e1 == r2.flips_e2 == frozenset()
 
 
+def test_capture_strike_draws_nothing_and_logs_its_capture(chain1_setup, prof):
+    c, tr, table = chain1_setup
+    site = find_site(table, "A", "capture-node", "pulls-low")
+    rng = random.Random(5)
+    before = rng.getstate()
+    dbg = []
+    r = strike(c, prof, tr, site, 205.0, policy=CapturePolicy("window-random", 0.5), rng=rng, debug=dbg)
+    assert (r.flips_e2, r.window_hits) == ({"A"}, 0)
+    assert rng.getstate() == before
+    assert dbg[1:] == ["capture flop=A edge=300.00 captured=0 golden=1"]
+
+
 def test_capture_strike_spares_flops_sharing_the_data_net(prof):
     # B and C latch the same net; a capture-node strike corrupts only the
     # struck flop's latch, while a glitch on the shared net reaches both
@@ -451,6 +463,77 @@ def test_state_step_is_not_attenuated(prof):
     r2 = strike(c, narrow, tr, gsite, 350.0, debug=dbg2)
     assert r2.flip_counts == (0, 0)
     assert any("masked at g2 (electrical)" in line for line in dbg2)
+
+
+def _step_pulses(dbg):
+    return [line for line in dbg if line.startswith("pulse ") and line.endswith(" step")]
+
+
+def test_state_step_keeps_earliest_arrival_per_net(prof):
+    # A reaches r directly (50 ps) and through two inverters (250 ps); only
+    # the earlier step on r is followed, and it decides B's capture
+    c = parse_bench(
+        "INPUT(x)\nOUTPUT(B)\nA = DFF(x)\nB = DFF(r)\n"
+        "g1 = NOT(A)\ng2 = NOT(g1)\nr = XOR(A, g2)\n",
+        name="reconv",
+    )
+    tr = held(c, (1,))
+    site = find_site(enumerate_drains(c, prof), "A", "state-node", "pulls-low")
+    dbg = []
+    r = strike(c, prof, tr, site, 310.0, debug=dbg)
+    assert sorted(_step_pulses(dbg)) == [
+        "pulse net=A start=310.00 width=140.00 value=0 step",
+        "pulse net=g1 start=410.00 width=140.00 value=1 step",
+        "pulse net=g2 start=510.00 width=140.00 value=0 step",
+        "pulse net=r start=360.00 width=140.00 value=1 step",
+    ]
+    assert (r.flips_e1, r.flips_e2, r.window_hits) == ({"A"}, {"B"}, 0)
+    # the earliest step starts 5 ps after the 450 ps edge: a graze, no cover
+    always = CapturePolicy("window-random", 1.0)
+    r = strike(c, prof, tr, site, 405.0, policy=always, rng=random.Random(0))
+    assert (r.flips_e1, r.flips_e2, r.window_hits) == ({"A"}, {"B"}, 1)
+
+
+def test_state_step_revisits_net_reached_earlier_by_a_longer_path():
+    # breadth-first order reaches r through one slow inverter (at 360) before
+    # it reaches it through two fast buffers (at 300); the earlier step is
+    # followed too and covers the 350 ps edge that the later one only grazes
+    prof = profile_from(chain_profile_doc(gate_delay={"NOT1": 100, "BUF1": 20, "XOR2": 50}))
+    c = parse_bench(
+        "INPUT(x)\nOUTPUT(B)\nA = DFF(x)\nB = DFF(r)\n"
+        "g1 = NOT(A)\nf1 = BUF(A)\nf2 = BUF(f1)\nr = XOR(g1, f2)\n",
+        name="reconv_fast",
+    )
+    tr = held(c, (1,))
+    site = find_site(enumerate_drains(c, prof), "A", "state-node", "pulls-low")
+    dbg = []
+    always = CapturePolicy("window-random", 1.0)
+    r = strike(c, prof, tr, site, 210.0, policy=always, rng=random.Random(0), debug=dbg)
+    assert [line for line in _step_pulses(dbg) if "net=r " in line] == [
+        "pulse net=r start=360.00 width=140.00 value=0 step",
+        "pulse net=r start=300.00 width=140.00 value=0 step",
+    ]
+    assert (r.flips_e1, r.flips_e2, r.window_hits) == ({"A"}, {"B"}, 0)
+
+
+def test_state_step_through_deep_reconvergent_ladder():
+    # x{i+1} = XOR(x{i}, BUF(x{i})) over 500 stages: x500 is reachable along
+    # 2**500 paths with hundreds of distinct delays, but each of the 1,001
+    # nets carries one step, so a strike is cheap and needs no event cap
+    stages = 500
+    lines = ["INPUT(i)", "OUTPUT(y)", "x0 = DFF(i)", f"y = DFF(x{stages})"]
+    for s in range(stages):
+        lines += [f"b{s} = BUF(x{s})", f"x{s + 1} = XOR(x{s}, b{s})"]
+    c = parse_bench("\n".join(lines) + "\n", name="ladder")
+    p = load_bundled_profile("65nm-like")
+    ctx = SimContext.build(c, p)
+    tr = held(c, (1,))
+    site = find_site(enumerate_drains(c, p), "x0", "state-node", "pulls-low")
+    dbg = []
+    r = run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=ctx.settle), debug=dbg)
+    nets = [line.split()[1] for line in _step_pulses(dbg)]
+    assert len(nets) == len(set(nets)) == 2 * stages + 1
+    assert (r.flips_e1, r.flips_e2, r.window_hits) == ({"x0"}, frozenset(), 0)
 
 
 def test_debug_trace_header(chain1_setup, prof):
