@@ -30,7 +30,7 @@ from .errors import ConfigError, InputError, InvariantError, SeuSimError
 from .golden import Stimulus, parse_stimulus, simulate_reference
 from .injector import SimContext, parse_policy, run_sample
 from .netlist import parse_bench, validate, wrap_combinational
-from .techmodel import enumerate_drains, load_bundled_profile, load_profile
+from .techmodel import enumerate_drains, load_bundled_profile, load_profile_file
 
 PAPER_CLASSES = (OutcomeClass.NN, OutcomeClass.NF, OutcomeClass.FN,
                  OutcomeClass.FF)
@@ -61,7 +61,7 @@ def _load_circuit(path):
 def _load_profile(spec):
     p = Path(spec)
     if p.suffix == ".json" or p.exists():
-        return load_profile("".join(_read_lines(p, "profile")), source=str(p))
+        return load_profile_file(p)
     return load_bundled_profile(spec)
 
 
@@ -179,9 +179,11 @@ def stats_from_dict(doc):
 def _load_stats(path):
     text = "".join(_read_lines(path, "stats"))
     try:
-        return stats_from_dict(json.loads(text))
+        doc = json.loads(text)
     except ValueError as exc:
         raise InputError(f"'{path}' is not valid JSON: {exc}") from None
+    try:
+        return stats_from_dict(doc)
     except InputError as exc:
         raise InputError(f"'{path}': {exc}") from None
 
@@ -249,16 +251,12 @@ def build_report(stats, oracle=None, paper_columns=False):
     if oracle is not None:
         comparison = []
         for name, cs in stats.per_class.items():
-            ocs = oracle.per_class.get(name)
-            if ocs is None or cs.n == 0:
+            if cs.n == 0:
                 continue
             for c in classes:
-                p_mc, p_or = cs.probs[c], ocs.probs[c]
+                p_mc, p_or = cs.probs[c], oracle.per_class[name].probs[c]
                 base = p_or if p_or > 0.0 else p_mc
-                if base == 0.0:
-                    z = 0.0
-                else:
-                    z = (p_mc - p_or) / standard_error(base, cs.n)
+                z = (p_mc - p_or) / standard_error(base, cs.n) if base else 0.0
                 comparison.append({
                     "strike_class": name, "outcome": c,
                     "mc": p_mc, "oracle": p_or, "z": z,

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ProfileError
+from .errors import InputError, ProfileError
 from .netlist import GATE_KINDS, levelize
 
 POLARITIES = ("pulls-low", "pulls-high")
@@ -196,8 +196,12 @@ def load_profile(text, source="<profile>"):
 
 
 def load_profile_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_profile(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read profile '{path}': {exc}") from None
+    return load_profile(text, source=str(path))
 
 
 def bundled_profile_names():

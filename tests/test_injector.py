@@ -536,6 +536,39 @@ def test_state_step_through_deep_reconvergent_ladder():
     assert (r.flips_e1, r.flips_e2, r.window_hits) == ({"x0"}, frozenset(), 0)
 
 
+def test_glitch_through_reconvergent_ladder_keeps_one_event_per_path_delay():
+    # x{i+1} = AND(x{i}, BUF(x{i})) under 65nm-like: the 130 ps glitch passes
+    # AND2 (65 ps) and BUF (40 ps) unnarrowed, so glitches are not collapsed
+    # to one per net like steps are.  x{m} is reached along 2**(m-1) paths
+    # from x1 but with only m distinct delays (65a + 105b, a + b = m - 1);
+    # one event per distinct delay gives stages**2 pulse lines in all
+    stages = 40
+    lines = ["INPUT(i)", "OUTPUT(y)", "x0 = DFF(i)", f"y = DFF(x{stages})"]
+    for s in range(stages):
+        lines += [f"b{s} = BUF(x{s})", f"x{s + 1} = AND(x{s}, b{s})"]
+    c = parse_bench("\n".join(lines) + "\n", name="and_ladder")
+    p = load_bundled_profile("65nm-like")
+    ctx = SimContext.build(c, p)
+    tr = held(c, (1,))
+    site = find_site(enumerate_drains(c, p), "x1", polarity="pulls-low")
+    dbg = []
+    r = run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=700.0), debug=dbg)
+    starts = {}
+    for line in dbg:
+        if line.startswith("pulse "):
+            net, start = line.split()[1:3]
+            starts.setdefault(net[len("net="):], []).append(float(start[len("start="):]))
+    assert sum(len(v) for v in starts.values()) == stages**2
+    for m in range(1, stages + 1):
+        delays = {700.0 + 65 * a + 105 * (m - 1 - a) for a in range(m)}
+        assert sorted(starts[f"x{m}"]) == sorted(delays)
+        if m < stages:
+            assert sorted(starts[f"b{m}"]) == sorted(d + 40 for d in delays)
+    # the slowest path lands at 4795 ps, its 130 ps glitch covers the 4860 ps edge
+    assert ctx.period == 4860.0
+    assert (r.flips_e1, r.flips_e2, r.window_hits) == (frozenset(), {"y"}, 0)
+
+
 def test_debug_trace_header(chain1_setup, prof):
     c, tr, table = chain1_setup
     site = find_site(table, "A", "state-node", "pulls-low")

@@ -1,12 +1,13 @@
 """Tests for technology profiles, drain-site tables, and clock sizing."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seusim.errors import ProfileError
+from seusim.errors import InputError, ProfileError
 from seusim.netlist import parse_bench
 from seusim.techmodel import (
     bundled_profile_names,
@@ -15,6 +16,7 @@ from seusim.techmodel import (
     enumerate_drains,
     load_bundled_profile,
     load_profile,
+    load_profile_file,
     settle_bound,
 )
 
@@ -153,6 +155,15 @@ def test_load_profile_rejects_bad_documents(mutate, message):
 def test_load_profile_rejects_bad_json():
     with pytest.raises(ProfileError, match="not valid JSON"):
         load_profile("{not json", source="<t>")
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["missing", "non-utf8"])
+def test_load_profile_file_unreadable_is_an_input_error(tmp_path, content):
+    path = tmp_path / "p.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(InputError, match=re.escape(f"cannot read profile '{path}'")):
+        load_profile_file(path)
 
 
 def test_filter_threshold_zero_is_allowed():
