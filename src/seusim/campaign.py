@@ -49,12 +49,9 @@ def _bucket(count):
     return _BUCKETS[min(count, 2)]
 
 
-def classify(result):
-    """Map a SampleResult (or a flip-count pair) to its OutcomeClass."""
-    if hasattr(result, "flip_counts"):
-        n1, n2 = result.flip_counts
-    else:
-        n1, n2 = result
+def classify(flip_counts):
+    """Map a flip-count pair (first edge, second edge) to its OutcomeClass."""
+    n1, n2 = flip_counts
     if n1 < 0 or n2 < 0:
         raise InvariantError(f"negative flip counts ({n1}, {n2})")
     return _BY_LABEL[_bucket(n1) + _bucket(n2)]
@@ -302,11 +299,11 @@ def run_campaign(config, sample_runner=None):
         rng = sample_rng(config.rng_seed, i)
         sample = sample_strike(rng, table, trace, ctx.period, ctx.settle)
         result = sample_runner(sample, rng)
+        n_e1, n_e2 = len(result.flips_e1), len(result.flips_e2)
         rec = SampleRecord(
             index=i, drain_id=sample.drain.id,
             strike_class=sample.strike_class, k=sample.k, t=sample.t,
-            n_e1=len(result.flips_e1), n_e2=len(result.flips_e2),
-            outcome=classify(result))
+            n_e1=n_e1, n_e2=n_e2, outcome=classify((n_e1, n_e2)))
         records.append(rec)
         cs = per_class[rec.strike_class]
         cs.n += 1
@@ -363,7 +360,7 @@ def exhaustive_campaign(config, t_grid):
                 t = ctx.settle + i * step
                 sample = StrikeSample(drain=drain, k=k, t=t)
                 result = run_sample(ctx, trace, sample)
-                drain_counts[classify(result)] += 1
+                drain_counts[classify(result.flip_counts)] += 1
         cs = per_class[sclass]
         cells = len(k_values) * t_grid
         cs.n += cells

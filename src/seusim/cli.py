@@ -17,9 +17,9 @@ numbers (the raw sample log keeps full-precision strike times).
 """
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import campaign as camp
@@ -101,73 +101,96 @@ def _prepare_sequential(args):
 
 # --- stats (de)serialization ------------------------------------------------
 
-# (JSON key, CampaignStats attribute) for every top-level stats.json field
-# except the per-class tables and the metrics.
+def _is_number(value):
+    return type(value) in (int, float)
+
+
+# The value kinds a stats document may hold, by the name its errors use.
+# Types are matched exactly, so a bool is not an integer or a number.
+_KINDS = {
+    "string": lambda v: type(v) is str,
+    "integer": lambda v: type(v) is int,
+    "number": _is_number,
+    "number-or-null": lambda v: v is None or _is_number(v),
+    "boolean": lambda v: type(v) is bool,
+    "object-of-numbers": lambda v: type(v) is dict and all(
+        map(_is_number, v.values())),
+}
+
+# (JSON key, CampaignStats attribute, value kind) for every top-level
+# stats.json field except the per-class tables and the metrics.
 _STATS_FIELDS = (
-    ("circuit", "circuit_name"),
-    ("profile", "profile_label"),
-    ("policy", "policy_label"),
-    ("rng_seed", "rng_seed"),
-    ("period_ps", "period"),
-    ("settle_ps", "settle"),
-    ("stderr_target", "stderr_target"),
-    ("target_estimate", "target_estimate"),
-    ("min_samples", "min_samples"),
-    ("max_samples", "max_samples"),
-    ("stop_reason", "stop_reason"),
-    ("total_samples", "total_samples"),
-    ("wrapped", "wrapped"),
-    ("class_share", "class_share"),
+    ("circuit", "circuit_name", "string"),
+    ("profile", "profile_label", "string"),
+    ("policy", "policy_label", "string"),
+    ("rng_seed", "rng_seed", "integer"),
+    ("period_ps", "period", "number"),
+    ("settle_ps", "settle", "number"),
+    ("stderr_target", "stderr_target", "number"),
+    ("target_estimate", "target_estimate", "string"),
+    ("min_samples", "min_samples", "integer"),
+    ("max_samples", "max_samples", "integer"),
+    ("stop_reason", "stop_reason", "string"),
+    ("total_samples", "total_samples", "integer"),
+    ("wrapped", "wrapped", "boolean"),
+    ("class_share", "class_share", "object-of-numbers"),
 )
 _METRIC_FIELDS = (("P_m", "p_m"), ("P_GM", "p_gm"), ("P_RM", "p_rm"))
-# ClassStats tables keyed by outcome class, serialized by outcome label.
-_CLASS_TABLES = ("counts", "probs", "stderrs")
+# ClassStats tables keyed by outcome class, serialized by outcome label,
+# with the kind of their values (a class without samples has no stderr).
+_CLASS_TABLES = (("counts", "integer"), ("probs", "number"),
+                 ("stderrs", "number-or-null"))
+
+
+def _metrics(stats):
+    """(label, Ratio) for P_m, P_GM and P_RM."""
+    return [(key, getattr(stats, attr)) for key, attr in _METRIC_FIELDS]
 
 
 def stats_to_dict(stats):
-    doc = {key: getattr(stats, attr) for key, attr in _STATS_FIELDS}
+    doc = {key: getattr(stats, attr) for key, attr, _ in _STATS_FIELDS}
     doc["classes"] = {
         name: {"n": cs.n, **{
             table: {c.value: getattr(cs, table)[c] for c in OutcomeClass}
-            for table in _CLASS_TABLES}}
+            for table, _ in _CLASS_TABLES}}
         for name, cs in stats.per_class.items()}
-    doc["metrics"] = {}
-    for key, attr in _METRIC_FIELDS:
-        r = getattr(stats, attr)
-        doc["metrics"][key] = {"num": r.num, "den": r.den, "value": r.value,
-                               "stderr": r.stderr}
+    doc["metrics"] = {
+        key: {"num": r.num, "den": r.den, "value": r.value,
+              "stderr": r.stderr}
+        for key, r in _metrics(stats)}
     return doc
 
 
-def _int(value, what):
-    if type(value) is not int:
-        raise InputError(f"stats document has a non-integer {what}: {value!r}")
+def _typed(value, kind, what):
+    if not _KINDS[kind](value):
+        raise InputError(f"stats document has a non-{kind} {what}: {value!r}")
     return value
 
 
 def stats_from_dict(doc):
     """Rebuild CampaignStats (without records) from a stats.json document.
 
-    Raises InputError when a field is missing or not an integer where one
-    is due, or the layout or the set of strike classes is wrong.
+    Raises InputError when a field is missing or of the wrong kind, or the
+    layout or the set of strike classes is wrong.
     """
     try:
-        fields = {attr: doc[key] for key, attr in _STATS_FIELDS}
+        fields = {attr: _typed(doc[key], kind, key)
+                  for key, attr, kind in _STATS_FIELDS}
         for key, attr in _METRIC_FIELDS:
             m = doc["metrics"][key]
-            fields[attr] = Ratio(_int(m["num"], f"{key} num"),
-                                 _int(m["den"], f"{key} den"))
+            fields[attr] = Ratio(_typed(m["num"], "integer", f"{key} num"),
+                                 _typed(m["den"], "integer", f"{key} den"))
         if set(doc["classes"]) != set(STRIKE_CLASSES):
             raise InputError(f"stats document classes must be {STRIKE_CLASSES}")
         per_class = {}
         for name in STRIKE_CLASSES:
             sub = doc["classes"][name]
-            cs = per_class[name] = ClassStats(n=_int(sub["n"], f"{name} n"))
-            for table in _CLASS_TABLES:
-                setattr(cs, table,
-                        {c: sub[table][c.value] for c in OutcomeClass})
-            for c, count in cs.counts.items():
-                _int(count, f"{name} count {c.value}")
+            per_class[name] = ClassStats(
+                n=_typed(sub["n"], "integer", f"{name} n"),
+                **{table: {c: _typed(sub[table][c.value], kind,
+                                     f"{name} {table} {c.value}")
+                           for c in OutcomeClass}
+                   for table, kind in _CLASS_TABLES})
     except KeyError as exc:
         raise InputError(f"stats document has no key {exc}") from None
     except (TypeError, AttributeError):
@@ -177,13 +200,14 @@ def stats_from_dict(doc):
 
 
 def _load_stats(path):
+    """(JSON document, CampaignStats) read from a stats file."""
     text = "".join(_read_lines(path, "stats"))
     try:
         doc = json.loads(text)
     except ValueError as exc:
         raise InputError(f"'{path}' is not valid JSON: {exc}") from None
     try:
-        return stats_from_dict(doc)
+        return doc, stats_from_dict(doc)
     except InputError as exc:
         raise InputError(f"'{path}': {exc}") from None
 
@@ -198,203 +222,140 @@ def _write(path, text):
         fh.write(text)
 
 
-# --- report bundle ----------------------------------------------------------
+# --- report -----------------------------------------------------------------
 
-@dataclass
-class ReportBundle:
-    """Everything the report emitters render.
+def _csv(header, rows):
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
 
-    ``outcome_rows``: one row per strike class with (probability, stderr)
-    pairs per outcome class.  ``metric_rows``: P_m / P_GM / P_RM with their
-    exact integer ratios.  ``flip_rows``: 1 - P_NN per strike class with a
-    95% interval (normal approximation).  ``comparison``: per-class z-scores
-    against an oracle run, when one was supplied.
+
+def _flip_interval(cs):
+    """(1 - P_NN, its stderr, 95% interval low, high); None when undefined.
+
+    The interval is the normal approximation, clipped to [0, 1].
     """
-
-    metadata: dict
-    classes: tuple
-    outcome_rows: list
-    metric_rows: list
-    flip_rows: list
-    comparison: list = None
+    flip = cs.flip_probability()
+    p, se = flip.value, flip.stderr
+    if p is None:
+        return None, None, None, None
+    return p, se, max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se)
 
 
-def build_report(stats, oracle=None, paper_columns=False):
-    classes = PAPER_CLASSES if paper_columns else tuple(OutcomeClass)
-    outcome_rows = []
-    flip_rows = []
+def _oracle_rows(stats, oracle, classes):
+    """(strike class, outcome, mc, oracle, z) for each class with samples."""
+    rows = []
     for name, cs in stats.per_class.items():
-        outcome_rows.append({
-            "circuit": stats.circuit_name,
-            "strike_class": name,
-            "n": cs.n,
-            "cells": {c: (cs.probs[c], cs.stderrs[c]) for c in classes},
-        })
-        flip = cs.flip_probability()
-        p, se = flip.value, flip.stderr
-        ci = (max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se)) \
-            if p is not None else (None, None)
-        flip_rows.append({
-            "circuit": stats.circuit_name,
-            "strike_class": name,
-            "n": cs.n,
-            "flip_prob": p,
-            "stderr": se,
-            "ci95": ci,
-        })
-    metric_rows = [
-        {"metric": label, "ratio": ratio}
-        for label, ratio in (("P_m", stats.p_m), ("P_GM", stats.p_gm),
-                             ("P_RM", stats.p_rm))
-    ]
-    comparison = None
-    if oracle is not None:
-        comparison = []
-        for name, cs in stats.per_class.items():
-            if cs.n == 0:
-                continue
-            for c in classes:
-                p_mc, p_or = cs.probs[c], oracle.per_class[name].probs[c]
-                base = p_or if p_or > 0.0 else p_mc
-                z = (p_mc - p_or) / standard_error(base, cs.n) if base else 0.0
-                comparison.append({
-                    "strike_class": name, "outcome": c,
-                    "mc": p_mc, "oracle": p_or, "z": z,
-                })
-    meta = {
-        "circuit": stats.circuit_name,
-        "profile": stats.profile_label,
-        "policy": stats.policy_label,
-        "rng_seed": stats.rng_seed,
-        "period_ps": stats.period,
-        "settle_ps": stats.settle,
-        "stop_reason": stats.stop_reason,
-        "total_samples": stats.total_samples,
-        "class_share": dict(stats.class_share),
-        "wrapped": stats.wrapped,
-        "paper_columns": paper_columns,
+        if cs.n == 0:
+            continue
+        for c in classes:
+            p_mc, p_or = cs.probs[c], oracle.per_class[name].probs[c]
+            base = p_or if p_or > 0.0 else p_mc
+            z = (p_mc - p_or) / standard_error(base, cs.n) if base else 0.0
+            rows.append((name, c, p_mc, p_or, z))
+    return rows
+
+
+def build_report(stats, oracle, paper_columns):
+    """Every report file as {file name: text}.
+
+    ``oracle_comparison.csv`` is present only when an oracle run is given.
+    """
+    classes = PAPER_CLASSES if paper_columns else tuple(OutcomeClass)
+    comparison = None if oracle is None else _oracle_rows(stats, oracle,
+                                                          classes)
+    circuit = stats.circuit_name
+    files = {
+        "report.txt": render_text(stats, classes, comparison),
+        "outcome_probabilities.csv": _csv(
+            ["circuit", "strike_class", "n",
+             *(f"{k}_{c.value}" for c in classes for k in ("P", "SE"))],
+            [[circuit, name, str(cs.n),
+              *(_fmt(x) for c in classes for x in (cs.probs[c],
+                                                   cs.stderrs[c]))]
+             for name, cs in stats.per_class.items()]),
+        "metrics.csv": _csv(
+            ["circuit", "metric", "numerator", "denominator", "value",
+             "stderr"],
+            [[circuit, key, str(r.num), str(r.den), _fmt(r.value),
+              _fmt(r.stderr)]
+             for key, r in _metrics(stats)]),
+        "flip_summary.csv": _csv(
+            ["circuit", "strike_class", "n", "flip_prob", "stderr",
+             "ci95_lo", "ci95_hi"],
+            [[circuit, name, str(cs.n), *map(_fmt, _flip_interval(cs))]
+             for name, cs in stats.per_class.items()]),
     }
-    return ReportBundle(metadata=meta, classes=classes,
-                        outcome_rows=outcome_rows, metric_rows=metric_rows,
-                        flip_rows=flip_rows, comparison=comparison)
+    if comparison is not None:
+        files["oracle_comparison.csv"] = _csv(
+            ["strike_class", "outcome", "mc", "oracle", "z"],
+            [[name, c.value, _fmt(p_mc), _fmt(p_or), _fmt(z)]
+             for name, c, p_mc, p_or, z in comparison])
+    return files
 
 
-def outcome_csv(bundle):
-    header = ["circuit", "strike_class", "n"]
-    for c in bundle.classes:
-        header += [f"P_{c.value}", f"SE_{c.value}"]
-    lines = [",".join(header)]
-    for row in bundle.outcome_rows:
-        cells = [row["circuit"], row["strike_class"], str(row["n"])]
-        for c in bundle.classes:
-            p, se = row["cells"][c]
-            cells += [_fmt(p), _fmt(se)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def metrics_csv(bundle, circuit_name):
-    lines = ["circuit,metric,numerator,denominator,value,stderr"]
-    for row in bundle.metric_rows:
-        r = row["ratio"]
-        lines.append(",".join([
-            circuit_name, row["metric"], str(r.num), str(r.den),
-            _fmt(r.value), _fmt(r.stderr)]))
-    return "\n".join(lines) + "\n"
-
-
-def flip_csv(bundle):
-    lines = ["circuit,strike_class,n,flip_prob,stderr,ci95_lo,ci95_hi"]
-    for row in bundle.flip_rows:
-        lo, hi = row["ci95"]
-        lines.append(",".join([
-            row["circuit"], row["strike_class"], str(row["n"]),
-            _fmt(row["flip_prob"]), _fmt(row["stderr"]), _fmt(lo), _fmt(hi)]))
-    return "\n".join(lines) + "\n"
-
-
-def render_text(bundle):
-    meta = bundle.metadata
-    out = []
-    out.append(f"campaign report: {meta['circuit']}")
-    out.append(f"  profile: {meta['profile']}   policy: {meta['policy']}"
-               f"   seed: {meta['rng_seed']}")
-    out.append(f"  clock period: {_fmt(meta['period_ps'])} ps   "
-               f"settle bound: {_fmt(meta['settle_ps'])} ps")
-    share = meta["class_share"]
-    out.append(f"  samples: {meta['total_samples']} "
-               f"(gate share {_fmt(share.get('gate'))}, "
-               f"register share {_fmt(share.get('register'))})   "
-               f"stop: {meta['stop_reason']}")
-    if meta.get("wrapped"):
+def render_text(stats, classes, comparison):
+    """report.txt: the outcome columns ``classes``, flip intervals, metrics
+    and, when given, the oracle comparison rows."""
+    share = stats.class_share
+    out = [
+        f"campaign report: {stats.circuit_name}",
+        f"  profile: {stats.profile_label}   policy: {stats.policy_label}"
+        f"   seed: {stats.rng_seed}",
+        f"  clock period: {_fmt(stats.period)} ps   "
+        f"settle bound: {_fmt(stats.settle)} ps",
+        f"  samples: {stats.total_samples} "
+        f"(gate share {_fmt(share.get('gate'))}, "
+        f"register share {_fmt(share.get('register'))})   "
+        f"stop: {stats.stop_reason}",
+    ]
+    if stats.wrapped:
         out.append("  note: combinational source was wrapped with boundary "
                    "registers")
-    if meta["policy"] != "instant":
-        out.append(f"  note: capture policy {meta['policy']} resolves "
+    if stats.policy_label != "instant":
+        out.append(f"  note: capture policy {stats.policy_label} resolves "
                    "setup/hold grazes probabilistically")
-    if meta.get("paper_columns"):
+    if classes == PAPER_CLASSES:
         out.append("  note: projected to the NN/NF/FN/FF columns; rows no "
                    "longer sum to 1")
 
     out.append("")
-    table = []
-    for row in bundle.outcome_rows:
-        cells = []
-        for c in bundle.classes:
-            p, se = row["cells"][c]
-            cells.append(f"{_fmt(p)} ({_fmt(se, 3)})")
-        table.append((row, cells))
+    table = {name: [f"{_fmt(cs.probs[c])} ({_fmt(cs.stderrs[c], 3)})"
+                    for c in classes]
+             for name, cs in stats.per_class.items()}
     width = max(
-        [len(f"P_{c.value}") for c in bundle.classes]
-        + [len(cell) for _, cells in table for cell in cells]) + 2
+        [len(f"P_{c.value}") for c in classes]
+        + [len(cell) for cells in table.values() for cell in cells]) + 2
     out.append(f"{'strike_class':<14}{'n':>8}  " + "".join(
-        f"{'P_' + c.value:>{width}}" for c in bundle.classes))
-    for row, cells in table:
-        out.append(f"{row['strike_class']:<14}{row['n']:>8}  "
+        f"{'P_' + c.value:>{width}}" for c in classes))
+    for name, cells in table.items():
+        out.append(f"{name:<14}{stats.per_class[name].n:>8}  "
                    + "".join(f"{cell:>{width}}" for cell in cells))
 
     out.append("")
     out.append("flip probability (1 - P_NN), 95% interval by normal "
                "approximation:")
-    for row in bundle.flip_rows:
-        lo, hi = row["ci95"]
-        if row["flip_prob"] is None:
-            out.append(f"  {row['strike_class']:<10} -")
+    for name, cs in stats.per_class.items():
+        p, se, lo, hi = _flip_interval(cs)
+        if p is None:
+            out.append(f"  {name:<10} -")
         else:
-            out.append(
-                f"  {row['strike_class']:<10}{_fmt(row['flip_prob'])} "
-                f"+/- {_fmt(1.96 * row['stderr'], 3)}  "
-                f"[{_fmt(lo)}, {_fmt(hi)}]")
+            out.append(f"  {name:<10}{_fmt(p)} +/- {_fmt(1.96 * se, 3)}  "
+                       f"[{_fmt(lo)}, {_fmt(hi)}]")
 
     out.append("")
     out.append("multi-flip metrics ('-' = no erroneous samples to divide by):")
-    for row in bundle.metric_rows:
-        r = row["ratio"]
-        se = _fmt(r.stderr, 3) if r.defined else "-"
-        out.append(f"  {row['metric']:<5} = {r.num}/{r.den} = "
-                   f"{r.display()}  (SE {se})")
+    for key, r in _metrics(stats):
+        out.append(f"  {key:<5} = {r.num}/{r.den} = {r.display()}  "
+                   f"(SE {_fmt(r.stderr, 3)})")
 
-    if bundle.comparison is not None:
+    if comparison is not None:
         out.append("")
         out.append("oracle comparison (z = (mc - oracle) / SE):")
-        worst = 0.0
-        for row in bundle.comparison:
-            worst = max(worst, abs(row["z"]))
-            out.append(
-                f"  {row['strike_class']:<10}{row['outcome'].value:<8}"
-                f"mc={_fmt(row['mc'])}  oracle={_fmt(row['oracle'])}  "
-                f"z={row['z']:+.3f}")
+        for name, c, p_mc, p_or, z in comparison:
+            out.append(f"  {name:<10}{c.value:<8}mc={_fmt(p_mc)}  "
+                       f"oracle={_fmt(p_or)}  z={z:+.3f}")
+        worst = max([0.0] + [abs(row[-1]) for row in comparison])
         out.append(f"  max |z| = {worst:.3f}")
     return "\n".join(out) + "\n"
-
-
-def comparison_csv(bundle):
-    lines = ["strike_class,outcome,mc,oracle,z"]
-    for row in bundle.comparison or ():
-        lines.append(",".join([
-            row["strike_class"], row["outcome"].value,
-            _fmt(row["mc"]), _fmt(row["oracle"]), f"{row['z']:.6g}"]))
-    return "\n".join(lines) + "\n"
 
 
 # --- subcommands ------------------------------------------------------------
@@ -478,7 +439,7 @@ def debug_sample(circuit, profile, trace, config, index):
     lines.append(f"flips_e1={sorted(result.flips_e1)} "
                  f"flips_e2={sorted(result.flips_e2)} "
                  f"window_hits={result.window_hits}")
-    lines.append(f"outcome={camp.classify(result).value}")
+    lines.append(f"outcome={camp.classify(result.flip_counts).value}")
     return lines
 
 
@@ -495,57 +456,43 @@ def cmd_oracle(args):
 
 
 def cmd_report(args):
-    stats = _load_stats(args.stats)
+    doc, stats = _load_stats(args.stats)
     records = None
     if args.log:
         records = camp.read_sample_log(_read_lines(args.log, "sample log"))
     if args.recompute:
         if records is None:
             raise ConfigError("--recompute needs --log")
-        _verify_recompute(stats, records)
+        _verify_recompute(doc, stats, records)
         print(f"recompute: {len(records)} log rows reproduce the stored "
               "statistics exactly")
-    oracle = None
-    if args.oracle:
-        oracle = _load_stats(args.oracle)
-    bundle = build_report(stats, oracle=oracle,
-                          paper_columns=args.paper_columns)
+    oracle = _load_stats(args.oracle)[1] if args.oracle else None
     out = Path(args.out)
-    _write(out / "report.txt", render_text(bundle))
-    _write(out / "outcome_probabilities.csv", outcome_csv(bundle))
-    _write(out / "metrics.csv", metrics_csv(bundle, stats.circuit_name))
-    _write(out / "flip_summary.csv", flip_csv(bundle))
-    if bundle.comparison is not None:
-        _write(out / "oracle_comparison.csv", comparison_csv(bundle))
+    for name, text in build_report(stats, oracle,
+                                   args.paper_columns).items():
+        _write(out / name, text)
     print(f"report -> {out / 'report.txt'}")
     return 0
 
 
-def _verify_recompute(stats, records):
-    """Raise unless the raw log reproduces the stored stats exactly."""
-    per_class, share, metrics = recompute_from_log(records)
-    if len(records) != stats.total_samples:
+def _verify_recompute(doc, stats, records):
+    """Raise unless the raw log rebuilds the stored stats document exactly.
+
+    Every stored field is compared: counts, probabilities, standard errors,
+    class share, metrics (stored values and errors included) and the
+    sample total.  The fields the log cannot tell (circuit, seed, ...) are
+    taken from ``stats``.
+    """
+    per_class, share, (p_m, p_gm, p_rm) = recompute_from_log(records)
+    rebuilt = stats_to_dict(dataclasses.replace(
+        stats, per_class=per_class, class_share=share, p_m=p_m, p_gm=p_gm,
+        p_rm=p_rm, total_samples=len(records)))
+    differ = sorted(key for key in rebuilt.keys() | doc.keys()
+                    if rebuilt.get(key) != doc.get(key))
+    if differ:
         raise InvariantError(
-            f"log has {len(records)} rows, stats claim "
-            f"{stats.total_samples} samples")
-    for name, cs in per_class.items():
-        stored = stats.per_class[name]
-        if cs.n != stored.n or cs.counts != stored.counts:
-            raise InvariantError(
-                f"recomputed counts for class '{name}' do not match the "
-                "stored stats")
-        if cs.probs != stored.probs:
-            raise InvariantError(
-                f"recomputed probabilities for class '{name}' do not match")
-    if share != stats.class_share:
-        raise InvariantError("recomputed class share does not match")
-    for got, want, label in zip(
-            metrics, (stats.p_m, stats.p_gm, stats.p_rm),
-            ("P_m", "P_GM", "P_RM")):
-        if (got.num, got.den) != (want.num, want.den):
-            raise InvariantError(f"recomputed {label} does not match: "
-                                 f"{got.num}/{got.den} vs "
-                                 f"{want.num}/{want.den}")
+            f"statistics recomputed from {len(records)} log rows do not "
+            f"match the stored ones in: {', '.join(differ)}")
 
 
 # --- argument parsing -------------------------------------------------------

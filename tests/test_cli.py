@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -506,3 +507,136 @@ def test_report_rejects_non_integer_stats_counts(finished_campaign, tmp_path, pa
     code, _, err = run_cli(["report", "--stats", str(broken), "--out", str(tmp_path / "rt")])
     _assert_input_error(code, err)
     assert "non-integer" in err
+
+
+@pytest.mark.parametrize(
+    "flag, path, value",
+    [("--stats", ("period_ps",), "x"),
+     ("--stats", ("classes", "gate", "probs", "NF"), "x"),
+     ("--stats", ("classes", "register", "stderrs", "NN"), "x"),
+     ("--stats", ("circuit",), 5),
+     ("--stats", ("class_share",), [1, 2]),
+     ("--stats", ("class_share", "gate"), "x"),
+     ("--oracle", ("classes", "gate", "probs", "NN"), "x")],
+    ids=["period", "prob", "stderr", "circuit", "share-list", "share-value",
+         "oracle-prob"],
+)
+def test_report_rejects_ill_typed_stats(finished_campaign, tmp_path, flag, path, value):
+    camp, orc = finished_campaign
+    files = {"--stats": camp / "stats.json", "--oracle": orc / "oracle_stats.json"}
+    doc = json.loads(files[flag].read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    files[flag] = tmp_path / "typed.json"
+    files[flag].write_text(json.dumps(doc))
+    argv = ["report"]
+    for k, v in files.items():
+        argv += [k, str(v)]
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / "rt")])
+    _assert_input_error(code, err)
+    assert f"'{files[flag]}': stats document has a non-" in err
+
+
+def _recompute(camp, tmp_path, stats_text=None, log_text=None):
+    stats, log = camp / "stats.json", camp / "samples.csv"
+    if stats_text is not None:
+        stats = tmp_path / "edited.json"
+        stats.write_text(stats_text)
+    if log_text is not None:
+        log = tmp_path / "edited.csv"
+        log.write_text(log_text)
+    return run_cli(["report", "--stats", str(stats), "--log", str(log),
+                    "--recompute", "--out", str(tmp_path / "rr")])
+
+
+@pytest.mark.parametrize(
+    "path", [("classes", "gate", "stderrs", "NN"), ("metrics", "P_m", "stderr")],
+    ids=".".join,
+)
+def test_report_recompute_checks_stored_stderrs(finished_campaign, tmp_path, path):
+    camp, _ = finished_campaign
+    doc = json.loads((camp / "stats.json").read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] += 0.001
+    code, out, err = _recompute(camp, tmp_path, stats_text=json.dumps(doc))
+    assert code == 3
+    assert "reproduce" not in out
+    assert err == ("error:invariant-violation: statistics recomputed from 200 log "
+                   f"rows do not match the stored ones in: {path[0]}\n")
+
+
+def test_report_recompute_catches_consistent_log_edit(finished_campaign, tmp_path):
+    camp, _ = finished_campaign
+    text = (camp / "samples.csv").read_text()
+    assert ",0,0,NN\n" in text
+    code, _, err = _recompute(camp, tmp_path,
+                              log_text=text.replace(",0,0,NN\n", ",0,1,NF\n", 1))
+    assert code == 3
+    assert err.startswith("error:invariant-violation: ")
+    assert err.count("\n") == 1
+
+
+def test_report_recompute_catches_dropped_log_row(finished_campaign, tmp_path):
+    camp, _ = finished_campaign
+    lines = (camp / "samples.csv").read_text().splitlines(keepends=True)
+    code, _, err = _recompute(camp, tmp_path, log_text="".join(lines[:-1]))
+    assert code == 3
+    assert err.startswith("error:invariant-violation: ")
+    assert err.count("\n") == 1
+
+
+# sha256 of every report file for a fixed s27 campaign and oracle, with and
+# without --paper-columns.  Recorded before report was rewritten to render
+# straight from CampaignStats; any byte change to a report shows here.
+REPORT_DIGESTS = {
+    False: {
+        "flip_summary.csv":
+            "8296cc3d93174388e7914881a44ffd55c25d2212c4efdac0d04eccecef6b1ca2",
+        "metrics.csv":
+            "c75d2976ee183300140816eb4dee8d90ceec454688fb7092eb353ce1bd880d94",
+        "oracle_comparison.csv":
+            "2a238b21e70ec6c3573eaa71d947d4dd5b581ea702b7928cd193572ce10e3731",
+        "outcome_probabilities.csv":
+            "c0ce81423b789c0342450ee7a913ea914e574cc0c7eccc9c9143c5a0bda4d0fe",
+        "report.txt":
+            "6d86b8077c46ca6656eee474750f465091df23e514b38dff58c9216ac7b6a4b4",
+    },
+    True: {
+        "flip_summary.csv":
+            "8296cc3d93174388e7914881a44ffd55c25d2212c4efdac0d04eccecef6b1ca2",
+        "metrics.csv":
+            "c75d2976ee183300140816eb4dee8d90ceec454688fb7092eb353ce1bd880d94",
+        "oracle_comparison.csv":
+            "954fe90d147f00b3cd36157bfff0b11e10653e38b6ee835063b36a45d94e7a55",
+        "outcome_probabilities.csv":
+            "ea12dfcee7695b04df2a723f2829d28ee5530e1760464d1b2873d08efb88c27e",
+        "report.txt":
+            "fde58ae29fa4e3d0fc8a52148b33491182f2474ac942c176eac4f715ec70676c",
+    },
+}
+
+
+@pytest.mark.parametrize("paper_columns", [False, True], ids=["nine", "paper"])
+def test_report_bytes_are_pinned(tmp_path, paper_columns):
+    bench = tmp_path / "s27.bench"
+    bench.write_text(bundled_bench_text("s27"))
+    common = ["--circuit", str(bench), "--tech", "65nm-like",
+              "--stimulus", "random:6:2"]
+    camp, orc, rep = tmp_path / "c", tmp_path / "o", tmp_path / "r"
+    assert run_cli(["campaign", *common, "--seed", "5", "--max-samples", "300",
+                    "--min-samples", "50", "--stderr-target", "0.05",
+                    "--capture-policy", "window-random:0.5", "--out", str(camp)])[0] == 0
+    assert run_cli(["oracle", *common, "--t-grid", "5", "--out", str(orc)])[0] == 0
+    argv = ["report", "--stats", str(camp / "stats.json"), "--log",
+            str(camp / "samples.csv"), "--recompute", "--oracle",
+            str(orc / "oracle_stats.json"), "--out", str(rep)]
+    code, out, _ = run_cli(argv + ["--paper-columns"] * paper_columns)
+    assert code == 0
+    assert out.startswith("recompute: 300 log rows reproduce the stored statistics exactly\n")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(rep.iterdir())}
+    assert digests == REPORT_DIGESTS[paper_columns]
