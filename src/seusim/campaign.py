@@ -18,10 +18,12 @@ import hashlib
 import io
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InputError, InvariantError
-from .injector import INSTANT, SimContext, StrikeSample, run_sample
+from .injector import (INSTANT, SimContext, StrikeSample, run_sample,
+                       strike_reads)
 from .techmodel import enumerate_drains
 
 STRIKE_CLASSES = ("gate", "register")
@@ -275,6 +277,13 @@ def _build_stats(config, ctx, per_class, class_share, stop_reason, records):
     )
 
 
+def _strike_cycles(trace):
+    """Cycles a strike may land in: each needs a cycle on either side."""
+    if trace.cycle_count < 3:
+        raise ConfigError("trace must cover at least 3 cycles")
+    return range(1, trace.cycle_count - 1)
+
+
 def run_campaign(config, sample_runner=None):
     """Run the Monte Carlo campaign to the stopping rule.
 
@@ -283,8 +292,7 @@ def run_campaign(config, sample_runner=None):
     replace the real injector (used by tests to stub outcome behaviour).
     """
     circuit, profile, trace = config.circuit, config.profile, config.trace
-    if trace.cycle_count < 3:
-        raise ConfigError("trace must cover at least 3 cycles")
+    _strike_cycles(trace)
     table = enumerate_drains(circuit, profile)
     ctx = SimContext.build(circuit, profile)
 
@@ -325,13 +333,16 @@ _ORACLE_BUDGET = 10_000_000
 
 
 def exhaustive_campaign(config, t_grid):
-    """Enumerate every (drain, cycle, grid time) exactly once.
+    """Count every (drain, cycle, grid time) exactly once.
 
     The instant capture policy is required (nothing else is deterministic
-    per sample).  Class probabilities are weighted by drain area within each
-    strike class so they estimate the same measure Monte Carlo samples
-    from; raw counts are also kept (counts/n and the weighted probabilities
-    coincide whenever site areas are uniform within a class).
+    per sample).  Under it a strike's result depends only on the drain, the
+    time and the golden values of ``strike_reads(ctx, drain)``, so a drain's
+    grid row is simulated once per distinct set of those values and counted
+    for every cycle that has it.  Class probabilities are weighted by drain
+    area within each strike class so they estimate the same measure Monte
+    Carlo samples from; raw counts are also kept (counts/n and the weighted
+    probabilities coincide whenever site areas are uniform within a class).
     """
     if config.policy.kind != "instant":
         raise ConfigError("the exhaustive oracle requires the instant policy")
@@ -341,7 +352,7 @@ def exhaustive_campaign(config, t_grid):
     table = enumerate_drains(circuit, profile)
     ctx = SimContext.build(circuit, profile)
 
-    k_values = range(1, trace.cycle_count - 1)
+    k_values = _strike_cycles(trace)
     n_samples = len(table.sites) * len(k_values) * t_grid
     if n_samples > _ORACLE_BUDGET:
         raise ConfigError(
@@ -349,18 +360,27 @@ def exhaustive_campaign(config, t_grid):
             f"{_ORACLE_BUDGET} budget; shrink the circuit, trace, or grid")
 
     step = (ctx.period - ctx.settle) / t_grid
+    times = [ctx.settle + i * step for i in range(t_grid)]
     per_class = {s: ClassStats() for s in STRIKE_CLASSES}
     weight_sum = {s: 0.0 for s in STRIKE_CLASSES}
     weighted = {s: {c: 0.0 for c in OutcomeClass} for s in STRIKE_CLASSES}
     for drain in table.sites:
         sclass = drain.strike_class
         drain_counts = {c: 0 for c in OutcomeClass}
+        reads = strike_reads(ctx, drain)
+        rows = {}
         for k in k_values:
-            for i in range(t_grid):
-                t = ctx.settle + i * step
-                sample = StrikeSample(drain=drain, k=k, t=t)
-                result = run_sample(ctx, trace, sample)
-                drain_counts[classify(result.flip_counts)] += 1
+            settled = trace.settled_map(k)
+            key = tuple(settled[n] for n in reads)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = Counter(
+                    classify(run_sample(
+                        ctx, trace, StrikeSample(drain=drain, k=k, t=t)
+                    ).flip_counts)
+                    for t in times)
+            for c, cnt in row.items():
+                drain_counts[c] += cnt
         cs = per_class[sclass]
         cells = len(k_values) * t_grid
         cs.n += cells

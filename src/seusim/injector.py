@@ -228,6 +228,32 @@ def _propagate(ctx, settled, seed_event, debug=None):
     return at_flops
 
 
+def strike_reads(ctx, drain):
+    """Sorted nets whose settled values decide an instant-policy strike.
+
+    A capture-node strike reads only its flop's data net.  A gate or
+    state-node strike reads its struck net plus every input and output of
+    every gate in that net's structural fan-out cone, which covers the
+    polarity check, every side input ``_propagate`` tests and every data
+    net ``_capture_all`` compares.  Two cycles that agree on these nets give
+    the same result at every strike time.
+    """
+    if drain.ff_node_class == "capture-node":
+        return (ctx.circuit.flop_by_id[drain.cell].data,)
+    if drain.ff_node_class == "state-node":
+        net = ctx.circuit.flop_by_id[drain.cell].output
+    else:
+        net = drain.net
+    cone, stack, reads = {net}, [net], set()
+    while stack:
+        for gate in ctx.circuit.gate_fanout.get(stack.pop(), ()):
+            reads.update(gate.inputs)
+            if gate.output not in cone:
+                cone.add(gate.output)
+                stack.append(gate.output)
+    return tuple(sorted(reads | cone))
+
+
 def _capture_all(ctx, settled, at_flops, policy, rng, debug=None):
     """Resolve each disturbed flop's capture at the edge ending the cycle.
 

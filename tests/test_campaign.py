@@ -1,11 +1,13 @@
 """Tests for outcome classification, estimators, stopping, and the oracle."""
 
+import dataclasses
 import io
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seusim import campaign
 from seusim.campaign import (
     ERRONEOUS,
     LOG_COLUMNS,
@@ -27,7 +29,13 @@ from seusim.campaign import (
 )
 from seusim.errors import ConfigError, InvariantError
 from seusim.golden import Stimulus, simulate_reference
-from seusim.injector import CapturePolicy, SampleResult
+from seusim.injector import (
+    CapturePolicy,
+    SampleResult,
+    SimContext,
+    StrikeSample,
+    run_sample,
+)
 from seusim.netlist import parse_bench
 from seusim.techmodel import enumerate_drains, load_bundled_profile
 
@@ -522,6 +530,66 @@ def test_exhaustive_matches_direct_average(toy_setup):
         for oc in OutcomeClass:
             assert cs.counts[oc] == counts[sclass][oc]
             assert cs.probs[oc] == pytest.approx(counts[sclass][oc] / totals[sclass])
+
+
+@pytest.mark.parametrize("run", [
+    run_campaign,
+    lambda cfg: exhaustive_campaign(cfg, t_grid=3),
+], ids=["campaign", "oracle"])
+def test_two_cycle_trace_is_rejected(toy_setup, run):
+    c, p, tr = toy_setup
+    short = dataclasses.replace(
+        tr, pi_vectors=tr.pi_vectors[:2], flop_states=tr.flop_states[:2],
+        settled=tr.settled[:2])
+    cfg = CampaignConfig(circuit=c, profile=p, trace=short, rng_seed=1)
+    with pytest.raises(ConfigError, match="trace must cover at least 3 cycles"):
+        run(cfg)
+
+
+@pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like"])
+@pytest.mark.parametrize("name", ["s27", "fsm3"])
+def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
+    # reference: every (drain, cycle, grid time) simulated, then the same
+    # area weighting in the same order, so floats must agree bit for bit
+    c = bundled_circuit(name)
+    p = load_bundled_profile(profile_name)
+    tr = simulate_reference(c, Stimulus.random(20, seed=4))
+    t_grid = 6
+    ctx = SimContext.build(c, p)
+    table = enumerate_drains(c, p)
+    step = (ctx.period - ctx.settle) / t_grid
+    cells = (tr.cycle_count - 2) * t_grid
+    counts = {s: dict.fromkeys(OutcomeClass, 0) for s in ("gate", "register")}
+    weighted = {s: dict.fromkeys(OutcomeClass, 0.0) for s in ("gate", "register")}
+    weight_sum = {"gate": 0.0, "register": 0.0}
+    for site in table.sites:
+        site_counts = dict.fromkeys(OutcomeClass, 0)
+        for k in range(1, tr.cycle_count - 1):
+            for i in range(t_grid):
+                r = run_sample(ctx, tr, StrikeSample(drain=site, k=k, t=ctx.settle + i * step))
+                site_counts[classify(r.flip_counts)] += 1
+        for oc, cnt in site_counts.items():
+            counts[site.strike_class][oc] += cnt
+            weighted[site.strike_class][oc] += site.area * (cnt / cells)
+        weight_sum[site.strike_class] += site.area
+
+    calls = []
+
+    def counting_run_sample(*args, **kwargs):
+        calls.append(1)
+        return run_sample(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "run_sample", counting_run_sample)
+    stats = exhaustive_campaign(
+        CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=1), t_grid=t_grid
+    )
+    assert stats.total_samples == len(table.sites) * cells
+    assert 0 < len(calls) < stats.total_samples
+    for sclass in ("gate", "register"):
+        cs = stats.per_class[sclass]
+        assert cs.counts == counts[sclass]
+        assert cs.probs == {oc: weighted[sclass][oc] / weight_sum[sclass]
+                            for oc in OutcomeClass}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for pulse injection, masking, and edge-capture semantics."""
 
+import dataclasses
 import random
 
 import pytest
@@ -18,11 +19,13 @@ from seusim.injector import (
     capture_at_edge,
     parse_policy,
     run_sample,
+    strike_reads,
 )
-from seusim.netlist import parse_bench
+from seusim.netlist import parse_bench, wrap_combinational
 from seusim.techmodel import enumerate_drains, load_bundled_profile
 
 from conftest import (
+    BUNDLED_CIRCUITS,
     CHAIN2,
     bundled_circuit,
     chain_profile_doc,
@@ -644,6 +647,50 @@ def _bundled_profile_text(name):
     import importlib.resources as res
 
     return (res.files("seusim") / "data" / "profiles" / f"{name}.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# the nets an instant-policy strike reads
+
+
+@pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like"])
+@pytest.mark.parametrize("name", BUNDLED_CIRCUITS)
+def test_strike_reads_decide_the_strike(name, profile_name):
+    c = bundled_circuit(name)
+    if not c.flops:
+        c = wrap_combinational(c)
+    p = load_bundled_profile(profile_name)
+    tr = simulate_reference(c, Stimulus.random(14, seed=5))
+    ctx = SimContext.build(c, p)
+    times = [ctx.settle + i * (ctx.period - ctx.settle) / 5 for i in range(5)]
+
+    def flips(trace, drain, k):
+        return [
+            (r.flips_e1, r.flips_e2)
+            for r in (run_sample(ctx, trace, StrikeSample(drain=drain, k=k, t=t))
+                      for t in times)
+        ]
+
+    shared = 0
+    for drain in enumerate_drains(c, p).sites:
+        reads = strike_reads(ctx, drain)
+        if drain.ff_node_class == "capture-node":
+            assert reads == (c.flop_by_id[drain.cell].data,)
+        first = {}
+        for k in range(1, tr.cycle_count - 1):
+            settled = tr.settled_map(k)
+            got = flips(tr, drain, k)
+            key = tuple(settled[n] for n in reads)
+            if key in first:
+                shared += 1
+                assert got == first[key], (drain.id, k)
+            first.setdefault(key, got)
+            # complementing every net outside the reads changes nothing
+            rows = list(tr.settled)
+            rows[k] = tuple(v if n in reads else 1 - v
+                            for n, v in zip(tr.net_ids, rows[k]))
+            assert flips(dataclasses.replace(tr, settled=tuple(rows)), drain, k) == got
+    assert shared
 
 
 # ---------------------------------------------------------------------------
