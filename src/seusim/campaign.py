@@ -20,10 +20,11 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError, InputError, InvariantError
-from .injector import (INSTANT, SimContext, StrikeSample, run_sample,
-                       strike_reads)
+from .injector import (INSTANT, SimContext, StrikeSample, polarity_matches,
+                       polarity_net, run_sample, strike_reads)
 from .techmodel import enumerate_drains
 
 STRIKE_CLASSES = ("gate", "register")
@@ -45,10 +46,9 @@ class OutcomeClass(enum.Enum):
 
 _BUCKETS = ("N", "F", "F_m")
 _BY_LABEL = {c.value: c for c in OutcomeClass}
-
-
-def _bucket(count):
-    return _BUCKETS[min(count, 2)]
+# _BY_BUCKETS[min(n1, 2)][min(n2, 2)] is the class of flip counts (n1, n2)
+_BY_BUCKETS = tuple(tuple(_BY_LABEL[b1 + b2] for b2 in _BUCKETS)
+                    for b1 in _BUCKETS)
 
 
 def classify(flip_counts):
@@ -56,7 +56,7 @@ def classify(flip_counts):
     n1, n2 = flip_counts
     if n1 < 0 or n2 < 0:
         raise InvariantError(f"negative flip counts ({n1}, {n2})")
-    return _BY_LABEL[_bucket(n1) + _bucket(n2)]
+    return _BY_BUCKETS[n1 if n1 < 2 else 2][n2 if n2 < 2 else 2]
 
 
 ERRONEOUS = tuple(c for c in OutcomeClass if c is not OutcomeClass.NN)
@@ -151,8 +151,7 @@ class CampaignConfig:
                 f"unknown target estimate '{self.target_estimate}'")
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     """One raw log row; enough to recompute every statistic offline."""
 
     index: int
@@ -308,14 +307,13 @@ def run_campaign(config, sample_runner=None):
         sample = sample_strike(rng, table, trace, ctx.period, ctx.settle)
         result = sample_runner(sample, rng)
         n_e1, n_e2 = len(result.flips_e1), len(result.flips_e2)
-        rec = SampleRecord(
-            index=i, drain_id=sample.drain.id,
-            strike_class=sample.strike_class, k=sample.k, t=sample.t,
-            n_e1=n_e1, n_e2=n_e2, outcome=classify((n_e1, n_e2)))
-        records.append(rec)
-        cs = per_class[rec.strike_class]
+        outcome = classify((n_e1, n_e2))
+        drain = sample.drain
+        records.append(SampleRecord(i, drain.id, drain.strike_class,
+                                    sample.k, sample.t, n_e1, n_e2, outcome))
+        cs = per_class[drain.strike_class]
         cs.n += 1
-        cs.counts[rec.outcome] += 1
+        cs.counts[outcome] += 1
         if len(records) >= config.min_samples and _criterion_met(
                 per_class, config.target_estimate, config.stderr_target):
             stop_reason = "stderr-met"
@@ -339,10 +337,12 @@ def exhaustive_campaign(config, t_grid):
     per sample).  Under it a strike's result depends only on the drain, the
     time and the golden values of ``strike_reads(ctx, drain)``, so a drain's
     grid row is simulated once per distinct set of those values and counted
-    for every cycle that has it.  Class probabilities are weighted by drain
-    area within each strike class so they estimate the same measure Monte
-    Carlo samples from; raw counts are also kept (counts/n and the weighted
-    probabilities coincide whenever site areas are uniform within a class).
+    for every cycle that has it; a row whose strike has the wrong polarity
+    counts as NN at every grid time without being simulated.  Class
+    probabilities are weighted by drain area within each strike class so
+    they estimate the same measure Monte Carlo samples from; raw counts are
+    also kept (counts/n and the weighted probabilities coincide whenever
+    site areas are uniform within a class).
     """
     if config.policy.kind != "instant":
         raise ConfigError("the exhaustive oracle requires the instant policy")
@@ -368,17 +368,22 @@ def exhaustive_campaign(config, t_grid):
         sclass = drain.strike_class
         drain_counts = {c: 0 for c in OutcomeClass}
         reads = strike_reads(ctx, drain)
+        struck = polarity_net(ctx, drain)
         rows = {}
         for k in k_values:
             settled = trace.settled_map(k)
             key = tuple(settled[n] for n in reads)
             row = rows.get(key)
             if row is None:
-                row = rows[key] = Counter(
-                    classify(run_sample(
-                        ctx, trace, StrikeSample(drain=drain, k=k, t=t)
-                    ).flip_counts)
-                    for t in times)
+                if not polarity_matches(drain.polarity, settled[struck]):
+                    row = {OutcomeClass.NN: t_grid}
+                else:
+                    row = Counter(
+                        classify(run_sample(
+                            ctx, trace, StrikeSample(drain=drain, k=k, t=t)
+                        ).flip_counts)
+                        for t in times)
+                rows[key] = row
             for c, cnt in row.items():
                 drain_counts[c] += cnt
         cs = per_class[sclass]

@@ -407,6 +407,11 @@ def _campaign_config(args, circuit, profile, trace):
 def cmd_campaign(args):
     if args.workers < 1:
         raise ConfigError("workers must be >= 1")
+    # a sample index keys its RNG stream as 8 unsigned bytes
+    if args.debug_sample is not None and not 0 <= args.debug_sample < 2**64:
+        raise ConfigError(
+            f"debug sample index must be in [0, 2**64), got "
+            f"{args.debug_sample}")
     circuit, profile, trace, wrapped = _prepare_sequential(args)
     config = _campaign_config(args, circuit, profile, trace)
     stats = camp.run_campaign(config)

@@ -125,7 +125,9 @@ class SimContext:
     profile: object
     period: float
     settle: float
-    gate_delays: dict        # gate id -> ps
+    # net -> ((gate id, output net, delay ps, controlling value, side-input
+    # nets), ...) in ``circuit.gate_fanout`` order
+    fanout: dict
     flop_ids_by_data: dict   # data net -> tuple of flop ids
 
     @classmethod
@@ -139,8 +141,13 @@ class SimContext:
                 f"clock margin")
         delays = {g.id: profile.delay(g.kind, len(g.inputs))
                   for g in circuit.gates}
+        fanout = {
+            net: tuple((g.id, g.output, delays[g.id], CONTROLLING[g.kind],
+                        tuple(n for n in g.inputs if n != net))
+                       for g in gates)
+            for net, gates in circuit.gate_fanout.items()}
         return cls(circuit=circuit, profile=profile, period=period,
-                   settle=settle, gate_delays=delays,
+                   settle=settle, fanout=fanout,
                    flop_ids_by_data=circuit.flops_by_data)
 
 
@@ -186,46 +193,64 @@ def _propagate(ctx, settled, seed_event, debug=None):
     """Event-wise propagation through the combinational fanout.
 
     Returns {data net -> [(start, end), ...]} for nets that feed flops.
-    Duplicate (net, start, width) glitches are collapsed.  A step ends past
-    every capture edge, so only its start decides a capture: a net is
-    followed again only when a step reaches it strictly earlier.
+    Events are (net, start, width) tuples that share the seed's ``step``
+    flag.  Duplicate (net, start, width) glitches are collapsed.  A step
+    ends past every capture edge, so only its start decides a capture: a
+    net is followed again only when a step reaches it strictly earlier.
     """
     theta = ctx.profile.filter_threshold
+    step = seed_event.step
+    fanout = ctx.fanout
+    flop_data = ctx.flop_ids_by_data
     at_flops = {}
     seen = {}
-    queue = deque([seed_event])
+    queue = deque([(seed_event.net, seed_event.start, seed_event.width)])
     while queue:
         ev = queue.popleft()
-        key = ev.net if ev.step else (ev.net, ev.start, ev.width)
-        if seen.get(key, math.inf) <= ev.start:
+        net, start, width = ev
+        key = net if step else ev
+        if seen.get(key, math.inf) <= start:
             continue
-        seen[key] = ev.start
+        seen[key] = start
         if debug is not None:
-            debug.append(f"pulse net={ev.net} start={ev.start:.2f} "
-                         f"width={ev.width:.2f} value={1 - settled[ev.net]}"
-                         + (" step" if ev.step else ""))
-        if ev.net in ctx.flop_ids_by_data:
-            at_flops.setdefault(ev.net, []).append((ev.start, ev.end))
-        for gate in ctx.circuit.gate_fanout.get(ev.net, ()):
-            ctrl = CONTROLLING[gate.kind]
-            if ctrl is not None:
-                side = [n for n in gate.inputs if n != ev.net]
-                if any(settled[n] == ctrl for n in side):
-                    if debug is not None:
-                        debug.append(f"  masked at {gate.id} (logical)")
-                    continue
-            d = ctx.gate_delays[gate.id]
-            if ev.step:
-                new_width = ev.width
+            debug.append(f"pulse net={net} start={start:.2f} "
+                         f"width={width:.2f} value={1 - settled[net]}"
+                         + (" step" if step else ""))
+        if net in flop_data:
+            at_flops.setdefault(net, []).append((start, start + width))
+        for gate_id, out, d, ctrl, side in fanout.get(net, ()):
+            if ctrl is not None and ctrl in map(settled.__getitem__, side):
+                if debug is not None:
+                    debug.append(f"  masked at {gate_id} (logical)")
+                continue
+            if step:
+                new_width = width
             else:
-                new_width = _attenuate(ev.width, d, theta)
+                new_width = _attenuate(width, d, theta)
                 if new_width is None:
                     if debug is not None:
-                        debug.append(f"  masked at {gate.id} (electrical)")
+                        debug.append(f"  masked at {gate_id} (electrical)")
                     continue
-            queue.append(PulseEvent(net=gate.output, start=ev.start + d,
-                                    width=new_width, step=ev.step))
+            queue.append((out, start + d, new_width))
     return at_flops
+
+
+def polarity_net(ctx, drain):
+    """The net whose settled value a strike at ``drain`` must oppose to land.
+
+    A gate drain tests its output net, a state-node drain the stored bit
+    (its flop's output) and a capture-node drain the value being latched
+    (its flop's data net).
+    """
+    if drain.ff_node_class == "none":
+        return drain.net
+    flop = ctx.circuit.flop_by_id[drain.cell]
+    return flop.output if drain.ff_node_class == "state-node" else flop.data
+
+
+def polarity_matches(polarity, value):
+    """True when a strike of ``polarity`` flips a net holding ``value``."""
+    return value == (1 if polarity == "pulls-low" else 0)
 
 
 def strike_reads(ctx, drain):
@@ -238,12 +263,9 @@ def strike_reads(ctx, drain):
     net ``_capture_all`` compares.  Two cycles that agree on these nets give
     the same result at every strike time.
     """
+    net = polarity_net(ctx, drain)
     if drain.ff_node_class == "capture-node":
-        return (ctx.circuit.flop_by_id[drain.cell].data,)
-    if drain.ff_node_class == "state-node":
-        net = ctx.circuit.flop_by_id[drain.cell].output
-    else:
-        net = drain.net
+        return (net,)
     cone, stack, reads = {net}, [net], set()
     while stack:
         for gate in ctx.circuit.gate_fanout.get(stack.pop(), ()):
@@ -279,12 +301,9 @@ def _capture_all(ctx, settled, at_flops, policy, rng, debug=None):
     return frozenset(flips), hits
 
 
-def _empty(strike_class):
-    return SampleResult(frozenset(), frozenset(), strike_class, 0)
-
-
-def _polarity_matches(polarity, value):
-    return value == (1 if polarity == "pulls-low" else 0)
+# The result of a strike whose polarity does not match, one per strike class.
+_EMPTY = {c: SampleResult(frozenset(), frozenset(), c, 0)
+          for c in ("gate", "register")}
 
 
 def disturb_gate(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
@@ -295,12 +314,12 @@ def disturb_gate(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
     """
     settled = trace.settled_map(sample.k)
     drain = sample.drain
-    golden = settled[drain.net]
-    if not _polarity_matches(drain.polarity, golden):
+    golden = settled[polarity_net(ctx, drain)]
+    if not polarity_matches(drain.polarity, golden):
         if debug is not None:
             debug.append(f"polarity mismatch at {drain.id} "
                          f"(net={drain.net} value={golden})")
-        return _empty("gate")
+        return _EMPTY["gate"]
     seed = PulseEvent(net=drain.net, start=sample.t,
                       width=ctx.profile.glitch_width)
     at_flops = _propagate(ctx, settled, seed, debug)
@@ -314,10 +333,14 @@ def disturb_register(ctx, trace, sample, policy=INSTANT, rng=None,
     settled = trace.settled_map(sample.k)
     drain = sample.drain
     flop = ctx.circuit.flop_by_id[drain.cell]
+    if drain.ff_node_class not in ("state-node", "capture-node"):
+        raise InvariantError(
+            f"register strike on drain {drain.id} with ff_node_class "
+            f"'{drain.ff_node_class}'")
+    golden = settled[polarity_net(ctx, drain)]
+    if not polarity_matches(drain.polarity, golden):
+        return _EMPTY["register"]
     if drain.ff_node_class == "state-node":
-        golden = settled[flop.output]
-        if not _polarity_matches(drain.polarity, golden):
-            return _empty("register")
         # The stored bit flips at t and holds until the capture edge, where
         # the flop recaptures its (possibly disturbed) data input.
         seed = PulseEvent(net=flop.output, start=sample.t,
@@ -326,19 +349,12 @@ def disturb_register(ctx, trace, sample, policy=INSTANT, rng=None,
         flips_e2, hits = _capture_all(ctx, settled, at_flops, policy, rng,
                                       debug)
         return SampleResult(frozenset([flop.id]), flips_e2, "register", hits)
-    if drain.ff_node_class == "capture-node":
-        incoming = settled[flop.data]
-        if not _polarity_matches(drain.polarity, incoming):
-            return _empty("register")
-        # The value being latched is corrupted: the flop captures the
-        # complement of its golden next state, which always differs.
-        if debug is not None:
-            debug.append(f"capture flop={flop.id} edge={ctx.period:.2f} "
-                         f"captured={1 - incoming} golden={incoming}")
-        return SampleResult(frozenset(), frozenset([flop.id]), "register")
-    raise InvariantError(
-        f"register strike on drain {drain.id} with ff_node_class "
-        f"'{drain.ff_node_class}'")
+    # A capture-node strike corrupts the value being latched: the flop
+    # captures the complement of its golden next state, which always differs.
+    if debug is not None:
+        debug.append(f"capture flop={flop.id} edge={ctx.period:.2f} "
+                     f"captured={1 - golden} golden={golden}")
+    return SampleResult(frozenset(), frozenset([flop.id]), "register")
 
 
 def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):

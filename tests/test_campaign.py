@@ -592,6 +592,27 @@ def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
                             for oc in OutcomeClass}
 
 
+def test_exhaustive_counts_wrong_polarity_rows_without_simulating(monkeypatch):
+    # s27 under 180nm-like keeps 360 distinct (drain, read signature) rows at
+    # random:50:1000; in 180 of them the struck net already holds the value
+    # the strike drives, so only the other 180 rows reach run_sample
+    c = bundled_circuit("s27")
+    p = load_bundled_profile("180nm-like")
+    tr = simulate_reference(c, Stimulus.random(50, 1000))
+    calls = []
+
+    def counting_run_sample(*args, **kwargs):
+        calls.append(1)
+        return run_sample(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "run_sample", counting_run_sample)
+    stats = exhaustive_campaign(
+        CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=1), t_grid=50
+    )
+    assert stats.total_samples == 76_800
+    assert len(calls) == 9_000
+
+
 # ---------------------------------------------------------------------------
 # the sample log
 
@@ -602,6 +623,9 @@ def test_sample_log_round_trip(small_campaign):
     assert text.splitlines()[0] == ",".join(LOG_COLUMNS)
     rows = read_sample_log(io.StringIO(text))
     assert rows == list(stats.records)
+    for rec in (rows[0], stats.records[0]):
+        with pytest.raises(AttributeError):
+            rec.k = 2
 
 
 def test_sample_log_preserves_float_precision(small_campaign):

@@ -220,6 +220,17 @@ def test_campaign_rejects_bad_worker_count(bench_dir, tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("index", ["-1", str(2**64)])
+def test_campaign_rejects_debug_sample_outside_stream_range(bench_dir, tmp_path, index):
+    # a sample's RNG stream is keyed by its index as 8 unsigned bytes
+    code, _, err = run_cli(
+        campaign_args(bench_dir, "toy_chain", tmp_path / "x", **{"--debug-sample": index})
+    )
+    assert code == 3
+    assert err == f"error:config-error: debug sample index must be in [0, 2**64), got {index}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_campaign_rejects_cyclic_circuit(bench_dir, tmp_path):
     code, _, err = run_cli(campaign_args(bench_dir, "cyclic", tmp_path / "x"))
     assert code == 3

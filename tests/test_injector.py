@@ -1,7 +1,9 @@
 """Tests for pulse injection, masking, and edge-capture semantics."""
 
 import dataclasses
+import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,13 @@ from seusim.injector import (
     SimContext,
     StrikeSample,
     _attenuate,
+    _propagate,
     capture_at_edge,
     parse_policy,
     run_sample,
     strike_reads,
 )
-from seusim.netlist import parse_bench, wrap_combinational
+from seusim.netlist import CONTROLLING, parse_bench, wrap_combinational
 from seusim.techmodel import enumerate_drains, load_bundled_profile
 
 from conftest import (
@@ -519,15 +522,20 @@ def test_state_step_revisits_net_reached_earlier_by_a_longer_path():
     assert (r.flips_e1, r.flips_e2, r.window_hits) == ({"A"}, {"B"}, 0)
 
 
+def reconvergent_ladder(kind, stages):
+    """x{i+1} = kind(x{i}, BUF(x{i})) from flop x0 to flop y = DFF(x{stages})."""
+    lines = ["INPUT(i)", "OUTPUT(y)", "x0 = DFF(i)", f"y = DFF(x{stages})"]
+    for s in range(stages):
+        lines += [f"b{s} = BUF(x{s})", f"x{s + 1} = {kind}(x{s}, b{s})"]
+    return parse_bench("\n".join(lines) + "\n", name=f"{kind.lower()}_ladder")
+
+
 def test_state_step_through_deep_reconvergent_ladder():
     # x{i+1} = XOR(x{i}, BUF(x{i})) over 500 stages: x500 is reachable along
     # 2**500 paths with hundreds of distinct delays, but each of the 1,001
     # nets carries one step, so a strike is cheap and needs no event cap
     stages = 500
-    lines = ["INPUT(i)", "OUTPUT(y)", "x0 = DFF(i)", f"y = DFF(x{stages})"]
-    for s in range(stages):
-        lines += [f"b{s} = BUF(x{s})", f"x{s + 1} = XOR(x{s}, b{s})"]
-    c = parse_bench("\n".join(lines) + "\n", name="ladder")
+    c = reconvergent_ladder("XOR", stages)
     p = load_bundled_profile("65nm-like")
     ctx = SimContext.build(c, p)
     tr = held(c, (1,))
@@ -546,10 +554,7 @@ def test_glitch_through_reconvergent_ladder_keeps_one_event_per_path_delay():
     # from x1 but with only m distinct delays (65a + 105b, a + b = m - 1);
     # one event per distinct delay gives stages**2 pulse lines in all
     stages = 40
-    lines = ["INPUT(i)", "OUTPUT(y)", "x0 = DFF(i)", f"y = DFF(x{stages})"]
-    for s in range(stages):
-        lines += [f"b{s} = BUF(x{s})", f"x{s + 1} = AND(x{s}, b{s})"]
-    c = parse_bench("\n".join(lines) + "\n", name="and_ladder")
+    c = reconvergent_ladder("AND", stages)
     p = load_bundled_profile("65nm-like")
     ctx = SimContext.build(c, p)
     tr = held(c, (1,))
@@ -691,6 +696,102 @@ def test_strike_reads_decide_the_strike(name, profile_name):
                             for n, v in zip(tr.net_ids, rows[k]))
             assert flips(dataclasses.replace(tr, settled=tuple(rows)), drain, k) == got
     assert shared
+
+
+# ---------------------------------------------------------------------------
+# _propagate against the PulseEvent breadth-first search it replaced
+
+
+def reference_propagate(ctx, settled, seed_event, debug=None):
+    """Breadth-first search over PulseEvent objects that looks up each gate's
+    controlling value, side inputs and delay at every step."""
+    theta = ctx.profile.filter_threshold
+    at_flops, seen = {}, {}
+    queue = deque([seed_event])
+    while queue:
+        ev = queue.popleft()
+        key = ev.net if ev.step else (ev.net, ev.start, ev.width)
+        if seen.get(key, math.inf) <= ev.start:
+            continue
+        seen[key] = ev.start
+        if debug is not None:
+            debug.append(
+                f"pulse net={ev.net} start={ev.start:.2f} width={ev.width:.2f} "
+                f"value={1 - settled[ev.net]}" + (" step" if ev.step else "")
+            )
+        if ev.net in ctx.flop_ids_by_data:
+            at_flops.setdefault(ev.net, []).append((ev.start, ev.end))
+        for gate in ctx.circuit.gate_fanout.get(ev.net, ()):
+            ctrl = CONTROLLING[gate.kind]
+            if ctrl is not None:
+                side = [n for n in gate.inputs if n != ev.net]
+                if any(settled[n] == ctrl for n in side):
+                    if debug is not None:
+                        debug.append(f"  masked at {gate.id} (logical)")
+                    continue
+            d = ctx.profile.delay(gate.kind, len(gate.inputs))
+            if ev.step:
+                new_width = ev.width
+            else:
+                new_width = _attenuate(ev.width, d, theta)
+                if new_width is None:
+                    if debug is not None:
+                        debug.append(f"  masked at {gate.id} (electrical)")
+                    continue
+            queue.append(
+                PulseEvent(net=gate.output, start=ev.start + d, width=new_width, step=ev.step)
+            )
+    return at_flops
+
+
+def strike_seed(ctx, drain, t):
+    """The event a gate or state-node strike at ``t`` starts from."""
+    if drain.ff_node_class == "state-node":
+        net = ctx.circuit.flop_by_id[drain.cell].output
+        return PulseEvent(net=net, start=t, width=ctx.period - t, step=True)
+    return PulseEvent(net=drain.net, start=t, width=ctx.profile.glitch_width)
+
+
+def assert_propagates_like_reference(ctx, settled, seed):
+    got_dbg, want_dbg = [], []
+    got = _propagate(ctx, settled, seed, got_dbg)
+    want = reference_propagate(ctx, settled, seed, want_dbg)
+    assert list(got.items()) == list(want.items())
+    assert got_dbg == want_dbg
+    assert _propagate(ctx, settled, seed) == want
+
+
+@pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like"])
+@pytest.mark.parametrize("name", BUNDLED_CIRCUITS)
+def test_propagate_matches_pulse_event_reference(name, profile_name):
+    # every gate and state-node drain, whatever its polarity; a capture-node
+    # strike never propagates
+    c = bundled_circuit(name)
+    if not c.flops:
+        c = wrap_combinational(c)
+    p = load_bundled_profile(profile_name)
+    tr = simulate_reference(c, Stimulus.random(8, seed=3))
+    ctx = SimContext.build(c, p)
+    times = [ctx.settle + i * (ctx.period - ctx.settle) / 6 for i in range(6)]
+    drains = [d for d in enumerate_drains(c, p).sites if d.ff_node_class != "capture-node"]
+    assert {d.ff_node_class for d in drains} == {"none", "state-node"}
+    for drain in drains:
+        for k in range(1, 7):
+            for t in times:
+                assert_propagates_like_reference(ctx, tr.settled_map(k), strike_seed(ctx, drain, t))
+
+
+@pytest.mark.parametrize(
+    "kind, stages, net, step, t",
+    [("AND", 40, "x1", False, 700.0), ("XOR", 500, "x0", True, None)],
+)
+def test_propagate_matches_pulse_event_reference_on_ladders(kind, stages, net, step, t):
+    c = reconvergent_ladder(kind, stages)
+    ctx = SimContext.build(c, load_bundled_profile("65nm-like"))
+    t = ctx.settle if t is None else t
+    width = ctx.period - t if step else ctx.profile.glitch_width
+    seed = PulseEvent(net=net, start=t, width=width, step=step)
+    assert_propagates_like_reference(ctx, held(c, (1,)).settled_map(1), seed)
 
 
 # ---------------------------------------------------------------------------
