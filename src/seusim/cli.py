@@ -30,7 +30,8 @@ from .errors import ConfigError, InputError, InvariantError, SeuSimError
 from .golden import Stimulus, parse_stimulus, simulate_reference
 from .injector import SimContext, parse_policy, run_sample
 from .netlist import parse_bench, validate, wrap_combinational
-from .techmodel import enumerate_drains, load_bundled_profile, load_profile_file
+from .techmodel import (enumerate_drains, is_finite_number, load_bundled_profile,
+                        load_profile_file)
 
 PAPER_CLASSES = (OutcomeClass.NN, OutcomeClass.NF, OutcomeClass.FN,
                  OutcomeClass.FF)
@@ -101,20 +102,16 @@ def _prepare_sequential(args):
 
 # --- stats (de)serialization ------------------------------------------------
 
-def _is_number(value):
-    return type(value) in (int, float)
-
-
 # The value kinds a stats document may hold, by the name its errors use.
 # Types are matched exactly, so a bool is not an integer or a number.
 _KINDS = {
     "string": lambda v: type(v) is str,
     "integer": lambda v: type(v) is int,
-    "number": _is_number,
-    "number-or-null": lambda v: v is None or _is_number(v),
+    "number": is_finite_number,
+    "number-or-null": lambda v: v is None or is_finite_number(v),
     "boolean": lambda v: type(v) is bool,
     "object-of-numbers": lambda v: type(v) is dict and all(
-        map(_is_number, v.values())),
+        map(is_finite_number, v.values())),
 }
 
 # (JSON key, CampaignStats attribute, value kind) for every top-level
@@ -202,8 +199,12 @@ def stats_from_dict(doc):
 def _load_stats(path):
     """(JSON document, CampaignStats) read from a stats file."""
     text = "".join(_read_lines(path, "stats"))
+
+    def reject_constant(name):
+        raise InputError(f"'{path}' holds the non-finite number {name}")
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=reject_constant)
     except ValueError as exc:
         raise InputError(f"'{path}' is not valid JSON: {exc}") from None
     try:

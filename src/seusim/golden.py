@@ -4,7 +4,8 @@ Zero-delay, cycle-based, two-valued logic: within a cycle every net settles
 to the boolean function of the current primary inputs and flop states; at
 the clock edge every flop captures the settled value of its data net.  The
 resulting Trace is the baseline every injected sample is compared against,
-so it stores the settled value of every net for every cycle.
+so it stores the settled value of every net for every cycle.  The simulator
+evaluates up to 64 cycles per pass over the gates, bit-packed into ints.
 
 Stimulus file format (one of):
 
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError, StimulusError
-from .netlist import levelize
 
 
 def eval_gate(kind, values):
+    """Value of one gate in one cycle: the rule the packed passes apply."""
     if kind == "AND":
         return 1 if all(values) else 0
     if kind == "NAND":
@@ -152,10 +153,6 @@ class Trace:
         return {n: i for i, n in enumerate(self.net_ids)}
 
     @cached_property
-    def _flop_index(self):
-        return {f: i for i, f in enumerate(self.flop_ids)}
-
-    @cached_property
     def _settled_maps(self):
         return [dict(zip(self.net_ids, row)) for row in self.settled]
 
@@ -166,9 +163,6 @@ class Trace:
     def net_value(self, cycle, net):
         return self.settled[cycle][self._net_index[net]]
 
-    def flop_value(self, cycle, flop_id):
-        return self.flop_states[cycle][self._flop_index[flop_id]]
-
     def to_csv(self):
         lines = ["cycle,flop,bit"]
         for c, row in enumerate(self.flop_states):
@@ -177,37 +171,106 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
+# Cycles evaluated together in one packed pass.  A fixed width keeps the
+# flop fixed-point iteration linear in trace length: a feedback circuit needs
+# up to one pass per cycle of its block, on ints of at most this many bits.
+_BLOCK = 64
+
+# Packed opcode per kind: bits 1-2 pick the fold (0 AND, 1 OR, 2 or 3 XOR)
+# and bit 0 inverts the result.  NOT and BUF fold XOR over their one input.
+_OPCODE = {"AND": 0, "NAND": 1, "OR": 2, "NOR": 3,
+           "XOR": 4, "XNOR": 5, "BUF": 6, "NOT": 7}
+_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BITS_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _unpack(masks, cycles):
+    """Per-cycle tuples from per-column masks (bit c = value in cycle c)."""
+    if not masks:
+        return ((),) * cycles
+    fmt = f"0{cycles}b"
+    return tuple(zip(*(format(m, fmt)[::-1].encode().translate(_ASCII_BITS)
+                       for m in masks)))
+
+
 def simulate_reference(circuit, stimulus):
-    """Run the fault-free simulation and return the full Trace."""
+    """Run the fault-free simulation and return the full Trace.
+
+    Cycles are evaluated in blocks of up to ``_BLOCK``, each net's values
+    in a block packed into one int whose bit c is its value in the block's
+    cycle c.  A flop's block mask is its entry bit followed by its data
+    mask shifted one cycle later; passes over the gates repeat from the
+    entry state until those masks stop changing, and after pass p the
+    block's cycles 0..p are exact.
+    """
     vectors = stimulus.resolve_vectors(len(circuit.primary_inputs))
     n_flops = len(circuit.flops)
     if stimulus.initial_state is None:
-        state = tuple(0 for _ in range(n_flops))
+        state = [0] * n_flops
     else:
-        state = tuple(int(b) for b in stimulus.initial_state)
+        state = [int(b) for b in stimulus.initial_state]
         if len(state) != n_flops:
             raise StimulusError(
                 f"initial state has {len(state)} bits, circuit has "
                 f"{n_flops} flops")
+        if any(b not in (0, 1) for b in state):
+            raise StimulusError("initial state bits must be 0/1")
 
-    order = levelize(circuit)
     gate_by_id = circuit.gate_by_id
     net_ids = (tuple(circuit.primary_inputs)
                + tuple(f.output for f in circuit.flops)
                + tuple(g.output for g in circuit.gates))
+    index = {n: i for i, n in enumerate(net_ids)}
+    program = []
+    for gid in circuit.gate_order:
+        g = gate_by_id[gid]
+        op = _OPCODE.get(g.kind)
+        if op is None:
+            raise InvariantError(f"cannot evaluate gate kind '{g.kind}'")
+        inputs = g.inputs[:1] if op >= 6 else g.inputs
+        program.append((op, index[g.output],
+                        tuple(index[n] for n in inputs)))
+    pi_slots = [index[n] for n in circuit.primary_inputs]
+    flop_slots = [index[f.output] for f in circuit.flops]
+    data_slots = [index[f.data] for f in circuit.flops]
 
-    states, settled_rows = [], []
-    for vec in vectors:
-        values = dict(zip(circuit.primary_inputs, vec))
-        for f, bit in zip(circuit.flops, state):
-            values[f.output] = bit
-        for gid in order:
-            g = gate_by_id[gid]
-            values[g.output] = eval_gate(
-                g.kind, [values[n] for n in g.inputs])
-        states.append(state)
-        settled_rows.append(tuple(values[n] for n in net_ids))
-        state = tuple(values[f.data] for f in circuit.flops)
+    cycles = len(vectors)
+    pi_masks = [int(bytes(col[::-1]).translate(_BITS_ASCII), 2)
+                for col in zip(*vectors)]
+    values = [0] * len(net_ids)
+    net_masks = [0] * len(net_ids)
+    flop_masks = [0] * n_flops
+    for c0 in range(0, cycles, _BLOCK):
+        width = min(_BLOCK, cycles - c0)
+        full = (1 << width) - 1
+        for slot, mask in zip(pi_slots, pi_masks):
+            values[slot] = (mask >> c0) & full
+        held = state
+        while True:
+            for slot, bits in zip(flop_slots, held):
+                values[slot] = bits
+            for op, out, ins in program:
+                if op < 2:
+                    v = full
+                    for i in ins:
+                        v &= values[i]
+                elif op < 4:
+                    v = 0
+                    for i in ins:
+                        v |= values[i]
+                else:
+                    v = 0
+                    for i in ins:
+                        v ^= values[i]
+                values[out] = v ^ full if op & 1 else v
+            nxt = [((values[d] << 1) & full) | b
+                   for d, b in zip(data_slots, state)]
+            if nxt == held:
+                break
+            held = nxt
+        net_masks = [m | v << c0 for m, v in zip(net_masks, values)]
+        flop_masks = [m | v << c0 for m, v in zip(flop_masks, held)]
+        state = [(values[d] >> (width - 1)) & 1 for d in data_slots]
 
     return Trace(
         circuit_name=circuit.name,
@@ -215,6 +278,6 @@ def simulate_reference(circuit, stimulus):
         flop_ids=tuple(f.id for f in circuit.flops),
         net_ids=net_ids,
         pi_vectors=tuple(vectors),
-        flop_states=tuple(states),
-        settled=tuple(settled_rows),
+        flop_states=_unpack(flop_masks, cycles),
+        settled=_unpack([net_masks[index[n]] for n in net_ids], cycles),
     )

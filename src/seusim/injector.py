@@ -23,6 +23,7 @@ and a register strike contributes at most its own flop at e1.
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, InvariantError
 from .netlist import CONTROLLING
@@ -71,8 +72,7 @@ def parse_policy(text):
                       "(expected 'instant' or 'window-random:<p>')")
 
 
-@dataclass(frozen=True)
-class StrikeSample:
+class StrikeSample(NamedTuple):
     """One sampled strike: where (drain), when (cycle k, time t)."""
 
     drain: object            # techmodel.DrainSite
@@ -105,8 +105,9 @@ class PulseEvent:
         return self.start + self.width
 
 
-@dataclass(frozen=True)
-class SampleResult:
+class SampleResult(NamedTuple):
+    """The flop ids flipped at each observation edge of one strike."""
+
     flips_e1: frozenset
     flips_e2: frozenset
     strike_class: str

@@ -133,6 +133,40 @@ class Circuit:
             out.setdefault(f.data, []).append(f.id)
         return {n: tuple(ids) for n, ids in out.items()}
 
+    @cached_property
+    def gate_order(self):
+        """Topological order of gate ids (flop boundaries cut the graph).
+
+        Ties are broken by declaration order, so the result is
+        deterministic for a given circuit.  Raises InvariantError on a
+        combinational cycle (and, not being cached then, on every access).
+        """
+        indeg = {}
+        succs = {g.id: [] for g in self.gates}
+        for g in self.gates:
+            count = 0
+            for n in g.inputs:
+                kind, drv = self.driver.get(n, (None, None))
+                if kind == "gate":
+                    count += 1
+                    succs[drv.id].append(g.id)
+            indeg[g.id] = count
+
+        ready = deque(g.id for g in self.gates if indeg[g.id] == 0)
+        order = []
+        while ready:
+            gid = ready.popleft()
+            order.append(gid)
+            for nxt in succs[gid]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    ready.append(nxt)
+        if len(order) != len(self.gates):
+            stuck = sorted(gid for gid, d in indeg.items() if d > 0)
+            raise InvariantError(
+                "combinational cycle through gates: " + ", ".join(stuck[:8]))
+        return tuple(order)
+
     def stats(self):
         return {
             "inputs": len(self.primary_inputs),
@@ -323,37 +357,11 @@ def validate(circuit):
 
 
 def levelize(circuit):
-    """Topological order of gate ids (flop boundaries cut the graph).
+    """Topological order of gate ids; see ``Circuit.gate_order``.
 
-    Ties are broken by declaration order, so the result is deterministic for
-    a given circuit.  Raises InvariantError on a combinational cycle.
+    Raises InvariantError on a combinational cycle.
     """
-    gate_of = circuit.gate_by_id
-    indeg = {}
-    succs = {g.id: [] for g in circuit.gates}
-    for g in circuit.gates:
-        count = 0
-        for n in g.inputs:
-            kind, drv = circuit.driver.get(n, (None, None))
-            if kind == "gate":
-                count += 1
-                succs[drv.id].append(g.id)
-        indeg[g.id] = count
-
-    ready = deque(g.id for g in circuit.gates if indeg[g.id] == 0)
-    order = []
-    while ready:
-        gid = ready.popleft()
-        order.append(gid)
-        for nxt in succs[gid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if len(order) != len(circuit.gates):
-        stuck = sorted(gid for gid, d in indeg.items() if d > 0)
-        raise InvariantError(
-            "combinational cycle through gates: " + ", ".join(stuck[:8]))
-    return order
+    return list(circuit.gate_order)
 
 
 def _fresh_net(base, taken):

@@ -16,11 +16,12 @@ characterization data when available.
 import bisect
 import json
 import re
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
 from .errors import InputError, ProfileError
-from .netlist import GATE_KINDS, levelize
+from .netlist import GATE_KINDS
 
 POLARITIES = ("pulls-low", "pulls-high")
 FF_NODE_CLASSES = ("none", "state-node", "capture-node")
@@ -102,11 +103,15 @@ class DrainTable:
     def pick(self, u):
         return self.sites[bisect.bisect_right(self.cumulative, u)]
 
-    def by_id(self, site_id):
-        for s in self.sites:
-            if s.id == site_id:
-                return s
-        raise KeyError(site_id)
+
+def is_finite_number(value):
+    """A JSON number that converts to a finite float.
+
+    ``bool`` is an ``int`` subclass but not a number here, and the range
+    test is false for NaN, for infinities and for ints beyond float range.
+    """
+    return (type(value) in (int, float)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def _require(doc, key):
@@ -117,8 +122,11 @@ def _require(doc, key):
 
 def load_profile(text, source="<profile>"):
     """Parse and validate a JSON profile document."""
+    def reject_constant(name):
+        raise ProfileError(f"{source}: non-finite number {name}")
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ProfileError(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -126,6 +134,8 @@ def load_profile(text, source="<profile>"):
 
     label = _require(doc, "node_label")
     raw_delay = _require(doc, "gate_delay")
+    if not isinstance(raw_delay, dict):
+        raise ProfileError("gate_delay must be an object")
     delays = {}
     for key, val in raw_delay.items():
         m = _DELAY_KEY_RE.match(key)
@@ -135,7 +145,7 @@ def load_profile(text, source="<profile>"):
         kind, fanin = m.group(1), int(m.group(2))
         if kind not in GATE_KINDS:
             raise ProfileError(f"unknown gate kind key '{key}'")
-        if not isinstance(val, (int, float)) or val <= 0:
+        if not is_finite_number(val) or val <= 0:
             raise ProfileError(f"non-positive delay for '{key}'")
         if fanin < 1:
             raise ProfileError(f"bad fan-in in gate_delay key '{key}'")
@@ -146,25 +156,32 @@ def load_profile(text, source="<profile>"):
     scalars = {}
     for name in _SCALAR_FIELDS:
         val = _require(doc, name)
-        if not isinstance(val, (int, float)) or val <= 0:
+        if not is_finite_number(val) or val <= 0:
             raise ProfileError(f"non-positive value for '{name}'")
         scalars[name] = float(val)
 
     theta = doc.get("filter_threshold", 1.0)
-    if not isinstance(theta, (int, float)) or theta < 0:
+    if not is_finite_number(theta) or theta < 0:
         raise ProfileError("filter_threshold must be >= 0")
 
     raw_spec = _require(doc, "drain_spec")
+    if not isinstance(raw_spec, dict):
+        raise ProfileError("drain_spec must be an object")
     spec = {}
     for kind, entries in raw_spec.items():
         if kind != "DFF" and kind not in GATE_KINDS:
             raise ProfileError(f"unknown cell kind '{kind}' in drain_spec")
+        if not isinstance(entries, list):
+            raise ProfileError(f"drain_spec['{kind}'] must be a list")
         if not entries:
             raise ProfileError(f"empty drain site list for '{kind}'")
         templates = []
         for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ProfileError(
+                    f"drain_spec['{kind}'][{i}] must be an object")
             area = entry.get("area")
-            if not isinstance(area, (int, float)) or area <= 0:
+            if not is_finite_number(area) or area <= 0:
                 raise ProfileError(
                     f"non-positive area in drain_spec['{kind}'][{i}]")
             pol = entry.get("polarity")
@@ -272,10 +289,11 @@ def _arrivals(circuit, profile, pi_offset, flop_offset):
     arrival = {n: pi_offset for n in circuit.primary_inputs}
     for f in circuit.flops:
         arrival[f.output] = flop_offset
-    for gid in levelize(circuit):
-        g = circuit.gate_by_id[gid]
+    gate_by_id = circuit.gate_by_id
+    for gid in circuit.gate_order:
+        g = gate_by_id[gid]
         d = profile.delay(g.kind, len(g.inputs))
-        arrival[g.output] = max(arrival[n] for n in g.inputs) + d
+        arrival[g.output] = max(map(arrival.__getitem__, g.inputs)) + d
     return arrival
 
 

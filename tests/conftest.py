@@ -2,8 +2,10 @@
 independent recursive net evaluator used as an oracle for the golden
 simulator."""
 
+import importlib.util
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,21 @@ def bundled_bench_text(name):
 
 def bundled_circuit(name):
     return parse_bench(bundled_bench_text(name), name=name)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's n-bit array multiplier generator, reused as a test input.
+multiplier_bench = _load_perfbench_module("mulgen").multiplier_bench
 
 
 BUNDLED_CIRCUITS = ("c17", "s27", "decoder3to8", "lfsr8", "fsm3",
@@ -123,6 +140,19 @@ def chain2():
 @pytest.fixture
 def chain3():
     return parse_bench(CHAIN3, name="chain3")
+
+
+def site_by_id(table, site_id):
+    """The drain site called ``site_id``; KeyError when there is none."""
+    for s in table.sites:
+        if s.id == site_id:
+            return s
+    raise KeyError(site_id)
+
+
+def flop_value(trace, cycle, flop_id):
+    """State of flop ``flop_id`` during ``cycle`` of a golden trace."""
+    return trace.flop_states[cycle][trace.flop_ids.index(flop_id)]
 
 
 def find_site(table, cell, ff_node_class=None, polarity=None):

@@ -31,7 +31,7 @@ from seusim.netlist import parse_bench, validate, wrap_combinational
 from seusim.techmodel import load_bundled_profile
 
 from conftest import (BUNDLED_CIRCUITS, bundled_bench_text, bundled_circuit,
-                      profile_from, truth_eval)
+                      flop_value, profile_from, truth_eval)
 
 
 def _verdict(num, description, ok, detail=""):
@@ -369,7 +369,7 @@ def test_acceptance_8_bundled_circuits_and_wrapping():
             trace = simulate_reference(wrapped, Stimulus.explicit([vec] * 4))
             expected = truth_eval(orig, vec)
             for po in orig.primary_outputs:
-                if trace.flop_value(2, f"{po}_po") != expected[po]:
+                if flop_value(trace, 2, f"{po}_po") != expected[po]:
                     ok = False
                     detail.append(f"{name}: vector {vec} output {po}")
     _verdict(

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+from importlib import resources
 
 import pytest
 
@@ -200,6 +201,49 @@ def test_campaign_rejects_unknown_profile(bench_dir, tmp_path):
     )
     assert code == 2
     assert "error:profile-error" in err
+
+
+def _edited_profile(tmp_path, edit):
+    ref = resources.files("seusim").joinpath("data/profiles/toy-equal.json")
+    doc = json.loads(ref.read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["drain_spec"]["NOT"].__setitem__(0, "x"),
+         "drain_spec['NOT'][0] must be an object"),
+        (lambda d: d.__setitem__("glitch_width", float("nan")),
+         "non-finite number NaN"),
+        (lambda d: d.__setitem__("clock_margin", float("inf")),
+         "non-finite number Infinity"),
+        (lambda d: d.__setitem__("ff_setup", True),
+         "non-positive value for 'ff_setup'"),
+        (lambda d: d["drain_spec"].__setitem__("NOT", 5),
+         "drain_spec['NOT'] must be a list"),
+        (lambda d: d.__setitem__("gate_delay", [1]),
+         "gate_delay must be an object"),
+        (lambda d: d.__setitem__("glitch_width", 10 ** 400),
+         "non-positive value for 'glitch_width'"),
+    ],
+    ids=["string-drain-entry", "nan-glitch-width", "infinite-clock-margin",
+         "bool-setup", "number-drain-list", "list-gate-delay",
+         "huge-glitch-width"],
+)
+def test_campaign_rejects_malformed_profile_values(bench_dir, tmp_path, edit,
+                                                   message):
+    code, out, err = run_cli(
+        campaign_args(bench_dir, "toy_chain", tmp_path / "x",
+                      **{"--tech": _edited_profile(tmp_path, edit)}))
+    assert code == 2
+    assert err.startswith("error:profile-error: ")
+    assert err.count("\n") == 1
+    assert message in err
+    assert out == ""
 
 
 def test_campaign_rejects_bad_sample_budget(bench_dir, tmp_path):
@@ -403,6 +447,26 @@ def test_report_rejects_stats_missing_key(finished_campaign, tmp_path, path):
     code, _, err = run_cli(["report", "--stats", str(broken), "--out", str(tmp_path / "rk")])
     _assert_input_error(code, err)
     assert f"no key '{path[-1]}'" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("period_ps", float("nan")), ("period_ps", float("inf")),
+     ("period_ps", 10 ** 400)],
+    ids=["nan", "infinity", "huge"],
+)
+def test_report_rejects_non_finite_stats_number(finished_campaign, tmp_path,
+                                                key, value):
+    camp, _ = finished_campaign
+    doc = json.loads((camp / "stats.json").read_text())
+    doc[key] = value
+    broken = tmp_path / "non_finite.json"
+    broken.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        ["report", "--stats", str(broken), "--out", str(tmp_path / "rn")])
+    _assert_input_error(code, err)
+    assert out == ""
+    assert not (tmp_path / "rn").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Tests for gate evaluation, stimulus handling, and the reference simulator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +9,16 @@ from hypothesis import strategies as st
 from seusim.errors import InvariantError, StimulusError
 from seusim.golden import (
     Stimulus,
+    Trace,
     eval_gate,
     parse_stimulus,
     simulate_reference,
 )
-from seusim.netlist import parse_bench, wrap_combinational
+from seusim.netlist import (GATE_KINDS, Circuit, Flop, Gate, levelize,
+                            parse_bench, wrap_combinational)
 
-from conftest import bundled_circuit, truth_eval
+from conftest import (BUNDLED_CIRCUITS, bundled_circuit, flop_value,
+                      multiplier_bench, truth_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +158,9 @@ def test_wrapped_nand_two_cycle_latency():
     tr = simulate_reference(w, Stimulus.explicit([(1, 1)] * 4))
     # flops reset to 0, so the first captured NAND value is NAND(0,0) = 1;
     # the held (1,1) input only reaches the output flop one cycle later.
-    assert tr.flop_value(1, "y_po") == 1
-    assert tr.flop_value(2, "y_po") == 0
-    assert tr.flop_value(3, "y_po") == 0
+    assert flop_value(tr, 1, "y_po") == 1
+    assert flop_value(tr, 2, "y_po") == 0
+    assert flop_value(tr, 3, "y_po") == 0
 
 
 def test_trace_state_advances_by_settled_data():
@@ -199,7 +204,7 @@ def test_trace_accessors():
     assert set(tr.net_ids) == set(c.nets)
     assert tr.net_value(0, "x") == 1
     assert tr.net_value(2, "x") == 0
-    assert tr.flop_value(0, "f1") == 0
+    assert flop_value(tr, 0, "f1") == 0
 
 
 def test_trace_csv_shape():
@@ -219,3 +224,144 @@ def test_random_traces_reproducible(seed):
     b = simulate_reference(c, Stimulus.random(6, seed=seed))
     assert a.pi_vectors == b.pi_vectors
     assert a.flop_states == b.flop_states
+
+
+# ---------------------------------------------------------------------------
+# the packed simulator against a cycle-by-cycle one
+
+
+def reference_simulate(circuit, stimulus):
+    """Cycle-by-cycle golden run: every gate once per cycle via eval_gate.
+
+    The packed ``simulate_reference`` must return a Trace equal to this.
+    """
+    vectors = stimulus.resolve_vectors(len(circuit.primary_inputs))
+    n_flops = len(circuit.flops)
+    if stimulus.initial_state is None:
+        state = tuple(0 for _ in range(n_flops))
+    else:
+        state = tuple(int(b) for b in stimulus.initial_state)
+        if len(state) != n_flops:
+            raise StimulusError(
+                f"initial state has {len(state)} bits, circuit has "
+                f"{n_flops} flops")
+
+    order = levelize(circuit)
+    gate_by_id = circuit.gate_by_id
+    net_ids = (tuple(circuit.primary_inputs)
+               + tuple(f.output for f in circuit.flops)
+               + tuple(g.output for g in circuit.gates))
+
+    states, settled_rows = [], []
+    for vec in vectors:
+        values = dict(zip(circuit.primary_inputs, vec))
+        for f, bit in zip(circuit.flops, state):
+            values[f.output] = bit
+        for gid in order:
+            g = gate_by_id[gid]
+            values[g.output] = eval_gate(
+                g.kind, [values[n] for n in g.inputs])
+        states.append(state)
+        settled_rows.append(tuple(values[n] for n in net_ids))
+        state = tuple(values[f.data] for f in circuit.flops)
+
+    return Trace(
+        circuit_name=circuit.name,
+        pi_ids=tuple(circuit.primary_inputs),
+        flop_ids=tuple(f.id for f in circuit.flops),
+        net_ids=net_ids,
+        pi_vectors=tuple(vectors),
+        flop_states=tuple(states),
+        settled=tuple(settled_rows),
+    )
+
+
+def assert_same_trace(circuit, stimulus):
+    packed = simulate_reference(circuit, stimulus)
+    assert packed == reference_simulate(circuit, stimulus)
+    return packed
+
+
+# 64 cycles make one packed block: these straddle its edges.
+@pytest.mark.parametrize("cycles", [3, 50, 63, 64, 65, 129, 1000])
+@pytest.mark.parametrize("name", BUNDLED_CIRCUITS)
+def test_packed_matches_per_cycle_on_bundled(name, cycles):
+    assert_same_trace(bundled_circuit(name), Stimulus.random(cycles, seed=7))
+
+
+@pytest.mark.parametrize("cycles", [3, 64, 65, 130])
+@pytest.mark.parametrize("name", ["s27", "lfsr8", "fsm3"])
+def test_packed_matches_per_cycle_from_nonzero_state(name, cycles):
+    c = bundled_circuit(name)
+    rng = random.Random(cycles)
+    vectors = [tuple(rng.getrandbits(1) for _ in c.primary_inputs)
+               for _ in range(cycles)]
+    state = tuple(1 - i % 2 for i in range(len(c.flops)))
+    tr = assert_same_trace(c, Stimulus.explicit(vectors, initial_state=state))
+    assert tr.flop_states[0] == state
+
+
+@pytest.mark.parametrize("wrapped", [False, True])
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_packed_matches_per_cycle_on_multipliers(n, wrapped):
+    c = parse_bench(multiplier_bench(n), name=f"mul{n}")
+    if wrapped:
+        c = wrap_combinational(c)
+    assert_same_trace(c, Stimulus.random(70, seed=n))
+
+
+def random_sequential_circuit(rng, name):
+    """A valid netlist with every gate kind and flop-to-flop feedback.
+
+    Gates are declared in shuffled order, so levelization matters; flop
+    data nets are drawn from every net, flop outputs included.
+    """
+    pis = [f"i{j}" for j in range(rng.randint(1, 3))]
+    flops = [f"q{j}" for j in range(rng.randint(1, 5))]
+    nets, gates = pis + flops, []
+    kinds = list(GATE_KINDS) + [rng.choice(GATE_KINDS)
+                                for _ in range(rng.randint(0, 10))]
+    rng.shuffle(kinds)
+    for j, kind in enumerate(kinds):
+        fanin = 1 if kind in ("NOT", "BUF") else rng.randint(1, 4)
+        gates.append(Gate(id=f"g{j}", kind=kind,
+                          inputs=tuple(rng.choice(nets) for _ in range(fanin)),
+                          output=f"g{j}"))
+        nets.append(f"g{j}")
+    rng.shuffle(gates)
+    return Circuit(
+        name=name,
+        primary_inputs=tuple(pis),
+        primary_outputs=(nets[-1],),
+        gates=tuple(gates),
+        flops=tuple(Flop(id=q, data=rng.choice(nets), output=q)
+                    for q in flops),
+        nets=frozenset(nets),
+    )
+
+
+def test_packed_matches_per_cycle_on_random_sequential_netlists():
+    rng = random.Random(2024)
+    kinds = set()
+    for case in range(200):
+        c = random_sequential_circuit(rng, f"rand{case}")
+        kinds.update(g.kind for g in c.gates)
+        cycles = rng.choice([3, 5, 63, 64, 65, rng.randint(3, 200)])
+        state = None
+        if rng.random() < 0.5:
+            state = tuple(rng.getrandbits(1) for _ in c.flops)
+        stim = Stimulus.random(cycles, seed=case, initial_state=state)
+        assert simulate_reference(c, stim) == reference_simulate(c, stim), \
+            f"case {case}"
+    assert kinds == set(GATE_KINDS)
+
+
+def test_packed_rejects_unknown_kind_and_non_binary_state():
+    c = Circuit(name="mux", primary_inputs=("a",), primary_outputs=("m",),
+                gates=(Gate(id="m", kind="MUX", inputs=("a",), output="m"),),
+                flops=(), nets=frozenset({"a", "m"}))
+    with pytest.raises(InvariantError, match="cannot evaluate gate kind 'MUX'"):
+        simulate_reference(c, Stimulus.random(3, seed=1))
+    d = parse_bench("INPUT(x)\nOUTPUT(q)\nq = DFF(x)\n")
+    with pytest.raises(StimulusError, match="initial state bits must be 0/1"):
+        simulate_reference(d, Stimulus.random(3, seed=1, initial_state=(2,)))

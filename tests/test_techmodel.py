@@ -20,7 +20,8 @@ from seusim.techmodel import (
     settle_bound,
 )
 
-from conftest import chain_profile_doc, dff_sites, gate_sites, profile_from
+from conftest import (chain_profile_doc, dff_sites, gate_sites, profile_from,
+                      site_by_id)
 
 
 def _doc(**overrides):
@@ -222,11 +223,11 @@ def test_drain_table_pick_boundaries(nand_dff_table):
 
 
 def test_drain_table_by_id(nand_dff_table):
-    site = nand_dff_table.by_id("q[2]")
+    site = site_by_id(nand_dff_table, "q[2]")
     assert site.ff_node_class == "capture-node"
     assert site.polarity == "pulls-low"
     with pytest.raises(KeyError):
-        nand_dff_table.by_id("zz[9]")
+        site_by_id(nand_dff_table, "zz[9]")
 
 
 def test_enumerate_drains_missing_kind():
