@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ConfigError, InputError, InvariantError
-from .injector import (INSTANT, SimContext, StrikeSample, polarity_matches,
-                       polarity_net, run_sample, strike_reads)
+from .injector import (INSTANT, SimContext, StrikeSample, capture_row,
+                       polarity_matches, polarity_net, run_sample,
+                       strike_reads, strike_row)
 from .techmodel import enumerate_drains
 
 STRIKE_CLASSES = ("gate", "register")
@@ -338,7 +339,10 @@ def exhaustive_campaign(config, t_grid):
     time and the golden values of ``strike_reads(ctx, drain)``, so a drain's
     grid row is simulated once per distinct set of those values and counted
     for every cycle that has it; a row whose strike has the wrong polarity
-    counts as NN at every grid time without being simulated.  Class
+    counts as NN at every grid time without being simulated.  A gate or
+    state-node row is propagated once from t = 0 and each grid time captures
+    its intervals shifted by t; a capture-node row does not depend on t, so
+    one strike stands for the whole row.  Class
     probabilities are weighted by drain area within each strike class so
     they estimate the same measure Monte Carlo samples from; raw counts are
     also kept (counts/n and the weighted probabilities coincide whenever
@@ -377,12 +381,20 @@ def exhaustive_campaign(config, t_grid):
             if row is None:
                 if not polarity_matches(drain.polarity, settled[struck]):
                     row = {OutcomeClass.NN: t_grid}
+                elif drain.ff_node_class == "capture-node":
+                    result = run_sample(
+                        ctx, trace, StrikeSample(drain=drain, k=k, t=times[0]))
+                    row = {classify(result.flip_counts): t_grid}
                 else:
-                    row = Counter(
-                        classify(run_sample(
-                            ctx, trace, StrikeSample(drain=drain, k=k, t=t)
-                        ).flip_counts)
-                        for t in times)
+                    n_e1 = int(drain.ff_node_class == "state-node")
+                    pulses = strike_row(ctx, settled, drain)
+                    if not pulses:
+                        row = {classify((n_e1, 0)): t_grid}
+                    else:
+                        row = Counter(
+                            classify((n_e1, len(capture_row(
+                                ctx, settled, pulses, t))))
+                            for t in times)
                 rows[key] = row
             for c, cnt in row.items():
                 drain_counts[c] += cnt

@@ -22,27 +22,6 @@ from functools import cached_property
 from .errors import InvariantError, StimulusError
 
 
-def eval_gate(kind, values):
-    """Value of one gate in one cycle: the rule the packed passes apply."""
-    if kind == "AND":
-        return 1 if all(values) else 0
-    if kind == "NAND":
-        return 0 if all(values) else 1
-    if kind == "OR":
-        return 1 if any(values) else 0
-    if kind == "NOR":
-        return 0 if any(values) else 1
-    if kind == "XOR":
-        return sum(values) & 1
-    if kind == "XNOR":
-        return 1 - (sum(values) & 1)
-    if kind == "NOT":
-        return 1 - values[0]
-    if kind == "BUF":
-        return values[0]
-    raise InvariantError(f"cannot evaluate gate kind '{kind}'")
-
-
 @dataclass(frozen=True)
 class Stimulus:
     """Input schedule for a golden run.

@@ -302,6 +302,40 @@ def _capture_all(ctx, settled, at_flops, policy, rng, debug=None):
     return frozenset(flips), hits
 
 
+def strike_seed(ctx, drain, t):
+    """The PulseEvent a matching strike at a gate or state-node drain starts.
+
+    A gate drain gets a glitch of ``glitch_width`` at ``t``.  A state-node
+    drain flips its stored bit at ``t`` and holds it until the capture edge,
+    where the flop recaptures its (possibly disturbed) data input.
+    """
+    if drain.ff_node_class == "none":
+        return PulseEvent(net=drain.net, start=t,
+                          width=ctx.profile.glitch_width)
+    flop = ctx.circuit.flop_by_id[drain.cell]
+    return PulseEvent(net=flop.output, start=t, width=ctx.period - t,
+                      step=True)
+
+
+def strike_row(ctx, settled, drain):
+    """The disturbance a matching strike at ``drain`` leaves at the flops
+    when it starts at ``t = 0``: {data net -> [(start, end), ...]}.
+
+    Delays and glitch widths do not depend on the strike time, and a step
+    lasts past the capture edge whenever it starts, so a strike at ``t``
+    captures as these intervals shifted by ``t`` (see ``capture_row``).
+    """
+    return _propagate(ctx, settled, strike_seed(ctx, drain, 0.0))
+
+
+def capture_row(ctx, settled, row, t):
+    """flips_e2 of the instant-policy strike whose ``strike_row`` is ``row``,
+    started at ``t``."""
+    shifted = {net: [(t + s, t + e) for s, e in intervals]
+               for net, intervals in row.items()}
+    return _capture_all(ctx, settled, shifted, INSTANT, None)[0]
+
+
 # The result of a strike whose polarity does not match, one per strike class.
 _EMPTY = {c: SampleResult(frozenset(), frozenset(), c, 0)
           for c in ("gate", "register")}
@@ -321,9 +355,8 @@ def disturb_gate(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
             debug.append(f"polarity mismatch at {drain.id} "
                          f"(net={drain.net} value={golden})")
         return _EMPTY["gate"]
-    seed = PulseEvent(net=drain.net, start=sample.t,
-                      width=ctx.profile.glitch_width)
-    at_flops = _propagate(ctx, settled, seed, debug)
+    at_flops = _propagate(ctx, settled, strike_seed(ctx, drain, sample.t),
+                          debug)
     flips_e2, hits = _capture_all(ctx, settled, at_flops, policy, rng, debug)
     return SampleResult(frozenset(), flips_e2, "gate", hits)
 
@@ -342,11 +375,8 @@ def disturb_register(ctx, trace, sample, policy=INSTANT, rng=None,
     if not polarity_matches(drain.polarity, golden):
         return _EMPTY["register"]
     if drain.ff_node_class == "state-node":
-        # The stored bit flips at t and holds until the capture edge, where
-        # the flop recaptures its (possibly disturbed) data input.
-        seed = PulseEvent(net=flop.output, start=sample.t,
-                          width=ctx.period - sample.t, step=True)
-        at_flops = _propagate(ctx, settled, seed, debug)
+        at_flops = _propagate(ctx, settled,
+                              strike_seed(ctx, drain, sample.t), debug)
         flips_e2, hits = _capture_all(ctx, settled, at_flops, policy, rng,
                                       debug)
         return SampleResult(frozenset([flop.id]), flips_e2, "register", hits)

@@ -380,6 +380,9 @@ def wrap_combinational(circuit):
     the flop gets a fresh name).  Every primary output is latched into an
     output flop whose output becomes the new primary output net.  Adds
     exactly |PI| + |PO| flops; input-to-output latency becomes two cycles.
+    Wrapping adds no gate-to-gate edge, so a ``gate_order`` the core has
+    already computed is carried over; one it has not is left for the
+    wrapped circuit to compute (and, on a cycle, to raise) on first use.
     """
     if circuit.flops:
         raise InvariantError(
@@ -395,7 +398,7 @@ def wrap_combinational(circuit):
         q = _fresh_net(po + "_po", taken)
         new_pos.append(q)
         flops.append(Flop(id=q, data=po, output=q))
-    return Circuit(
+    wrapped = Circuit(
         name=circuit.name,
         primary_inputs=tuple(new_pis),
         primary_outputs=tuple(new_pos),
@@ -403,3 +406,6 @@ def wrap_combinational(circuit):
         flops=tuple(flops),
         nets=frozenset(taken),
     )
+    if "gate_order" in circuit.__dict__:
+        wrapped.__dict__["gate_order"] = circuit.gate_order
+    return wrapped

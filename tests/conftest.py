@@ -165,8 +165,8 @@ def find_site(table, cell, ff_node_class=None, polarity=None):
     return hits[0]
 
 
-# Independent of golden.eval_gate on purpose: the golden simulator is tested
-# against this, not against itself.
+# Independent of the golden simulator on purpose: it is tested against this,
+# not against itself.
 _LOGIC = {
     "AND": lambda vs: int(all(vs)),
     "NAND": lambda vs: int(not all(vs)),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seusim import campaign
+from seusim import campaign, injector
 from seusim.campaign import (
     ERRONEOUS,
     LOG_COLUMNS,
@@ -34,12 +34,15 @@ from seusim.injector import (
     SampleResult,
     SimContext,
     StrikeSample,
+    polarity_matches,
+    polarity_net,
     run_sample,
+    strike_reads,
 )
-from seusim.netlist import parse_bench
+from seusim.netlist import parse_bench, wrap_combinational
 from seusim.techmodel import enumerate_drains, load_bundled_profile
 
-from conftest import bundled_circuit, dff_sites, profile_from
+from conftest import BUNDLED_CIRCUITS, bundled_circuit, dff_sites, profile_from
 
 
 # ---------------------------------------------------------------------------
@@ -546,15 +549,34 @@ def test_two_cycle_trace_is_rejected(toy_setup, run):
         run(cfg)
 
 
-@pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like"])
-@pytest.mark.parametrize("name", ["s27", "fsm3"])
+def _count_row_simulations(monkeypatch):
+    """Count ``strike_row``, ``run_sample`` and ``_propagate`` calls.
+
+    Each is wrapped where its caller looks it up: ``strike_row`` and
+    ``run_sample`` in ``campaign``, ``_propagate`` in ``injector``.
+    """
+    calls = dict.fromkeys(("strike_row", "run_sample", "_propagate"), 0)
+    for module, name in ((campaign, "strike_row"), (campaign, "run_sample"),
+                         (injector, "_propagate")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like",
+                                          "toy-equal"])
+@pytest.mark.parametrize("name", BUNDLED_CIRCUITS)
 def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
     # reference: every (drain, cycle, grid time) simulated, then the same
     # area weighting in the same order, so floats must agree bit for bit
     c = bundled_circuit(name)
+    if not c.flops:
+        c = wrap_combinational(c)
     p = load_bundled_profile(profile_name)
     tr = simulate_reference(c, Stimulus.random(20, seed=4))
-    t_grid = 6
+    t_grid = 7
     ctx = SimContext.build(c, p)
     table = enumerate_drains(c, p)
     step = (ctx.period - ctx.settle) / t_grid
@@ -573,18 +595,23 @@ def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
             weighted[site.strike_class][oc] += site.area * (cnt / cells)
         weight_sum[site.strike_class] += site.area
 
-    calls = []
-
-    def counting_run_sample(*args, **kwargs):
-        calls.append(1)
-        return run_sample(*args, **kwargs)
-
-    monkeypatch.setattr(campaign, "run_sample", counting_run_sample)
+    calls = _count_row_simulations(monkeypatch)
     stats = exhaustive_campaign(
         CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=1), t_grid=t_grid
     )
     assert stats.total_samples == len(table.sites) * cells
-    assert 0 < len(calls) < stats.total_samples
+    # one call per distinct matching (drain, read signature) row, none per
+    # grid time
+    rows = set()
+    for site in table.sites:
+        reads = strike_reads(ctx, site)
+        for k in range(1, tr.cycle_count - 1):
+            settled = tr.settled_map(k)
+            if polarity_matches(site.polarity,
+                                settled[polarity_net(ctx, site)]):
+                rows.add((site.id, tuple(settled[n] for n in reads)))
+    assert calls["strike_row"] + calls["run_sample"] == len(rows) > 0
+    assert calls["_propagate"] == calls["strike_row"]
     for sclass in ("gate", "register"):
         cs = stats.per_class[sclass]
         assert cs.counts == counts[sclass]
@@ -595,22 +622,18 @@ def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
 def test_exhaustive_counts_wrong_polarity_rows_without_simulating(monkeypatch):
     # s27 under 180nm-like keeps 360 distinct (drain, read signature) rows at
     # random:50:1000; in 180 of them the struck net already holds the value
-    # the strike drives, so only the other 180 rows reach run_sample
+    # the strike drives, so only the other 180 rows are simulated, each once:
+    # 174 gate or state-node rows propagate from t = 0 and 6 capture-node
+    # rows run one strike, and no grid time propagates again
     c = bundled_circuit("s27")
     p = load_bundled_profile("180nm-like")
     tr = simulate_reference(c, Stimulus.random(50, 1000))
-    calls = []
-
-    def counting_run_sample(*args, **kwargs):
-        calls.append(1)
-        return run_sample(*args, **kwargs)
-
-    monkeypatch.setattr(campaign, "run_sample", counting_run_sample)
+    calls = _count_row_simulations(monkeypatch)
     stats = exhaustive_campaign(
         CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=1), t_grid=50
     )
     assert stats.total_samples == 76_800
-    assert len(calls) == 9_000
+    assert calls == {"strike_row": 174, "run_sample": 6, "_propagate": 174}
 
 
 # ---------------------------------------------------------------------------

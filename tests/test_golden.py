@@ -10,7 +10,6 @@ from seusim.errors import InvariantError, StimulusError
 from seusim.golden import (
     Stimulus,
     Trace,
-    eval_gate,
     parse_stimulus,
     simulate_reference,
 )
@@ -228,6 +227,27 @@ def test_random_traces_reproducible(seed):
 
 # ---------------------------------------------------------------------------
 # the packed simulator against a cycle-by-cycle one
+
+
+def eval_gate(kind, values):
+    """Value of one gate in one cycle: the rule the packed passes apply."""
+    if kind == "AND":
+        return 1 if all(values) else 0
+    if kind == "NAND":
+        return 0 if all(values) else 1
+    if kind == "OR":
+        return 1 if any(values) else 0
+    if kind == "NOR":
+        return 0 if any(values) else 1
+    if kind == "XOR":
+        return sum(values) & 1
+    if kind == "XNOR":
+        return 1 - (sum(values) & 1)
+    if kind == "NOT":
+        return 1 - values[0]
+    if kind == "BUF":
+        return values[0]
+    raise InvariantError(f"cannot evaluate gate kind '{kind}'")
 
 
 def reference_simulate(circuit, stimulus):

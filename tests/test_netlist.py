@@ -1,5 +1,7 @@
 """Tests for bench parsing, validation, levelization, and boundary wrapping."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,8 @@ from seusim.netlist import (
     wrap_combinational,
 )
 
-from conftest import BUNDLED_CIRCUITS, bundled_bench_text, bundled_circuit
+from conftest import (BUNDLED_CIRCUITS, bundled_bench_text, bundled_circuit,
+                      multiplier_bench)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +377,34 @@ def test_wrap_result_serializes_and_validates():
         again = parse_bench(serialize_bench(w), name=w.name)
         assert validate(again).ok
         assert again.stats() == w.stats()
+
+
+@pytest.mark.parametrize("name", [n for n in BUNDLED_CIRCUITS
+                                  if not bundled_circuit(n).flops]
+                         + ["mul4", "mul8", "mul12"])
+def test_wrap_carries_a_computed_gate_order(name):
+    if name.startswith("mul"):
+        c = parse_bench(multiplier_bench(int(name[3:])), name=name)
+    else:
+        c = bundled_circuit(name)
+    assert validate(c).ok
+    w = wrap_combinational(c)
+    assert "gate_order" in w.__dict__
+    fresh = Circuit(**{f.name: getattr(w, f.name)
+                       for f in dataclasses.fields(Circuit)})
+    assert "gate_order" not in fresh.__dict__
+    assert w.gate_order == fresh.gate_order
+
+
+def test_wrap_leaves_an_uncomputed_or_cyclic_order_to_the_wrapped_circuit():
+    w = wrap_combinational(bundled_circuit("c17"))
+    assert "gate_order" not in w.__dict__
+    assert w.gate_order == bundled_circuit("c17").gate_order
+    cyclic = parse_bench("INPUT(x)\nOUTPUT(a)\na = NOT(b)\nb = NOT(a)\n")
+    assert not validate(cyclic).ok
+    w = wrap_combinational(cyclic)
+    with pytest.raises(InvariantError, match="combinational cycle"):
+        w.gate_order
 
 
 # ---------------------------------------------------------------------------
