@@ -13,8 +13,8 @@ from .campaign import (CampaignConfig, CampaignStats, ClassStats, OutcomeClass,
 from .errors import (BenchParseError, ConfigError, InputError, InvariantError,
                      ProfileError, SeuSimError, StimulusError)
 from .golden import Stimulus, Trace, parse_stimulus, simulate_reference
-from .injector import (INSTANT, CapturePolicy, PulseEvent, SampleResult,
-                       SimContext, StrikeSample, capture_at_edge, disturb_gate,
+from .injector import (INSTANT, CapturePolicy, SampleResult, SimContext,
+                       StrikeSample, capture_at_edge, disturb_gate,
                        disturb_register, parse_policy, run_sample)
 from .netlist import (Circuit, Diagnostics, Flop, Gate, levelize, parse_bench,
                       serialize_bench, validate, wrap_combinational)

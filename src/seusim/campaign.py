@@ -393,7 +393,7 @@ def exhaustive_campaign(config, t_grid):
                     else:
                         row = Counter(
                             classify((n_e1, len(capture_row(
-                                ctx, settled, pulses, t))))
+                                ctx, settled, pulses, t)[0])))
                             for t in times)
                 rows[key] = row
             for c, cnt in row.items():
@@ -441,22 +441,26 @@ def sample_log_text(records):
 
 def read_sample_log(fh):
     reader = csv.reader(fh)
-    header = next(reader, None)
-    if tuple(header or ()) != LOG_COLUMNS:
-        raise InvariantError(f"unexpected sample log header: {header}")
-    records = []
-    for row in reader:
-        if not row:
-            continue
-        try:
-            idx, drain, sclass, k, t, n1, n2, outcome = row
-            records.append(SampleRecord(
-                index=int(idx), drain_id=drain, strike_class=sclass,
-                k=int(k), t=float(t), n_e1=int(n1), n_e2=int(n2),
-                outcome=_BY_LABEL[outcome]))
-        except (ValueError, KeyError):
-            raise InputError(f"sample log line {reader.line_num}: malformed "
-                             f"row {row}") from None
+    try:
+        header = next(reader, None)
+        if tuple(header or ()) != LOG_COLUMNS:
+            raise InvariantError(f"unexpected sample log header: {header}")
+        records = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                idx, drain, sclass, k, t, n1, n2, outcome = row
+                records.append(SampleRecord(
+                    index=int(idx), drain_id=drain, strike_class=sclass,
+                    k=int(k), t=float(t), n_e1=int(n1), n_e2=int(n2),
+                    outcome=_BY_LABEL[outcome]))
+            except (ValueError, KeyError):
+                raise InputError(f"sample log line {reader.line_num}: "
+                                 f"malformed row {row}") from None
+    except csv.Error as exc:
+        # e.g. a field longer than csv's field size limit
+        raise InputError(f"sample log line {reader.line_num}: {exc}") from None
     return records
 
 

@@ -205,7 +205,7 @@ def _load_stats(path):
 
     try:
         doc = json.loads(text, parse_constant=reject_constant)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"'{path}' is not valid JSON: {exc}") from None
     try:
         return doc, stats_from_dict(doc)

@@ -1,8 +1,12 @@
 """Single-strike fault injection against a golden trace.
 
 One sample = one drain site, one strike cycle k, one strike time t within
-the cycle.  The engine plays the resulting disturbance through the
-combinational fanout with three masking mechanisms:
+the cycle.  A gate or state-node strike is played through the
+combinational fanout once, from t = 0 (``strike_row``); its intervals at
+the flops, shifted by t, are then judged against the capture edge
+(``capture_row``).  Monte Carlo, the exhaustive oracle and debug replay
+all take this one path, so debug pulse lines give each event's start as
+an offset from t.  Three masking mechanisms apply:
 
 * logical   - a pulse passes a gate only while every side input holds a
               non-controlling golden value;
@@ -82,27 +86,6 @@ class StrikeSample(NamedTuple):
     @property
     def strike_class(self):
         return self.drain.strike_class
-
-
-@dataclass(frozen=True)
-class PulseEvent:
-    """A disturbance interval [start, start+width) on one net.
-
-    The net holds the complement of its golden value in the strike cycle
-    for the whole interval.  ``step`` marks register-strike disturbances
-    that persist until the capture edge: they propagate by pure delay shift
-    and are not subject to electrical attenuation, because both their edges
-    are full-swing transitions rather than a narrow glitch.
-    """
-
-    net: str
-    start: float
-    width: float
-    step: bool = False
-
-    @property
-    def end(self):
-        return self.start + self.width
 
 
 class SampleResult(NamedTuple):
@@ -190,22 +173,23 @@ def _attenuate(width, delay, theta):
     return 2.0 * (width - delay)
 
 
-def _propagate(ctx, settled, seed_event, debug=None):
+def _propagate(ctx, settled, seed, debug=None):
     """Event-wise propagation through the combinational fanout.
 
-    Returns {data net -> [(start, end), ...]} for nets that feed flops.
-    Events are (net, start, width) tuples that share the seed's ``step``
-    flag.  Duplicate (net, start, width) glitches are collapsed.  A step
-    ends past every capture edge, so only its start decides a capture: a
-    net is followed again only when a step reaches it strictly earlier.
+    ``seed`` is a ``(net, start, width, step)`` tuple.  Returns {data net ->
+    [(start, end), ...]} for nets that feed flops.  Events are (net, start,
+    width) tuples that share the seed's ``step`` flag.  Duplicate (net,
+    start, width) glitches are collapsed.  A step ends past every capture
+    edge, so only its start decides a capture: a net is followed again only
+    when a step reaches it strictly earlier.
     """
     theta = ctx.profile.filter_threshold
-    step = seed_event.step
+    net, start, width, step = seed
     fanout = ctx.fanout
     flop_data = ctx.flop_ids_by_data
     at_flops = {}
     seen = {}
-    queue = deque([(seed_event.net, seed_event.start, seed_event.width)])
+    queue = deque([(net, start, width)])
     while queue:
         ev = queue.popleft()
         net, start, width = ev
@@ -302,38 +286,32 @@ def _capture_all(ctx, settled, at_flops, policy, rng, debug=None):
     return frozenset(flips), hits
 
 
-def strike_seed(ctx, drain, t):
-    """The PulseEvent a matching strike at a gate or state-node drain starts.
+def strike_row(ctx, settled, drain, debug=None):
+    """The disturbance a matching strike at a gate or state-node ``drain``
+    leaves at the flops when it starts at ``t = 0``: {data net -> [(start,
+    end), ...]}.
 
-    A gate drain gets a glitch of ``glitch_width`` at ``t``.  A state-node
-    drain flips its stored bit at ``t`` and holds it until the capture edge,
-    where the flop recaptures its (possibly disturbed) data input.
+    A gate drain starts a glitch of ``glitch_width`` on its net.  A
+    state-node drain flips its stored bit and holds it for a whole period,
+    past the capture edge, where the flop recaptures its (possibly
+    disturbed) data input.  Delays and glitch widths do not depend on the
+    strike time, so a strike at ``t`` captures these intervals shifted by
+    ``t`` (see ``capture_row``).
     """
     if drain.ff_node_class == "none":
-        return PulseEvent(net=drain.net, start=t,
-                          width=ctx.profile.glitch_width)
-    flop = ctx.circuit.flop_by_id[drain.cell]
-    return PulseEvent(net=flop.output, start=t, width=ctx.period - t,
-                      step=True)
+        seed = (drain.net, 0.0, ctx.profile.glitch_width, False)
+    else:
+        flop = ctx.circuit.flop_by_id[drain.cell]
+        seed = (flop.output, 0.0, ctx.period, True)
+    return _propagate(ctx, settled, seed, debug)
 
 
-def strike_row(ctx, settled, drain):
-    """The disturbance a matching strike at ``drain`` leaves at the flops
-    when it starts at ``t = 0``: {data net -> [(start, end), ...]}.
-
-    Delays and glitch widths do not depend on the strike time, and a step
-    lasts past the capture edge whenever it starts, so a strike at ``t``
-    captures as these intervals shifted by ``t`` (see ``capture_row``).
-    """
-    return _propagate(ctx, settled, strike_seed(ctx, drain, 0.0))
-
-
-def capture_row(ctx, settled, row, t):
-    """flips_e2 of the instant-policy strike whose ``strike_row`` is ``row``,
-    started at ``t``."""
+def capture_row(ctx, settled, row, t, policy=INSTANT, rng=None, debug=None):
+    """(flips_e2, window_hits) of the strike whose ``strike_row`` is ``row``,
+    started at ``t``: every interval is judged as ``(t + start, t + end)``."""
     shifted = {net: [(t + s, t + e) for s, e in intervals]
                for net, intervals in row.items()}
-    return _capture_all(ctx, settled, shifted, INSTANT, None)[0]
+    return _capture_all(ctx, settled, shifted, policy, rng, debug)
 
 
 # The result of a strike whose polarity does not match, one per strike class.
@@ -341,51 +319,35 @@ _EMPTY = {c: SampleResult(frozenset(), frozenset(), c, 0)
           for c in ("gate", "register")}
 
 
-def disturb_gate(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
+def disturb_gate(ctx, settled, sample, policy=INSTANT, rng=None, debug=None):
     """Inject a glitch at a gate output drain; returns the SampleResult.
 
     A gate strike can never alter the register file within the strike cycle,
     so flips_e1 is structurally empty here.
     """
-    settled = trace.settled_map(sample.k)
-    drain = sample.drain
-    golden = settled[polarity_net(ctx, drain)]
-    if not polarity_matches(drain.polarity, golden):
-        if debug is not None:
-            debug.append(f"polarity mismatch at {drain.id} "
-                         f"(net={drain.net} value={golden})")
-        return _EMPTY["gate"]
-    at_flops = _propagate(ctx, settled, strike_seed(ctx, drain, sample.t),
-                          debug)
-    flips_e2, hits = _capture_all(ctx, settled, at_flops, policy, rng, debug)
+    row = strike_row(ctx, settled, sample.drain, debug)
+    flips_e2, hits = capture_row(ctx, settled, row, sample.t, policy, rng,
+                                 debug)
     return SampleResult(frozenset(), flips_e2, "gate", hits)
 
 
-def disturb_register(ctx, trace, sample, policy=INSTANT, rng=None,
+def disturb_register(ctx, settled, sample, policy=INSTANT, rng=None,
                      debug=None):
     """Inject at a flop drain (state-node or capture-node)."""
-    settled = trace.settled_map(sample.k)
     drain = sample.drain
-    flop = ctx.circuit.flop_by_id[drain.cell]
-    if drain.ff_node_class not in ("state-node", "capture-node"):
-        raise InvariantError(
-            f"register strike on drain {drain.id} with ff_node_class "
-            f"'{drain.ff_node_class}'")
-    golden = settled[polarity_net(ctx, drain)]
-    if not polarity_matches(drain.polarity, golden):
-        return _EMPTY["register"]
-    if drain.ff_node_class == "state-node":
-        at_flops = _propagate(ctx, settled,
-                              strike_seed(ctx, drain, sample.t), debug)
-        flips_e2, hits = _capture_all(ctx, settled, at_flops, policy, rng,
-                                      debug)
-        return SampleResult(frozenset([flop.id]), flips_e2, "register", hits)
-    # A capture-node strike corrupts the value being latched: the flop
-    # captures the complement of its golden next state, which always differs.
-    if debug is not None:
-        debug.append(f"capture flop={flop.id} edge={ctx.period:.2f} "
-                     f"captured={1 - golden} golden={golden}")
-    return SampleResult(frozenset(), frozenset([flop.id]), "register")
+    if drain.ff_node_class == "capture-node":
+        # A capture-node strike corrupts the value being latched: the flop
+        # captures the complement of its golden next state, which always
+        # differs.
+        golden = settled[polarity_net(ctx, drain)]
+        if debug is not None:
+            debug.append(f"capture flop={drain.cell} edge={ctx.period:.2f} "
+                         f"captured={1 - golden} golden={golden}")
+        return SampleResult(frozenset(), frozenset([drain.cell]), "register")
+    row = strike_row(ctx, settled, drain, debug)
+    flips_e2, hits = capture_row(ctx, settled, row, sample.t, policy, rng,
+                                 debug)
+    return SampleResult(frozenset([drain.cell]), flips_e2, "register", hits)
 
 
 def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
@@ -405,10 +367,18 @@ def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
             f"[1, {trace.cycle_count - 2}]")
     if policy.kind == "window-random" and rng is None:
         raise ConfigError("window-random policy needs an RNG stream")
+    drain = sample.drain
     if debug is not None:
-        debug.append(f"sample drain={sample.drain.id} "
-                     f"class={sample.strike_class} k={sample.k} "
-                     f"t={sample.t:.2f} polarity={sample.drain.polarity}")
-    if sample.drain.ff_node_class == "none":
-        return disturb_gate(ctx, trace, sample, policy, rng, debug)
-    return disturb_register(ctx, trace, sample, policy, rng, debug)
+        debug.append(f"sample drain={drain.id} class={drain.strike_class} "
+                     f"k={sample.k} t={sample.t:.2f} "
+                     f"polarity={drain.polarity}")
+    settled = trace.settled_map(sample.k)
+    struck = polarity_net(ctx, drain)
+    if not polarity_matches(drain.polarity, settled[struck]):
+        if debug is not None:
+            debug.append(f"polarity mismatch at {drain.id} "
+                         f"(net={struck} value={settled[struck]})")
+        return _EMPTY[drain.strike_class]
+    if drain.ff_node_class == "none":
+        return disturb_gate(ctx, settled, sample, policy, rng, debug)
+    return disturb_register(ctx, settled, sample, policy, rng, debug)

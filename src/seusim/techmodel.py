@@ -127,7 +127,7 @@ def load_profile(text, source="<profile>"):
 
     try:
         doc = json.loads(text, parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProfileError(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ProfileError(f"{source}: top level must be an object")

@@ -27,7 +27,7 @@ from seusim.campaign import (
     standard_error,
     write_sample_log,
 )
-from seusim.errors import ConfigError, InvariantError
+from seusim.errors import ConfigError, InputError, InvariantError
 from seusim.golden import Stimulus, simulate_reference
 from seusim.injector import (
     CapturePolicy,
@@ -662,6 +662,28 @@ def test_sample_log_preserves_float_precision(small_campaign):
 def test_sample_log_rejects_unknown_header():
     with pytest.raises(InvariantError, match="unexpected sample log header"):
         read_sample_log(io.StringIO("a,b,c\n1,2,3\n"))
+
+
+_LOG_FIELDS = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet='0123456789.-+eE,"\r\n\x00 ', max_size=8),
+    st.sampled_from(["0", "g1[0]", "gate", "register", "1", "200.5", "NF", "F_mF_m", '""']),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.lists(_LOG_FIELDS, max_size=10).map(",".join), st.text()),
+                max_size=4))
+def test_sample_log_rows_parse_or_raise_input_error(rows):
+    # whatever follows a valid header either parses or is an InputError
+    text = ",".join(LOG_COLUMNS) + "\n" + "\n".join(rows) + "\n"
+    try:
+        records = read_sample_log(io.StringIO(text))
+    except InputError:
+        return
+    assert len(records) <= text.count("\n")
 
 
 def test_recompute_from_log_matches_campaign(small_campaign):

@@ -1,16 +1,22 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seusim import cli
+from seusim.campaign import CampaignConfig, run_campaign
+from seusim.errors import InputError
 from seusim.golden import Stimulus, simulate_reference
 from seusim.netlist import parse_bench
+from seusim.techmodel import load_bundled_profile
 
 from conftest import bundled_bench_text
 
@@ -243,6 +249,23 @@ def test_campaign_rejects_malformed_profile_values(bench_dir, tmp_path, edit,
     assert err.startswith("error:profile-error: ")
     assert err.count("\n") == 1
     assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000 + "]" * 200_000, '{"glitch_width": ' + "9" * 5000 + "}"],
+    ids=["deeply-nested", "integer-over-the-digit-limit"],
+)
+def test_campaign_rejects_unparsable_profile_json(bench_dir, tmp_path, text):
+    path = tmp_path / "unparsable.json"
+    path.write_text(text)
+    code, out, err = run_cli(
+        campaign_args(bench_dir, "toy_chain", tmp_path / "x", **{"--tech": str(path)}))
+    assert code == 2
+    assert err.startswith("error:profile-error: ")
+    assert err.count("\n") == 1
+    assert "not valid JSON" in err
     assert out == ""
 
 
@@ -488,6 +511,34 @@ def test_report_rejects_malformed_log_row(finished_campaign, tmp_path, row):
     assert "sample log line 4: malformed row" in err
 
 
+def test_report_rejects_log_field_over_the_csv_limit(finished_campaign, tmp_path):
+    # csv refuses a field longer than its 131,072-character limit
+    camp, _ = finished_campaign
+    lines = (camp / "samples.csv").read_text().splitlines()
+    lines[3] = "7," + "g" * 200_000 + ",gate,1,200.5,0,1,NF"
+    broken = tmp_path / "long.csv"
+    broken.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        ["report", "--stats", str(camp / "stats.json"), "--log", str(broken),
+         "--out", str(tmp_path / "rl")]
+    )
+    _assert_input_error(code, err)
+    assert "sample log line 4: field larger than field limit" in err
+    assert out == ""
+
+
+DEEPLY_NESTED_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def test_report_rejects_deeply_nested_stats_json(tmp_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text(DEEPLY_NESTED_JSON)
+    code, out, err = run_cli(["report", "--stats", str(nested), "--out", str(tmp_path / "rd")])
+    _assert_input_error(code, err)
+    assert "is not valid JSON" in err
+    assert out == ""
+
+
 def test_report_paper_columns_projection(finished_campaign, tmp_path):
     camp, _ = finished_campaign
     out_dir = tmp_path / "r7"
@@ -524,6 +575,49 @@ def test_stats_json_round_trip(finished_campaign):
     text = (camp / "stats.json").read_text()
     stats = cli.stats_from_dict(json.loads(text))
     assert cli.stats_json(stats) == text
+
+
+@functools.lru_cache(maxsize=None)
+def _stats_text():
+    circuit = parse_bench(bundled_bench_text("toy_chain"), name="toy_chain")
+    config = CampaignConfig(
+        circuit=circuit, profile=load_bundled_profile("toy-equal"),
+        trace=simulate_reference(circuit, Stimulus.random(6, 2)), rng_seed=5,
+        max_samples=200, min_samples=50)
+    return cli.stats_json(run_campaign(config))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_stats_documents_parse_or_raise_input_error(data):
+    # replace or delete up to three values anywhere in a valid document
+    doc = json.loads(_stats_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent = doc
+        while True:
+            key = data.draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
+                                            else range(len(parent))))
+            child = parent[key]
+            if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+                break
+            parent = child
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(_JSON_VALUES)
+        if not doc:
+            break
+    try:
+        cli.stats_from_dict(doc)
+    except InputError:
+        pass
 
 
 @pytest.mark.parametrize("flag", ["--circuit", "--tech", "--stimulus", "--log"])

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 from collections import deque
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from seusim.golden import Stimulus, simulate_reference
 from seusim.injector import (
     INSTANT,
     CapturePolicy,
-    PulseEvent,
     SimContext,
     StrikeSample,
     _attenuate,
@@ -89,12 +89,6 @@ def test_attenuation_never_widens(width, delay):
     if out is not None:
         assert out <= width
         assert out > 0.0
-
-
-def test_pulse_event_end():
-    ev = PulseEvent(net="n", start=100.0, width=40.0)
-    assert ev.end == 140.0
-    assert not ev.step
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +448,13 @@ def test_state_step_is_not_attenuated(prof):
     dbg = []
     r = strike(c, prof, tr, site, 350.0, debug=dbg)
     # the remaining 50 ps of the cycle is narrower than any gate delay, yet
-    # the step survives both inverters
+    # the step survives both inverters; pulse starts are offsets from t, and
+    # a step lasts a whole 400 ps period
     assert r.flips_e1 == frozenset({"A"})
     assert r.flips_e2 == frozenset()
-    assert "pulse net=A start=350.00 width=50.00 value=0 step" in dbg
-    assert "pulse net=g1 start=450.00 width=50.00 value=1 step" in dbg
-    assert "pulse net=g2 start=550.00 width=50.00 value=0 step" in dbg
+    assert "pulse net=A start=0.00 width=400.00 value=0 step" in dbg
+    assert "pulse net=g1 start=100.00 width=400.00 value=1 step" in dbg
+    assert "pulse net=g2 start=200.00 width=400.00 value=0 step" in dbg
 
     # contrast: a 50 ps glitch from a gate dies at the first gate it crosses
     narrow = profile_from(chain_profile_doc(glitch_width=50.0))
@@ -487,11 +482,12 @@ def test_state_step_keeps_earliest_arrival_per_net(prof):
     site = find_site(enumerate_drains(c, prof), "A", "state-node", "pulls-low")
     dbg = []
     r = strike(c, prof, tr, site, 310.0, debug=dbg)
+    # starts are offsets from t = 310 and a step lasts the 450 ps period
     assert sorted(_step_pulses(dbg)) == [
-        "pulse net=A start=310.00 width=140.00 value=0 step",
-        "pulse net=g1 start=410.00 width=140.00 value=1 step",
-        "pulse net=g2 start=510.00 width=140.00 value=0 step",
-        "pulse net=r start=360.00 width=140.00 value=1 step",
+        "pulse net=A start=0.00 width=450.00 value=0 step",
+        "pulse net=g1 start=100.00 width=450.00 value=1 step",
+        "pulse net=g2 start=200.00 width=450.00 value=0 step",
+        "pulse net=r start=50.00 width=450.00 value=1 step",
     ]
     assert (r.flips_e1, r.flips_e2, r.window_hits) == ({"A"}, {"B"}, 0)
     # the earliest step starts 5 ps after the 450 ps edge: a graze, no cover
@@ -501,9 +497,10 @@ def test_state_step_keeps_earliest_arrival_per_net(prof):
 
 
 def test_state_step_revisits_net_reached_earlier_by_a_longer_path():
-    # breadth-first order reaches r through one slow inverter (at 360) before
-    # it reaches it through two fast buffers (at 300); the earlier step is
-    # followed too and covers the 350 ps edge that the later one only grazes
+    # breadth-first order reaches r through one slow inverter (at 360, offset
+    # 150 from t = 210) before it reaches it through two fast buffers (at
+    # 300, offset 90); the earlier step is followed too and covers the 350 ps
+    # edge that the later one only grazes
     prof = profile_from(chain_profile_doc(gate_delay={"NOT1": 100, "BUF1": 20, "XOR2": 50}))
     c = parse_bench(
         "INPUT(x)\nOUTPUT(B)\nA = DFF(x)\nB = DFF(r)\n"
@@ -516,8 +513,8 @@ def test_state_step_revisits_net_reached_earlier_by_a_longer_path():
     always = CapturePolicy("window-random", 1.0)
     r = strike(c, prof, tr, site, 210.0, policy=always, rng=random.Random(0), debug=dbg)
     assert [line for line in _step_pulses(dbg) if "net=r " in line] == [
-        "pulse net=r start=360.00 width=140.00 value=0 step",
-        "pulse net=r start=300.00 width=140.00 value=0 step",
+        "pulse net=r start=150.00 width=350.00 value=0 step",
+        "pulse net=r start=90.00 width=350.00 value=0 step",
     ]
     assert (r.flips_e1, r.flips_e2, r.window_hits) == ({"A"}, {"B"}, 0)
 
@@ -552,7 +549,8 @@ def test_glitch_through_reconvergent_ladder_keeps_one_event_per_path_delay():
     # AND2 (65 ps) and BUF (40 ps) unnarrowed, so glitches are not collapsed
     # to one per net like steps are.  x{m} is reached along 2**(m-1) paths
     # from x1 but with only m distinct delays (65a + 105b, a + b = m - 1);
-    # one event per distinct delay gives stages**2 pulse lines in all
+    # one event per distinct delay gives stages**2 pulse lines in all, each
+    # starting at its path delay from the strike time
     stages = 40
     c = reconvergent_ladder("AND", stages)
     p = load_bundled_profile("65nm-like")
@@ -568,11 +566,11 @@ def test_glitch_through_reconvergent_ladder_keeps_one_event_per_path_delay():
             starts.setdefault(net[len("net="):], []).append(float(start[len("start="):]))
     assert sum(len(v) for v in starts.values()) == stages**2
     for m in range(1, stages + 1):
-        delays = {700.0 + 65 * a + 105 * (m - 1 - a) for a in range(m)}
+        delays = {65.0 * a + 105 * (m - 1 - a) for a in range(m)}
         assert sorted(starts[f"x{m}"]) == sorted(delays)
         if m < stages:
             assert sorted(starts[f"b{m}"]) == sorted(d + 40 for d in delays)
-    # the slowest path lands at 4795 ps, its 130 ps glitch covers the 4860 ps edge
+    # the slowest path lands at 700 + 4095 ps, its 130 ps glitch covers the 4860 ps edge
     assert ctx.period == 4860.0
     assert (r.flips_e1, r.flips_e2, r.window_hits) == (frozenset(), {"y"}, 0)
 
@@ -702,6 +700,21 @@ def test_strike_reads_decide_the_strike(name, profile_name):
 # _propagate against the PulseEvent breadth-first search it replaced
 
 
+class PulseEvent(NamedTuple):
+    """A disturbance interval [start, start + width) on one net; ``step``
+    marks a register step that no gate attenuates.  As a tuple it is also
+    the ``(net, start, width, step)`` seed ``_propagate`` takes."""
+
+    net: str
+    start: float
+    width: float
+    step: bool = False
+
+    @property
+    def end(self):
+        return self.start + self.width
+
+
 def reference_propagate(ctx, settled, seed_event, debug=None):
     """Breadth-first search over PulseEvent objects that looks up each gate's
     controlling value, side inputs and delay at every step."""
@@ -792,6 +805,63 @@ def test_propagate_matches_pulse_event_reference_on_ladders(kind, stages, net, s
     width = ctx.period - t if step else ctx.profile.glitch_width
     seed = PulseEvent(net=net, start=t, width=width, step=step)
     assert_propagates_like_reference(ctx, held(c, (1,)).settled_map(1), seed)
+
+
+# ---------------------------------------------------------------------------
+# the row path (propagate from t = 0, capture shifted by t) against a strike
+# simulated from its own start time
+
+
+def reference_sample(ctx, trace, sample, policy, rng):
+    """(flips_e1, flips_e2, window_hits) of a gate or state-node strike:
+    ``reference_propagate`` from a seed at ``t``, then ``capture_at_edge`` on
+    every flop in circuit order."""
+    drain, settled = sample.drain, trace.settled_map(sample.k)
+    seed = strike_seed(ctx, drain, sample.t)
+    if settled[seed.net] != (1 if drain.polarity == "pulls-low" else 0):
+        return frozenset(), frozenset(), 0
+    at_flops = reference_propagate(ctx, settled, seed)
+    flips, hits = set(), 0
+    for flop in ctx.circuit.flops:
+        golden = settled[flop.data]
+        captured, hit = capture_at_edge(golden, at_flops.get(flop.data, ()), ctx.period,
+                                        ctx.profile, policy, rng)
+        hits += hit
+        if captured != golden:
+            flips.add(flop.id)
+    e1 = frozenset([drain.cell]) if seed.step else frozenset()
+    return e1, frozenset(flips), hits
+
+
+@pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like"])
+@pytest.mark.parametrize("name", BUNDLED_CIRCUITS)
+def test_row_path_matches_per_cell_reference(name, profile_name):
+    # same flips at both edges, same window hits and the same RNG state
+    # afterwards, under both capture policies
+    c = bundled_circuit(name)
+    if not c.flops:
+        c = wrap_combinational(c)
+    p = load_bundled_profile(profile_name)
+    tr = simulate_reference(c, Stimulus.random(8, seed=4))
+    ctx = SimContext.build(c, p)
+    draw = random.Random(f"{name}/{profile_name}")
+    grid = [ctx.settle + i * (ctx.period - ctx.settle) / 4 for i in range(4)]
+    drains = [d for d in enumerate_drains(c, p).sites if d.ff_node_class != "capture-node"]
+    hits = 0
+    for policy in (INSTANT, CapturePolicy("window-random", 0.5)):
+        for drain in drains:
+            for k in (1, 3, 6):
+                randoms = [ctx.settle + draw.random() * (ctx.period - ctx.settle) for _ in range(3)]
+                for t in grid + randoms:
+                    stream = draw.getrandbits(32)
+                    got_rng, want_rng = random.Random(stream), random.Random(stream)
+                    sample = StrikeSample(drain=drain, k=k, t=t)
+                    r = run_sample(ctx, tr, sample, policy, got_rng)
+                    want = reference_sample(ctx, tr, sample, policy, want_rng)
+                    assert (r.flips_e1, r.flips_e2, r.window_hits) == want, (drain.id, k, t)
+                    assert got_rng.getstate() == want_rng.getstate(), (drain.id, k, t)
+                    hits += r.window_hits
+    assert hits
 
 
 # ---------------------------------------------------------------------------
