@@ -20,10 +20,11 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError, InputError, InvariantError
-from .injector import (INSTANT, SimContext, StrikeSample, capture_row,
+from .injector import (INSTANT, SimContext, StrikeSample, grid_flip_counts,
                        polarity_matches, polarity_net, run_sample,
                        strike_reads, strike_row)
 from .techmodel import enumerate_drains
@@ -337,16 +338,17 @@ def exhaustive_campaign(config, t_grid):
     The instant capture policy is required (nothing else is deterministic
     per sample).  Under it a strike's result depends only on the drain, the
     time and the golden values of ``strike_reads(ctx, drain)``, so a drain's
-    grid row is simulated once per distinct set of those values and counted
-    for every cycle that has it; a row whose strike has the wrong polarity
-    counts as NN at every grid time without being simulated.  A gate or
-    state-node row is propagated once from t = 0 and each grid time captures
-    its intervals shifted by t; a capture-node row does not depend on t, so
-    one strike stands for the whole row.  Class
-    probabilities are weighted by drain area within each strike class so
-    they estimate the same measure Monte Carlo samples from; raw counts are
-    also kept (counts/n and the weighted probabilities coincide whenever
-    site areas are uniform within a class).
+    cycles are grouped by those values first, and one grid row per group is
+    simulated at its first cycle and counted once per cycle in the group; a
+    row whose strike has the wrong polarity counts as NN at every grid time
+    without being simulated.  A gate or state-node row is propagated once
+    from t = 0 and judged at every grid time at once by
+    ``grid_flip_counts``; a capture-node row does not depend on t, so one
+    strike stands for the whole row.  Class probabilities are weighted by
+    drain area within each strike class so they estimate the same measure
+    Monte Carlo samples from; raw counts are also kept (counts/n and the
+    weighted probabilities coincide whenever site areas are uniform within
+    a class).
     """
     if config.policy.kind != "instant":
         raise ConfigError("the exhaustive oracle requires the instant policy")
@@ -368,36 +370,31 @@ def exhaustive_campaign(config, t_grid):
     per_class = {s: ClassStats() for s in STRIKE_CLASSES}
     weight_sum = {s: 0.0 for s in STRIKE_CLASSES}
     weighted = {s: {c: 0.0 for c in OutcomeClass} for s in STRIKE_CLASSES}
+    columns = trace.net_index
     for drain in table.sites:
         sclass = drain.strike_class
         drain_counts = {c: 0 for c in OutcomeClass}
-        reads = strike_reads(ctx, drain)
+        read_key = itemgetter(*(columns[n] for n in strike_reads(ctx, drain)))
         struck = polarity_net(ctx, drain)
-        rows = {}
+        cycles = {}
         for k in k_values:
-            settled = trace.settled_map(k)
-            key = tuple(settled[n] for n in reads)
-            row = rows.get(key)
-            if row is None:
-                if not polarity_matches(drain.polarity, settled[struck]):
-                    row = {OutcomeClass.NN: t_grid}
-                elif drain.ff_node_class == "capture-node":
-                    result = run_sample(
-                        ctx, trace, StrikeSample(drain=drain, k=k, t=times[0]))
-                    row = {classify(result.flip_counts): t_grid}
-                else:
-                    n_e1 = int(drain.ff_node_class == "state-node")
-                    pulses = strike_row(ctx, settled, drain)
-                    if not pulses:
-                        row = {classify((n_e1, 0)): t_grid}
-                    else:
-                        row = Counter(
-                            classify((n_e1, len(capture_row(
-                                ctx, settled, pulses, t)[0])))
-                            for t in times)
-                rows[key] = row
+            cycles.setdefault(read_key(trace.settled[k]), []).append(k)
+        for ks in cycles.values():
+            settled = trace.settled_map(ks[0])
+            if not polarity_matches(drain.polarity, settled[struck]):
+                row = {OutcomeClass.NN: t_grid}
+            elif drain.ff_node_class == "capture-node":
+                result = run_sample(
+                    ctx, trace, StrikeSample(drain=drain, k=ks[0], t=times[0]))
+                row = {classify(result.flip_counts): t_grid}
+            else:
+                n_e1 = int(drain.ff_node_class == "state-node")
+                pulses = strike_row(ctx, settled, drain)
+                row = Counter()
+                for n_e2, n in grid_flip_counts(ctx, pulses, times).items():
+                    row[classify((n_e1, n_e2))] += n
             for c, cnt in row.items():
-                drain_counts[c] += cnt
+                drain_counts[c] += cnt * len(ks)
         cs = per_class[sclass]
         cells = len(k_values) * t_grid
         cs.n += cells
@@ -451,10 +448,15 @@ def read_sample_log(fh):
                 continue
             try:
                 idx, drain, sclass, k, t, n1, n2, outcome = row
-                records.append(SampleRecord(
+                rec = SampleRecord(
                     index=int(idx), drain_id=drain, strike_class=sclass,
                     k=int(k), t=float(t), n_e1=int(n1), n_e2=int(n2),
-                    outcome=_BY_LABEL[outcome]))
+                    outcome=_BY_LABEL[outcome])
+                # no campaign draws a negative index, a cycle before 1 or
+                # a non-finite time
+                if rec.index < 0 or rec.k < 1 or not math.isfinite(rec.t):
+                    raise ValueError
+                records.append(rec)
             except (ValueError, KeyError):
                 raise InputError(f"sample log line {reader.line_num}: "
                                  f"malformed row {row}") from None

@@ -487,8 +487,17 @@ def _verify_recompute(doc, stats, records):
     Every stored field is compared: counts, probabilities, standard errors,
     class share, metrics (stored values and errors included) and the
     sample total.  The fields the log cannot tell (circuit, seed, ...) are
-    taken from ``stats``.
+    taken from ``stats``; the rows must be samples 0..n-1 in order, each
+    struck inside the stored ``[settle, period)`` window.
     """
+    for i, rec in enumerate(records):
+        if rec.index != i:
+            raise InvariantError(f"log row {i} holds sample_index "
+                                 f"{rec.index}; indices must run 0..n-1")
+        if not stats.settle <= rec.t < stats.period:
+            raise InvariantError(
+                f"log row {i}: strike time {rec.t!r} outside the stored "
+                f"window [{stats.settle!r}, {stats.period!r})")
     per_class, share, (p_m, p_gm, p_rm) = recompute_from_log(records)
     rebuilt = stats_to_dict(dataclasses.replace(
         stats, per_class=per_class, class_share=share, p_m=p_m, p_gm=p_gm,

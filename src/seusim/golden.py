@@ -128,7 +128,8 @@ class Trace:
         return len(self.pi_vectors)
 
     @cached_property
-    def _net_index(self):
+    def net_index(self):
+        """net -> its column in every ``settled`` row."""
         return {n: i for i, n in enumerate(self.net_ids)}
 
     @cached_property
@@ -140,7 +141,7 @@ class Trace:
         return self._settled_maps[cycle]
 
     def net_value(self, cycle, net):
-        return self.settled[cycle][self._net_index[net]]
+        return self.settled[cycle][self.net_index[net]]
 
     def to_csv(self):
         lines = ["cycle,flop,bit"]

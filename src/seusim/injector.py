@@ -4,9 +4,9 @@ One sample = one drain site, one strike cycle k, one strike time t within
 the cycle.  A gate or state-node strike is played through the
 combinational fanout once, from t = 0 (``strike_row``); its intervals at
 the flops, shifted by t, are then judged against the capture edge
-(``capture_row``).  Monte Carlo, the exhaustive oracle and debug replay
-all take this one path, so debug pulse lines give each event's start as
-an offset from t.  Three masking mechanisms apply:
+(``capture_row``, or ``grid_flip_counts`` for a whole oracle grid).  All
+strikes take this one path, so debug pulse lines give each event's start
+as an offset from t.  Three masking mechanisms apply:
 
 * logical   - a pulse passes a gate only while every side input holds a
               non-controlling golden value;
@@ -25,8 +25,10 @@ and a register strike contributes at most its own flop at e1.
 """
 
 import math
-from collections import deque
+from bisect import bisect_left
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import ConfigError, InvariantError
@@ -312,6 +314,35 @@ def capture_row(ctx, settled, row, t, policy=INSTANT, rng=None, debug=None):
     shifted = {net: [(t + s, t + e) for s, e in intervals]
                for net, intervals in row.items()}
     return _capture_all(ctx, settled, shifted, policy, rng, debug)
+
+
+def grid_flip_counts(ctx, row, times):
+    """{n_e2: number of grid times} of the strike whose ``strike_row`` is
+    ``row``, started at each ascending ``t`` in ``times``, policy instant.
+
+    This is ``capture_at_edge``'s ``start < edge <= end`` rule evaluated on
+    a grid.  Interval (s, e) covers the edge at t iff ``t + s < edge <= t +
+    e``; both float sums, the ones ``capture_row`` forms, are monotone in t,
+    so the covering times are one index range, found by bisection.  Each
+    net's merged ranges flip every flop latching it.
+    """
+    edge = ctx.period
+    diff = [0] * (len(times) + 1)
+    for net, intervals in row.items():
+        weight = len(ctx.flop_ids_by_data[net])
+        lo = hi = 0
+        for a, b in sorted(
+                (bisect_left(times, edge, key=lambda t: t + e),
+                 bisect_left(times, edge, key=lambda t: t + s))
+                for s, e in intervals):
+            if a > hi:
+                diff[lo] += weight
+                diff[hi] -= weight
+                lo = a
+            hi = max(hi, b)
+        diff[lo] += weight
+        diff[hi] -= weight
+    return Counter(accumulate(diff[:-1]))
 
 
 # The result of a strike whose polarity does not match, one per strike class.

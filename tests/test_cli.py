@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import csv
 import functools
 import hashlib
 import io
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seusim import cli
-from seusim.campaign import CampaignConfig, run_campaign
+from seusim.campaign import LOG_COLUMNS, CampaignConfig, run_campaign
 from seusim.errors import InputError
 from seusim.golden import Stimulus, simulate_reference
 from seusim.netlist import parse_bench
@@ -91,6 +93,36 @@ def test_usage_errors_exit_one(bench_dir):
     assert err.startswith("error:usage:")
     code, _, err = run_cli(["campaign", "--circuit", str(bench_dir / "toy_chain.bench")])
     assert code == 1  # --tech and --stimulus are required
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# The loader each input file goes through, by its file name.
+_FILE_LOADERS = {"fuzz.bench": cli._load_circuit, "fuzz.json": cli._load_profile,
+                 "fuzz.txt": cli._load_stimulus}
+
+
+@pytest.mark.parametrize("name", sorted(_FILE_LOADERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.one_of(
+    st.binary(),
+    st.text().map(str.encode),
+    st.tuples(st.sampled_from([b"\xef\xbb\xbf", b"\xff\xfe", b"\xfe\xff", b""]),
+              st.text(alphabet="01random {}[]\":,\n", max_size=20)
+              .map(lambda s: s.encode("utf-16-le"))).map(b"".join),
+))
+def test_input_files_load_or_raise_input_error(fuzz_dir, name, data):
+    # any bytes in a netlist, profile or stimulus file either load or give
+    # an InputError, which the CLI turns into exit 2
+    path = fuzz_dir / name
+    path.write_bytes(data)
+    try:
+        _FILE_LOADERS[name](str(path))
+    except InputError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +788,95 @@ def test_report_recompute_catches_dropped_log_row(finished_campaign, tmp_path):
     assert code == 3
     assert err.startswith("error:invariant-violation: ")
     assert err.count("\n") == 1
+
+
+def _edit_log(camp, edit):
+    """The sample log text after ``edit(rows)`` on its parsed data rows."""
+    header, *rows = csv.reader(io.StringIO((camp / "samples.csv").read_text()))
+    edit(rows)
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+def _set_field(column, value, row=0):
+    def edit(rows):
+        rows[row][LOG_COLUMNS.index(column)] = value
+    return edit
+
+
+@pytest.mark.parametrize("column,value", [
+    ("t", "nan"), ("t", "inf"), ("t", "-inf"), ("k", "0"), ("k", "-7"),
+    ("sample_index", "-1"),
+])
+def test_report_log_rejects_impossible_strike_fields(finished_campaign, tmp_path,
+                                                      column, value):
+    camp, _ = finished_campaign
+    code, out, err = _recompute(camp, tmp_path,
+                                log_text=_edit_log(camp, _set_field(column, value)))
+    _assert_input_error(code, err)
+    assert "sample log line 2: malformed row" in err
+    assert "reproduce" not in out
+
+
+def test_report_log_rejects_a_row_with_every_strike_field_impossible(
+        finished_campaign, tmp_path):
+    camp, _ = finished_campaign
+
+    def edit(rows):
+        rows[0] = "0,no-such-drain,gate,-7,nan,0,0,NN".split(",")
+    code, _, err = _recompute(camp, tmp_path, log_text=_edit_log(camp, edit))
+    _assert_input_error(code, err)
+
+
+def _stored_window(camp):
+    doc = json.loads((camp / "stats.json").read_text())
+    return doc["settle_ps"], doc["period_ps"]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda rows: rows.__setitem__(slice(0, 2), rows[1::-1]),
+     "log row 0 holds sample_index 1; indices must run 0..n-1"),
+    (_set_field("sample_index", "7", row=3),
+     "log row 3 holds sample_index 7; indices must run 0..n-1"),
+    (lambda rows: rows.append(rows[0]),
+     "log row 200 holds sample_index 0; indices must run 0..n-1"),
+], ids=["swapped", "renumbered", "repeated"])
+def test_report_recompute_requires_indices_in_order(finished_campaign, tmp_path,
+                                                    edit, message):
+    # swapping or renumbering rows keeps every count, so only the index
+    # check can catch it
+    camp, _ = finished_campaign
+    code, out, err = _recompute(camp, tmp_path, log_text=_edit_log(camp, edit))
+    assert code == 3
+    assert err.startswith("error:invariant-violation: ")
+    assert err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("where", ["period", "below-settle", "negative", "far"])
+def test_report_recompute_requires_times_inside_the_stored_window(
+        finished_campaign, tmp_path, where):
+    camp, _ = finished_campaign
+    settle, period = _stored_window(camp)
+    t = {"period": period, "below-settle": math.nextafter(settle, -math.inf),
+         "negative": -7.0, "far": 1e9}[where]
+    code, out, err = _recompute(camp, tmp_path,
+                                log_text=_edit_log(camp, _set_field("t", repr(t), row=5)))
+    assert code == 3
+    assert "reproduce" not in out
+    assert err == (f"error:invariant-violation: log row 5: strike time {t!r} outside "
+                   f"the stored window [{settle!r}, {period!r})\n")
+
+
+@pytest.mark.parametrize("where", ["settle", "below-period"])
+def test_report_recompute_accepts_times_at_the_window_bounds(finished_campaign,
+                                                             tmp_path, where):
+    camp, _ = finished_campaign
+    settle, period = _stored_window(camp)
+    t = settle if where == "settle" else math.nextafter(period, -math.inf)
+    code, out, _ = _recompute(camp, tmp_path,
+                              log_text=_edit_log(camp, _set_field("t", repr(t))))
+    assert code == 0
+    assert "reproduce the stored statistics exactly" in out
 
 
 # sha256 of every report file for a fixed s27 campaign and oracle, with and

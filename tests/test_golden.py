@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seusim.errors import InvariantError, StimulusError
+from seusim.errors import InputError, InvariantError, StimulusError
 from seusim.golden import (
     Stimulus,
     Trace,
@@ -115,6 +115,22 @@ def test_parse_stimulus_explicit_lines():
 def test_parse_stimulus_rejects(text, message):
     with pytest.raises(StimulusError, match=message):
         parse_stimulus(text)
+
+
+_STIMULUS_TOKENS = ("random", " ", "\t", "\n", "\r", "#", "0", "1", "01", "2",
+                    "-", "x", "12", "99999999999999999999", "\u00e9")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(_STIMULUS_TOKENS), max_size=20).map("".join),
+))
+def test_parse_stimulus_parses_or_raises_input_error(text):
+    try:
+        parse_stimulus(text)
+    except InputError:
+        pass
 
 
 def test_vector_width_checked_against_circuit():

@@ -3,7 +3,7 @@
 import dataclasses
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from typing import NamedTuple
 
 import pytest
@@ -20,6 +20,8 @@ from seusim.injector import (
     _attenuate,
     _propagate,
     capture_at_edge,
+    capture_row,
+    grid_flip_counts,
     parse_policy,
     run_sample,
     strike_reads,
@@ -165,6 +167,67 @@ def test_capture_several_grazes_count_one_hit_and_one_draw(prof):
 def test_capture_window_random_needs_rng(prof):
     with pytest.raises(ConfigError, match="needs an RNG"):
         capture_at_edge(1, [(310.0, 315.0)], 300.0, prof, policy=CapturePolicy("window-random", 0.5))
+
+
+# ---------------------------------------------------------------------------
+# a strike row judged over a whole oracle grid
+
+# x is latched by three flops, y and z by one each.
+LATCH_FANOUT = """\
+INPUT(a)
+INPUT(b)
+OUTPUT(q1)
+q1 = DFF(x)
+q2 = DFF(x)
+q3 = DFF(x)
+q4 = DFF(y)
+q5 = DFF(z)
+x = NAND(a, q4)
+y = NOT(b)
+z = AND(a, q5)
+"""
+LATCH_CTX = SimContext.build(parse_bench(LATCH_FANOUT, name="latch"),
+                             load_bundled_profile("65nm-like"))
+LATCH_SETTLED = dict.fromkeys(("x", "y", "z"), 0)
+
+
+def _per_grid_time(row, times):
+    return Counter(len(capture_row(LATCH_CTX, LATCH_SETTLED, row, t)[0])
+                   for t in times)
+
+
+def test_grid_flip_counts_on_exact_edges():
+    # integer times: t + start == edge never covers, t + end == edge does
+    edge = LATCH_CTX.period
+    times = [edge - 3.0, edge - 2.0, edge - 1.0]
+    row = {"x": [(2.0, 3.0)], "y": [(1.0, 5.0)]}
+    assert grid_flip_counts(LATCH_CTX, row, times) == {4: 1, 1: 1, 0: 1}
+    assert _per_grid_time(row, times) == {4: 1, 1: 1, 0: 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 7, 5000]))
+def test_grid_flip_counts_match_capture_row_at_every_grid_time(data, n):
+    ctx = LATCH_CTX
+    edge = ctx.period
+    step = (ctx.period - ctx.settle) / n
+    times = [ctx.settle + i * step for i in range(n)]
+    # interval ends exactly where a grid time puts them on the edge, near
+    # it, or anywhere, integer or not
+    on_edge = st.sampled_from(times).map(lambda t: edge - t)
+    near_edge = st.tuples(on_edge, st.floats(-step, step)).map(sum)
+    anywhere = st.one_of(st.floats(-edge, edge),
+                         st.integers(-int(edge), int(edge)).map(float))
+    point = st.one_of(on_edge, near_edge, anywhere)
+    width = st.one_of(st.floats(0.0, edge), st.integers(0, int(edge)).map(float))
+    interval = point.flatmap(lambda s: st.one_of(point, width.map(lambda w: s + w))
+                             .map(lambda e: (min(s, e), max(s, e))))
+    row = data.draw(st.dictionaries(st.sampled_from(["x", "y", "z"]),
+                                    st.lists(interval, min_size=1, max_size=4),
+                                    min_size=1))
+    got = grid_flip_counts(ctx, row, times)
+    assert got == _per_grid_time(row, times)
+    assert sum(got.values()) == n
 
 
 # ---------------------------------------------------------------------------

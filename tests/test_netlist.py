@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seusim.errors import BenchParseError, InvariantError
+from seusim.errors import BenchParseError, InputError, InvariantError
 from seusim.netlist import (
     CONTROLLING,
     Circuit,
@@ -147,6 +147,26 @@ def test_parse_undeclared_net_collected():
     assert "undeclared net 'ghost'" in str(exc.value)
     codes = [code for code, *_ in exc.value.errors]
     assert codes == ["undeclared-net"]
+
+
+_BENCH_TOKENS = ("INPUT", "OUTPUT", "DFF", "dff", "NAND", "AND", "NOT", "BUF",
+                 "XOR", "MUX", "(", ")", ",", "=", " ", "\t", "\r", "\n", "#",
+                 "a", "b", "z", "1", "\x00", "\u00e9")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(_BENCH_TOKENS), max_size=60).map("".join),
+    # real lines, dropped, repeated and reordered
+    st.lists(st.sampled_from(bundled_bench_text("s27").splitlines()),
+             max_size=30).map("\n".join),
+))
+def test_parse_bench_parses_or_raises_input_error(text):
+    try:
+        parse_bench(text, name="fuzz")
+    except InputError:
+        pass
 
 
 # ---------------------------------------------------------------------------

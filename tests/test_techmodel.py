@@ -167,6 +167,41 @@ def test_load_profile_file_unreadable_is_an_input_error(tmp_path, content):
         load_profile_file(path)
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def mutated_profiles(draw):
+    """A valid profile document with one value, at any depth, replaced or
+    dropped."""
+    doc = _doc()
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(keys))
+        parent, node = node, node[key]
+    if parent is None:
+        return json.dumps(draw(_JSON_VALUES))
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(_JSON_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), mutated_profiles()))
+def test_load_profile_parses_or_raises_input_error(text):
+    try:
+        load_profile(text, source="<fuzz>")
+    except InputError:
+        pass
+
+
 def test_filter_threshold_zero_is_allowed():
     prof = profile_from(_doc(filter_threshold=0.0))
     assert prof.filter_threshold == 0.0
