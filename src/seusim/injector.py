@@ -320,11 +320,11 @@ def grid_flip_counts(ctx, row, times):
     """{n_e2: number of grid times} of the strike whose ``strike_row`` is
     ``row``, started at each ascending ``t`` in ``times``, policy instant.
 
-    This is ``capture_at_edge``'s ``start < edge <= end`` rule evaluated on
-    a grid.  Interval (s, e) covers the edge at t iff ``t + s < edge <= t +
-    e``; both float sums, the ones ``capture_row`` forms, are monotone in t,
-    so the covering times are one index range, found by bisection.  Each
-    net's merged ranges flip every flop latching it.
+    This is ``capture_at_edge``'s ``start < edge <= end`` rule on a grid:
+    interval (s <= e) covers the edge at t iff ``t + s < edge <= t + e``.
+    Both float sums, the ones ``capture_row`` forms, are monotone in t, so
+    the covering times are one index range [a, b), found by bisection.
+    Each net's merged ranges flip every flop latching it.
     """
     edge = ctx.period
     diff = [0] * (len(times) + 1)
