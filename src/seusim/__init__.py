@@ -16,7 +16,7 @@ from .golden import Stimulus, Trace, parse_stimulus, simulate_reference
 from .injector import (INSTANT, CapturePolicy, SampleResult, SimContext,
                        StrikeSample, capture_at_edge, disturb_gate,
                        disturb_register, parse_policy, run_sample)
-from .netlist import (Circuit, Diagnostics, Flop, Gate, levelize, parse_bench,
+from .netlist import (Circuit, Diagnostics, Flop, Gate, parse_bench,
                       serialize_bench, validate, wrap_combinational)
 from .techmodel import (DrainSite, DrainTable, TechProfile, clock_period,
                         enumerate_drains, load_bundled_profile, load_profile,

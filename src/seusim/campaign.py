@@ -3,8 +3,9 @@
 Outcomes are observed at two consecutive capture edges and bucketed by flip
 count (0 -> N, 1 -> F, >=2 -> F_m) into the nine classes NN..F_mF_m, kept
 separately for gate and register strikes.  A campaign keeps drawing samples
-until every watched estimate is tight enough (relative standard error below
-``stderr_target``) or the sample budget runs out.
+until each strike class's flip probability 1 - P_NN is tight enough
+(relative standard error below ``stderr_target``) or the sample budget runs
+out.
 
 Determinism contract: each sample index owns an RNG stream derived from
 (seed, index) by a stable hash, and samples are evaluated in index order in
@@ -134,7 +135,6 @@ class CampaignConfig:
     max_samples: int = 200_000
     min_samples: int = 100
     stderr_target: float = 0.10
-    target_estimate: str = "flip"      # "flip" (1 - P_NN) or a class label
     policy: object = INSTANT
 
     def __post_init__(self):
@@ -147,10 +147,6 @@ class CampaignConfig:
             raise ConfigError(
                 f"max_samples ({self.max_samples}) < min_samples "
                 f"({self.min_samples})")
-        if self.target_estimate != "flip" and (
-                self.target_estimate not in _BY_LABEL):
-            raise ConfigError(
-                f"unknown target estimate '{self.target_estimate}'")
 
 
 class SampleRecord(NamedTuple):
@@ -190,7 +186,7 @@ class ClassStats:
         return self.n - self.counts[OutcomeClass.NN]
 
     def flip_probability(self):
-        """1 - P_NN as a Ratio (the default watched estimate)."""
+        """1 - P_NN as a Ratio (the estimate the stopping rule watches)."""
         return Ratio(self.erroneous, self.n)
 
 
@@ -238,26 +234,43 @@ def derive_metrics(per_class):
     )
 
 
-def _watched_value(cls_stats, target):
-    if target == "flip":
-        return cls_stats.erroneous / cls_stats.n
-    return cls_stats.counts[_BY_LABEL[target]] / cls_stats.n
-
-
-def _criterion_met(per_class, target, stderr_target):
-    """True when every watched estimate with p > 0 is tight enough."""
+def _criterion_met(per_class, stderr_target):
+    """True when each strike class's 1 - P_NN with p > 0 is tight enough."""
     for cls_stats in per_class.values():
         if cls_stats.n == 0:
             continue
-        p = _watched_value(cls_stats, target)
+        p = cls_stats.erroneous / cls_stats.n
         if p > 0.0 and standard_error(p, cls_stats.n) >= stderr_target * p:
             return False
     return True
 
 
-def _build_stats(config, ctx, per_class, class_share, stop_reason, records):
-    """CampaignStats for a finished run over ``per_class`` counts."""
+def tally(per_class):
+    """Finish ``per_class`` counts into the CampaignStats fields they decide.
+
+    Finalizes every class and returns {field: value} for ``per_class``,
+    ``class_share`` (each strike class's share of the samples),
+    ``total_samples`` and the metrics ``p_m``, ``p_gm`` and ``p_rm``.
+    """
+    for cs in per_class.values():
+        cs.finalize()
+    total = sum(cs.n for cs in per_class.values())
     p_m, p_gm, p_rm = derive_metrics(per_class)
+    return {
+        "per_class": per_class,
+        "class_share": {s: per_class[s].n / total if total else 0.0
+                        for s in STRIKE_CLASSES},
+        "total_samples": total,
+        "p_m": p_m, "p_gm": p_gm, "p_rm": p_rm,
+    }
+
+
+def _build_stats(config, ctx, tallied, stop_reason, records):
+    """CampaignStats for a finished run; ``tallied`` is ``tally``'s mapping.
+
+    The stopping rule always watches 1 - P_NN, recorded as the target
+    estimate ``"flip"``.
+    """
     return CampaignStats(
         circuit_name=config.circuit.name,
         profile_label=config.profile.node_label,
@@ -266,15 +279,12 @@ def _build_stats(config, ctx, per_class, class_share, stop_reason, records):
         period=ctx.period,
         settle=ctx.settle,
         stderr_target=config.stderr_target,
-        target_estimate=config.target_estimate,
+        target_estimate="flip",
         min_samples=config.min_samples,
         max_samples=config.max_samples,
-        per_class=per_class,
-        class_share=class_share,
-        p_m=p_m, p_gm=p_gm, p_rm=p_rm,
         stop_reason=stop_reason,
-        total_samples=sum(cs.n for cs in per_class.values()),
         records=records,
+        **tallied,
     )
 
 
@@ -317,16 +327,11 @@ def run_campaign(config, sample_runner=None):
         cs.n += 1
         cs.counts[outcome] += 1
         if len(records) >= config.min_samples and _criterion_met(
-                per_class, config.target_estimate, config.stderr_target):
+                per_class, config.stderr_target):
             stop_reason = "stderr-met"
             break
 
-    for cs in per_class.values():
-        cs.finalize()
-    total = len(records)
-    share = {s: per_class[s].n / total if total else 0.0
-             for s in STRIKE_CLASSES}
-    return _build_stats(config, ctx, per_class, share, stop_reason, records)
+    return _build_stats(config, ctx, tally(per_class), stop_reason, records)
 
 
 _ORACLE_BUDGET = 10_000_000
@@ -403,17 +408,16 @@ def exhaustive_campaign(config, t_grid):
             weighted[sclass][c] += drain.area * (cnt / cells)
         weight_sum[sclass] += drain.area
 
+    tallied = tally(per_class)
     for sclass, cs in per_class.items():
-        cs.finalize()
         if weight_sum[sclass] > 0.0:
             cs.probs = {c: weighted[sclass][c] / weight_sum[sclass]
                         for c in OutcomeClass}
         cs.stderrs = {c: 0.0 for c in OutcomeClass}
-
     total_area = table.total_area
-    share = {"gate": table.gate_area / total_area,
-             "register": table.flop_area / total_area}
-    return _build_stats(config, ctx, per_class, share, "exhaustive", [])
+    tallied["class_share"] = {"gate": table.gate_area / total_area,
+                              "register": table.flop_area / total_area}
+    return _build_stats(config, ctx, tallied, "exhaustive", [])
 
 
 # --- raw sample log (CSV) ---------------------------------------------------
@@ -467,7 +471,7 @@ def read_sample_log(fh):
 
 
 def recompute_from_log(records):
-    """Rebuild per-class stats and metrics from raw log rows alone.
+    """``tally`` of the per-class counts in raw log rows alone.
 
     Used by the report path to prove the stored statistics are re-derivable;
     the result must match the stored values exactly (same counts, same
@@ -485,10 +489,4 @@ def recompute_from_log(records):
         cs = per_class[rec.strike_class]
         cs.n += 1
         cs.counts[rec.outcome] += 1
-    for cs in per_class.values():
-        cs.finalize()
-    total = len(records)
-    p_m, p_gm, p_rm = derive_metrics(per_class)
-    share = {s: per_class[s].n / total if total else 0.0
-             for s in STRIKE_CLASSES}
-    return per_class, share, (p_m, p_gm, p_rm)
+    return tally(per_class)

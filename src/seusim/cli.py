@@ -498,10 +498,8 @@ def _verify_recompute(doc, stats, records):
             raise InvariantError(
                 f"log row {i}: strike time {rec.t!r} outside the stored "
                 f"window [{stats.settle!r}, {stats.period!r})")
-    per_class, share, (p_m, p_gm, p_rm) = recompute_from_log(records)
     rebuilt = stats_to_dict(dataclasses.replace(
-        stats, per_class=per_class, class_share=share, p_m=p_m, p_gm=p_gm,
-        p_rm=p_rm, total_samples=len(records)))
+        stats, **recompute_from_log(records)))
     differ = sorted(key for key in rebuilt.keys() | doc.keys()
                     if rebuilt.get(key) != doc.get(key))
     if differ:

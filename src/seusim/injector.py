@@ -4,7 +4,7 @@ One sample = one drain site, one strike cycle k, one strike time t within
 the cycle.  A gate or state-node strike is played through the
 combinational fanout once, from t = 0 (``strike_row``); its intervals at
 the flops, shifted by t, are then judged against the capture edge
-(``capture_row``, or ``grid_flip_counts`` for a whole oracle grid).  All
+(``_capture_all``, or ``grid_flip_counts`` for a whole oracle grid).  All
 strikes take this one path, so debug pulse lines give each event's start
 as an offset from t.  Three masking mechanisms apply:
 
@@ -95,7 +95,6 @@ class SampleResult(NamedTuple):
 
     flips_e1: frozenset
     flips_e2: frozenset
-    strike_class: str
     window_hits: int = 0
 
     @property
@@ -114,7 +113,6 @@ class SimContext:
     # net -> ((gate id, output net, delay ps, controlling value, side-input
     # nets), ...) in ``circuit.gate_fanout`` order
     fanout: dict
-    flop_ids_by_data: dict   # data net -> tuple of flop ids
 
     @classmethod
     def build(cls, circuit, profile):
@@ -133,8 +131,7 @@ class SimContext:
                        for g in gates)
             for net, gates in circuit.gate_fanout.items()}
         return cls(circuit=circuit, profile=profile, period=period,
-                   settle=settle, fanout=fanout,
-                   flop_ids_by_data=circuit.flops_by_data)
+                   settle=settle, fanout=fanout)
 
 
 def capture_at_edge(golden, intervals, edge, profile, policy=INSTANT,
@@ -188,7 +185,7 @@ def _propagate(ctx, settled, seed, debug=None):
     theta = ctx.profile.filter_threshold
     net, start, width, step = seed
     fanout = ctx.fanout
-    flop_data = ctx.flop_ids_by_data
+    flop_data = ctx.circuit.flops_by_data
     at_flops = {}
     seen = {}
     queue = deque([(net, start, width)])
@@ -263,22 +260,25 @@ def strike_reads(ctx, drain):
     return tuple(sorted(reads | cone))
 
 
-def _capture_all(ctx, settled, at_flops, policy, rng, debug=None):
-    """Resolve each disturbed flop's capture at the edge ending the cycle.
+def _capture_all(ctx, settled, row, t, policy, rng, debug=None):
+    """(flips_e2, window_hits) of the strike whose ``strike_row`` is ``row``,
+    started at ``t``, at the edge ending the cycle.
 
+    Each disturbed flop judges its intervals as ``(t + start, t + end)``.
     Flops are visited in circuit order, so window-random draws come in a
     fixed order; a flop without a disturbance keeps its golden value and is
-    skipped.  Returns (flips_e2, window_hits).
+    skipped.
     """
     edge = ctx.period
     flips, hits = set(), 0
     for flop in ctx.circuit.flops:
-        intervals = at_flops.get(flop.data)
+        intervals = row.get(flop.data)
         if intervals is None:
             continue
         golden_next = settled[flop.data]
-        captured, hit = capture_at_edge(golden_next, intervals, edge,
-                                        ctx.profile, policy, rng)
+        captured, hit = capture_at_edge(
+            golden_next, [(t + s, t + e) for s, e in intervals], edge,
+            ctx.profile, policy, rng)
         hits += hit
         if captured != golden_next:
             flips.add(flop.id)
@@ -298,7 +298,7 @@ def strike_row(ctx, settled, drain, debug=None):
     past the capture edge, where the flop recaptures its (possibly
     disturbed) data input.  Delays and glitch widths do not depend on the
     strike time, so a strike at ``t`` captures these intervals shifted by
-    ``t`` (see ``capture_row``).
+    ``t`` (see ``_capture_all``).
     """
     if drain.ff_node_class == "none":
         seed = (drain.net, 0.0, ctx.profile.glitch_width, False)
@@ -308,28 +308,20 @@ def strike_row(ctx, settled, drain, debug=None):
     return _propagate(ctx, settled, seed, debug)
 
 
-def capture_row(ctx, settled, row, t, policy=INSTANT, rng=None, debug=None):
-    """(flips_e2, window_hits) of the strike whose ``strike_row`` is ``row``,
-    started at ``t``: every interval is judged as ``(t + start, t + end)``."""
-    shifted = {net: [(t + s, t + e) for s, e in intervals]
-               for net, intervals in row.items()}
-    return _capture_all(ctx, settled, shifted, policy, rng, debug)
-
-
 def grid_flip_counts(ctx, row, times):
     """{n_e2: number of grid times} of the strike whose ``strike_row`` is
     ``row``, started at each ascending ``t`` in ``times``, policy instant.
 
     This is ``capture_at_edge``'s ``start < edge <= end`` rule on a grid:
     interval (s <= e) covers the edge at t iff ``t + s < edge <= t + e``.
-    Both float sums, the ones ``capture_row`` forms, are monotone in t, so
+    Both float sums, the ones ``_capture_all`` forms, are monotone in t, so
     the covering times are one index range [a, b), found by bisection.
     Each net's merged ranges flip every flop latching it.
     """
     edge = ctx.period
     diff = [0] * (len(times) + 1)
     for net, intervals in row.items():
-        weight = len(ctx.flop_ids_by_data[net])
+        weight = len(ctx.circuit.flops_by_data[net])
         lo = hi = 0
         for a, b in sorted(
                 (bisect_left(times, edge, key=lambda t: t + e),
@@ -345,9 +337,8 @@ def grid_flip_counts(ctx, row, times):
     return Counter(accumulate(diff[:-1]))
 
 
-# The result of a strike whose polarity does not match, one per strike class.
-_EMPTY = {c: SampleResult(frozenset(), frozenset(), c, 0)
-          for c in ("gate", "register")}
+# The result of a strike whose polarity does not match.
+_EMPTY = SampleResult(frozenset(), frozenset())
 
 
 def disturb_gate(ctx, settled, sample, policy=INSTANT, rng=None, debug=None):
@@ -357,9 +348,9 @@ def disturb_gate(ctx, settled, sample, policy=INSTANT, rng=None, debug=None):
     so flips_e1 is structurally empty here.
     """
     row = strike_row(ctx, settled, sample.drain, debug)
-    flips_e2, hits = capture_row(ctx, settled, row, sample.t, policy, rng,
-                                 debug)
-    return SampleResult(frozenset(), flips_e2, "gate", hits)
+    flips_e2, hits = _capture_all(ctx, settled, row, sample.t, policy, rng,
+                                  debug)
+    return SampleResult(frozenset(), flips_e2, hits)
 
 
 def disturb_register(ctx, settled, sample, policy=INSTANT, rng=None,
@@ -374,11 +365,11 @@ def disturb_register(ctx, settled, sample, policy=INSTANT, rng=None,
         if debug is not None:
             debug.append(f"capture flop={drain.cell} edge={ctx.period:.2f} "
                          f"captured={1 - golden} golden={golden}")
-        return SampleResult(frozenset(), frozenset([drain.cell]), "register")
+        return SampleResult(frozenset(), frozenset([drain.cell]))
     row = strike_row(ctx, settled, drain, debug)
-    flips_e2, hits = capture_row(ctx, settled, row, sample.t, policy, rng,
-                                 debug)
-    return SampleResult(frozenset([drain.cell]), flips_e2, "register", hits)
+    flips_e2, hits = _capture_all(ctx, settled, row, sample.t, policy, rng,
+                                  debug)
+    return SampleResult(frozenset([drain.cell]), flips_e2, hits)
 
 
 def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
@@ -409,7 +400,7 @@ def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
         if debug is not None:
             debug.append(f"polarity mismatch at {drain.id} "
                          f"(net={struck} value={settled[struck]})")
-        return _EMPTY[drain.strike_class]
+        return _EMPTY
     if drain.ff_node_class == "none":
         return disturb_gate(ctx, settled, sample, policy, rng, debug)
     return disturb_register(ctx, settled, sample, policy, rng, debug)

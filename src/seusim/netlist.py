@@ -35,8 +35,6 @@ CONTROLLING = {
     "XNOR": None,
 }
 
-_INVERTING = {"NAND", "NOR", "NOT", "XNOR"}
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -350,18 +348,10 @@ def validate(circuit):
         seen_po.add(n)
 
     try:
-        levelize(circuit)
+        circuit.gate_order  # computing the order raises on a cycle
     except InvariantError as exc:
         diags.errors.append(Diagnostic("combinational-cycle", str(exc)))
     return diags
-
-
-def levelize(circuit):
-    """Topological order of gate ids; see ``Circuit.gate_order``.
-
-    Raises InvariantError on a combinational cycle.
-    """
-    return list(circuit.gate_order)
 
 
 def _fresh_net(base, taken):

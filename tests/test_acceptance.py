@@ -180,17 +180,20 @@ def test_acceptance_3_exact_counts_and_log_recomputation(real_campaigns):
             and stats.p_m.den == gate_err + reg_err
         )
         rows = read_sample_log(io.StringIO(sample_log_text(stats.records)))
-        per_class, share, (p_m, p_gm, p_rm) = recompute_from_log(rows)
+        rebuilt = recompute_from_log(rows)
+        per_class = rebuilt["per_class"]
         replay = (
             all(
                 per_class[sc].counts == stats.per_class[sc].counts
                 and per_class[sc].n == stats.per_class[sc].n
                 for sc in ("gate", "register")
             )
-            and share == stats.class_share
-            and (p_m.num, p_m.den) == (stats.p_m.num, stats.p_m.den)
-            and (p_gm.num, p_gm.den) == (stats.p_gm.num, stats.p_gm.den)
-            and (p_rm.num, p_rm.den) == (stats.p_rm.num, stats.p_rm.den)
+            and rebuilt["class_share"] == stats.class_share
+            and all(
+                (rebuilt[k].num, rebuilt[k].den)
+                == (getattr(stats, k).num, getattr(stats, k).den)
+                for k in ("p_m", "p_gm", "p_rm")
+            )
         )
         if not (identities and replay):
             ok = False
@@ -228,9 +231,7 @@ def test_acceptance_4_stopping_rule_calibration():
 
     def runner(sample, rng):
         flips = frozenset({"q"}) if rng.random() < 0.2 else frozenset()
-        return SampleResult(
-            flips_e1=frozenset(), flips_e2=flips, strike_class=sample.strike_class
-        )
+        return SampleResult(flips_e1=frozenset(), flips_e2=flips)
 
     def first_qualifying(records):
         flips = 0

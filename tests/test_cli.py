@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seusim import cli
-from seusim.campaign import LOG_COLUMNS, CampaignConfig, run_campaign
+from seusim.campaign import (LOG_COLUMNS, CampaignConfig, read_sample_log,
+                             recompute_from_log, run_campaign)
 from seusim.errors import InputError
 from seusim.golden import Stimulus, simulate_reference
 from seusim.netlist import parse_bench
@@ -930,3 +932,67 @@ def test_report_bytes_are_pinned(tmp_path, paper_columns):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(rep.iterdir())}
     assert digests == REPORT_DIGESTS[paper_columns]
+
+
+# sha256 of the raw outputs of a fixed s27 campaign under each capture
+# policy (stats.json, samples.csv and the --debug-sample replay of a gate
+# strike that flips two flops) and of the s27 oracle.  These pin every byte
+# the engine writes, at full precision, where the report pins above see
+# only 6 significant digits.
+RUN_DIGESTS = {
+    "instant": {
+        "debug_sample_146.txt":
+            "50d29164f9be3533b5ef264b83323b8631a39b1138243e4cb8d18d3f7fb1f5ef",
+        "samples.csv":
+            "d37ae1a6355cd259c22dd8daeb2be185a5fcf65557db4e1a664689f9b75205d3",
+        "stats.json":
+            "3da458e0906c928ec11a3d1ae593c679533bd56ddaf6aa9f147543f0790998bb",
+    },
+    "window-random:0.5": {
+        "debug_sample_146.txt":
+            "a9780b577de8cf425aefe20301ad58d875db9b4c1ec01d52ae8bd23c72076b79",
+        "samples.csv":
+            "85ad437f5796c0c8825d340140420ee168f5c5a2ea4cec222b66c19b42804257",
+        "stats.json":
+            "0e7a38d17827ffaf436048307aeb10c16135e905f1328303c3f97e4f927ac3f5",
+    },
+    "oracle": {
+        "oracle_stats.json":
+            "99423cf5428d9910c54636991a2b97f19f1b771564e2bdff1a8732005519f4f6",
+    },
+}
+
+
+def _s27_run(tmp_path, run):
+    bench = tmp_path / "s27.bench"
+    bench.write_text(bundled_bench_text("s27"))
+    common = ["--circuit", str(bench), "--tech", "65nm-like",
+              "--stimulus", "random:6:2", "--seed", "5"]
+    out = tmp_path / "out"
+    if run == "oracle":
+        argv = ["oracle", *common, "--t-grid", "5"]
+    else:
+        argv = ["campaign", *common, "--max-samples", "300",
+                "--min-samples", "50", "--stderr-target", "0.05",
+                "--capture-policy", run, "--debug-sample", "146"]
+    assert run_cli(argv + ["--out", str(out)])[0] == 0
+    return out
+
+
+@pytest.mark.parametrize("run", list(RUN_DIGESTS))
+def test_run_output_bytes_are_pinned(tmp_path, run):
+    out = _s27_run(tmp_path, run)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+    assert digests == RUN_DIGESTS[run]
+
+
+@pytest.mark.parametrize("policy", ["instant", "window-random:0.5"])
+def test_log_tally_serializes_to_the_stored_stats(tmp_path, policy):
+    out = _s27_run(tmp_path, policy)
+    text = (out / "stats.json").read_text()
+    stats = cli.stats_from_dict(json.loads(text))
+    with open(out / "samples.csv", encoding="utf-8") as fh:
+        rows = read_sample_log(fh)
+    rebuilt = dataclasses.replace(stats, **recompute_from_log(rows))
+    assert cli.stats_json(rebuilt) == text

@@ -13,8 +13,8 @@ from seusim.golden import (
     parse_stimulus,
     simulate_reference,
 )
-from seusim.netlist import (GATE_KINDS, Circuit, Flop, Gate, levelize,
-                            parse_bench, wrap_combinational)
+from seusim.netlist import (GATE_KINDS, Circuit, Flop, Gate, parse_bench,
+                            wrap_combinational)
 
 from conftest import (BUNDLED_CIRCUITS, bundled_circuit, flop_value,
                       multiplier_bench, truth_eval)
@@ -282,7 +282,7 @@ def reference_simulate(circuit, stimulus):
                 f"initial state has {len(state)} bits, circuit has "
                 f"{n_flops} flops")
 
-    order = levelize(circuit)
+    order = circuit.gate_order
     gate_by_id = circuit.gate_by_id
     net_ids = (tuple(circuit.primary_inputs)
                + tuple(f.output for f in circuit.flops)

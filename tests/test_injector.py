@@ -18,9 +18,9 @@ from seusim.injector import (
     SimContext,
     StrikeSample,
     _attenuate,
+    _capture_all,
     _propagate,
     capture_at_edge,
-    capture_row,
     grid_flip_counts,
     parse_policy,
     run_sample,
@@ -192,7 +192,8 @@ LATCH_SETTLED = dict.fromkeys(("x", "y", "z"), 0)
 
 
 def _per_grid_time(row, times):
-    return Counter(len(capture_row(LATCH_CTX, LATCH_SETTLED, row, t)[0])
+    return Counter(len(_capture_all(LATCH_CTX, LATCH_SETTLED, row, t, INSTANT,
+                                    None)[0])
                    for t in times)
 
 
@@ -795,7 +796,7 @@ def reference_propagate(ctx, settled, seed_event, debug=None):
                 f"pulse net={ev.net} start={ev.start:.2f} width={ev.width:.2f} "
                 f"value={1 - settled[ev.net]}" + (" step" if ev.step else "")
             )
-        if ev.net in ctx.flop_ids_by_data:
+        if ev.net in ctx.circuit.flops_by_data:
             at_flops.setdefault(ev.net, []).append((ev.start, ev.end))
         for gate in ctx.circuit.gate_fanout.get(ev.net, ()):
             ctrl = CONTROLLING[gate.kind]

@@ -12,7 +12,6 @@ from seusim.netlist import (
     Circuit,
     Flop,
     Gate,
-    levelize,
     parse_bench,
     serialize_bench,
     validate,
@@ -316,13 +315,13 @@ def test_validate_duplicate_output_is_warning_only():
 
 def test_levelize_chain_order():
     c = parse_bench("INPUT(a)\nOUTPUT(d)\nb = NOT(a)\nc = NOT(b)\nd = AND(b, c)\n")
-    assert levelize(c) == ["b", "c", "d"]
+    assert list(c.gate_order) == ["b", "c", "d"]
 
 
 def test_levelize_covers_every_gate_once():
     for name in BUNDLED_CIRCUITS:
         c = bundled_circuit(name)
-        order = levelize(c)
+        order = c.gate_order
         assert sorted(order) == sorted(g.id for g in c.gates)
         pos = {gid: i for i, gid in enumerate(order)}
         for g in c.gates:
@@ -333,14 +332,13 @@ def test_levelize_covers_every_gate_once():
 
 
 def test_levelize_deterministic():
-    c = bundled_circuit("s27")
-    assert levelize(c) == levelize(c)
+    assert bundled_circuit("s27").gate_order == bundled_circuit("s27").gate_order
 
 
 def test_levelize_raises_on_cycle():
     c = parse_bench("INPUT(x)\nOUTPUT(a)\na = NOT(b)\nb = NOT(a)\n")
     with pytest.raises(InvariantError, match="combinational cycle"):
-        levelize(c)
+        c.gate_order
 
 
 # ---------------------------------------------------------------------------
