@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 from .errors import ConfigError, InputError, InvariantError
 from .injector import (INSTANT, SimContext, StrikeSample, grid_flip_counts,
-                       polarity_matches, polarity_net, run_sample,
-                       strike_reads, strike_row)
+                       polarity_matches, run_sample, strike_reads,
+                       strike_row)
 from .techmodel import enumerate_drains
 
 STRIKE_CLASSES = ("gate", "register")
@@ -375,18 +375,16 @@ def exhaustive_campaign(config, t_grid):
     per_class = {s: ClassStats() for s in STRIKE_CLASSES}
     weight_sum = {s: 0.0 for s in STRIKE_CLASSES}
     weighted = {s: {c: 0.0 for c in OutcomeClass} for s in STRIKE_CLASSES}
-    columns = trace.net_index
     for drain in table.sites:
         sclass = drain.strike_class
         drain_counts = {c: 0 for c in OutcomeClass}
-        read_key = itemgetter(*(columns[n] for n in strike_reads(ctx, drain)))
-        struck = polarity_net(ctx, drain)
+        read_key = itemgetter(*strike_reads(ctx, drain))
         cycles = {}
         for k in k_values:
-            cycles.setdefault(read_key(trace.settled[k]), []).append(k)
+            cycles.setdefault(read_key(trace.settled_map(k)), []).append(k)
         for ks in cycles.values():
             settled = trace.settled_map(ks[0])
-            if not polarity_matches(drain.polarity, settled[struck]):
+            if not polarity_matches(drain.polarity, settled[drain.net]):
                 row = {OutcomeClass.NN: t_grid}
             elif drain.ff_node_class == "capture-node":
                 result = run_sample(

@@ -19,6 +19,7 @@ numbers (the raw sample log keeps full-precision strike times).
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -167,27 +168,37 @@ def _typed(value, kind, what):
 def stats_from_dict(doc):
     """Rebuild CampaignStats (without records) from a stats.json document.
 
-    Raises InputError when a field is missing or of the wrong kind, or the
-    layout or the set of strike classes is wrong.
+    Raises InputError when a field is missing or of the wrong kind, the
+    layout or the set of strike classes is wrong, a class has a negative
+    count or counts that do not sum to its n, or a metric is not
+    ``0 <= num <= den``.
     """
     try:
         fields = {attr: _typed(doc[key], kind, key)
                   for key, attr, kind in _STATS_FIELDS}
         for key, attr in _METRIC_FIELDS:
             m = doc["metrics"][key]
-            fields[attr] = Ratio(_typed(m["num"], "integer", f"{key} num"),
-                                 _typed(m["den"], "integer", f"{key} den"))
+            r = Ratio(_typed(m["num"], "integer", f"{key} num"),
+                      _typed(m["den"], "integer", f"{key} den"))
+            if not 0 <= r.num <= r.den:
+                raise InputError(f"stats document metric {key} needs "
+                                 f"0 <= num <= den, got {r.num}/{r.den}")
+            fields[attr] = r
         if set(doc["classes"]) != set(STRIKE_CLASSES):
             raise InputError(f"stats document classes must be {STRIKE_CLASSES}")
         per_class = {}
         for name in STRIKE_CLASSES:
             sub = doc["classes"][name]
-            per_class[name] = ClassStats(
+            cs = per_class[name] = ClassStats(
                 n=_typed(sub["n"], "integer", f"{name} n"),
                 **{table: {c: _typed(sub[table][c.value], kind,
                                      f"{name} {table} {c.value}")
                            for c in OutcomeClass}
                    for table, kind in _CLASS_TABLES})
+            if min(cs.counts.values()) < 0 or sum(cs.counts.values()) != cs.n:
+                raise InputError(
+                    f"stats document class {name} needs non-negative counts "
+                    f"that sum to its n ({cs.n})")
     except KeyError as exc:
         raise InputError(f"stats document has no key {exc}") from None
     except (TypeError, AttributeError):
@@ -242,15 +253,24 @@ def _flip_interval(cs):
 
 
 def _oracle_rows(stats, oracle, classes):
-    """(strike class, outcome, mc, oracle, z) for each class with samples."""
+    """(strike class, outcome, mc, oracle, z) for each class with samples.
+
+    Where the standard error is 0 (a base probability of 0 or 1), z is 0
+    if mc equals the oracle and an infinity of the sign of mc - oracle
+    otherwise.
+    """
     rows = []
     for name, cs in stats.per_class.items():
         if cs.n == 0:
             continue
         for c in classes:
             p_mc, p_or = cs.probs[c], oracle.per_class[name].probs[c]
-            base = p_or if p_or > 0.0 else p_mc
-            z = (p_mc - p_or) / standard_error(base, cs.n) if base else 0.0
+            se = standard_error(p_or if p_or > 0.0 else p_mc, cs.n)
+            diff = p_mc - p_or
+            if se:
+                z = diff / se
+            else:
+                z = math.copysign(math.inf, diff) if diff else 0.0
             rows.append((name, c, p_mc, p_or, z))
     return rows
 

@@ -128,11 +128,6 @@ class Trace:
         return len(self.pi_vectors)
 
     @cached_property
-    def net_index(self):
-        """net -> its column in every ``settled`` row."""
-        return {n: i for i, n in enumerate(self.net_ids)}
-
-    @cached_property
     def _settled_maps(self):
         return [dict(zip(self.net_ids, row)) for row in self.settled]
 
@@ -141,7 +136,7 @@ class Trace:
         return self._settled_maps[cycle]
 
     def net_value(self, cycle, net):
-        return self.settled[cycle][self.net_index[net]]
+        return self.settled_map(cycle)[net]
 
     def to_csv(self):
         lines = ["cycle,flop,bit"]

@@ -219,19 +219,6 @@ def _propagate(ctx, settled, seed, debug=None):
     return at_flops
 
 
-def polarity_net(ctx, drain):
-    """The net whose settled value a strike at ``drain`` must oppose to land.
-
-    A gate drain tests its output net, a state-node drain the stored bit
-    (its flop's output) and a capture-node drain the value being latched
-    (its flop's data net).
-    """
-    if drain.ff_node_class == "none":
-        return drain.net
-    flop = ctx.circuit.flop_by_id[drain.cell]
-    return flop.output if drain.ff_node_class == "state-node" else flop.data
-
-
 def polarity_matches(polarity, value):
     """True when a strike of ``polarity`` flips a net holding ``value``."""
     return value == (1 if polarity == "pulls-low" else 0)
@@ -247,7 +234,7 @@ def strike_reads(ctx, drain):
     net ``_capture_all`` compares.  Two cycles that agree on these nets give
     the same result at every strike time.
     """
-    net = polarity_net(ctx, drain)
+    net = drain.net
     if drain.ff_node_class == "capture-node":
         return (net,)
     cone, stack, reads = {net}, [net], set()
@@ -300,12 +287,9 @@ def strike_row(ctx, settled, drain, debug=None):
     strike time, so a strike at ``t`` captures these intervals shifted by
     ``t`` (see ``_capture_all``).
     """
-    if drain.ff_node_class == "none":
-        seed = (drain.net, 0.0, ctx.profile.glitch_width, False)
-    else:
-        flop = ctx.circuit.flop_by_id[drain.cell]
-        seed = (flop.output, 0.0, ctx.period, True)
-    return _propagate(ctx, settled, seed, debug)
+    step = drain.ff_node_class != "none"
+    width = ctx.period if step else ctx.profile.glitch_width
+    return _propagate(ctx, settled, (drain.net, 0.0, width, step), debug)
 
 
 def grid_flip_counts(ctx, row, times):
@@ -361,7 +345,7 @@ def disturb_register(ctx, settled, sample, policy=INSTANT, rng=None,
         # A capture-node strike corrupts the value being latched: the flop
         # captures the complement of its golden next state, which always
         # differs.
-        golden = settled[polarity_net(ctx, drain)]
+        golden = settled[drain.net]
         if debug is not None:
             debug.append(f"capture flop={drain.cell} edge={ctx.period:.2f} "
                          f"captured={1 - golden} golden={golden}")
@@ -395,11 +379,10 @@ def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
                      f"k={sample.k} t={sample.t:.2f} "
                      f"polarity={drain.polarity}")
     settled = trace.settled_map(sample.k)
-    struck = polarity_net(ctx, drain)
-    if not polarity_matches(drain.polarity, settled[struck]):
+    if not polarity_matches(drain.polarity, settled[drain.net]):
         if debug is not None:
             debug.append(f"polarity mismatch at {drain.id} "
-                         f"(net={struck} value={settled[struck]})")
+                         f"(net={drain.net} value={settled[drain.net]})")
         return _EMPTY
     if drain.ff_node_class == "none":
         return disturb_gate(ctx, settled, sample, policy, rng, debug)

@@ -19,6 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import InputError, ProfileError
 from .netlist import GATE_KINDS
@@ -40,21 +41,20 @@ class DrainTemplate:
     ff_node_class: str = "none"  # none | state-node | capture-node
 
 
-@dataclass(frozen=True)
-class DrainSite:
-    """A drain template instantiated on a concrete cell of a circuit."""
+class DrainSite(NamedTuple):
+    """A drain template instantiated on a concrete cell of a circuit.
 
+    ``net`` is the net whose settled value a strike at the site inverts:
+    a gate's output, a state node's stored bit (its flop's output) or a
+    capture node's latched value (its flop's data net).
+    """
+
+    id: str              # "<cell>[<template index>]"
     cell: str            # gate or flop id
-    site_index: int
-    kind: str            # cell kind (NAND, DFF, ...)
-    net: str             # output net of the cell
+    net: str
     area: float
     polarity: str
     ff_node_class: str
-
-    @property
-    def id(self):
-        return f"{self.cell}[{self.site_index}]"
 
     @property
     def strike_class(self):
@@ -242,8 +242,9 @@ def enumerate_drains(circuit, profile):
     """Instantiate every drain site of ``circuit`` under ``profile``.
 
     Sites are emitted in cell declaration order (gates first, then flops),
-    each carrying its template's area; cumulative weights are normalized so
-    the table can be sampled area-proportionally.
+    each carrying its template's area and the net its strike inverts (see
+    ``DrainSite``); cumulative weights are normalized so the table can be
+    sampled area-proportionally.
     """
     sites = []
     gate_area = flop_area = 0.0
@@ -254,10 +255,8 @@ def enumerate_drains(circuit, profile):
                 f"profile '{profile.node_label}' has no drain sites for "
                 f"gate kind '{g.kind}'")
         for i, tpl in enumerate(templates):
-            sites.append(DrainSite(
-                cell=g.id, site_index=i, kind=g.kind, net=g.output,
-                area=tpl.area, polarity=tpl.polarity,
-                ff_node_class=tpl.ff_node_class))
+            sites.append(DrainSite(f"{g.id}[{i}]", g.id, g.output, tpl.area,
+                                   tpl.polarity, tpl.ff_node_class))
             gate_area += tpl.area
     templates = profile.drain_spec.get("DFF")
     if circuit.flops and not templates:
@@ -265,10 +264,9 @@ def enumerate_drains(circuit, profile):
             f"profile '{profile.node_label}' has no drain sites for DFF")
     for f in circuit.flops:
         for i, tpl in enumerate(templates):
-            sites.append(DrainSite(
-                cell=f.id, site_index=i, kind="DFF", net=f.output,
-                area=tpl.area, polarity=tpl.polarity,
-                ff_node_class=tpl.ff_node_class))
+            net = f.data if tpl.ff_node_class == "capture-node" else f.output
+            sites.append(DrainSite(f"{f.id}[{i}]", f.id, net, tpl.area,
+                                   tpl.polarity, tpl.ff_node_class))
             flop_area += tpl.area
 
     if not sites:

@@ -35,7 +35,6 @@ from seusim.injector import (
     SimContext,
     StrikeSample,
     polarity_matches,
-    polarity_net,
     run_sample,
     strike_reads,
 )
@@ -591,8 +590,7 @@ def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
         reads = strike_reads(ctx, site)
         for k in range(1, tr.cycle_count - 1):
             settled = tr.settled_map(k)
-            if polarity_matches(site.polarity,
-                                settled[polarity_net(ctx, site)]):
+            if polarity_matches(site.polarity, settled[site.net]):
                 rows.add((site.id, tuple(settled[n] for n in reads)))
     assert calls["strike_row"] + calls["run_sample"] == len(rows) > 0
     assert calls["_propagate"] == calls["strike_row"]

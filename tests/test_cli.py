@@ -9,14 +9,15 @@ import io
 import json
 import math
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seusim import cli
-from seusim.campaign import (LOG_COLUMNS, CampaignConfig, read_sample_log,
-                             recompute_from_log, run_campaign)
+from seusim.campaign import (LOG_COLUMNS, CampaignConfig, ClassStats, OutcomeClass,
+                             read_sample_log, recompute_from_log, run_campaign)
 from seusim.errors import InputError
 from seusim.golden import Stimulus, simulate_reference
 from seusim.netlist import parse_bench
@@ -420,6 +421,38 @@ def test_report_with_oracle_comparison(finished_campaign, tmp_path):
     assert len(rows) == 1 + 18  # header + 9 outcomes x 2 strike classes
 
 
+def test_report_oracle_comparison_with_certain_outcome(bench_dir, tmp_path):
+    # a 1 ps glitch dies at the first gate it crosses and can only land when
+    # struck within 1 ps of the edge, so here every gate strike is NN in both
+    # runs: the base probability is 1 and its standard error 0
+    doc = json.loads(resources.files("seusim").joinpath(
+        "data/profiles/65nm-like.json").read_text())
+    doc["glitch_width"] = 1.0
+    tech = tmp_path / "narrow.json"
+    tech.write_text(json.dumps(doc))
+    common = ["--circuit", str(bench_dir / "c17.bench"), "--tech", str(tech),
+              "--stimulus", "random:10:1"]
+    camp, orc, out_dir = tmp_path / "c", tmp_path / "o", tmp_path / "r"
+    assert run_cli(["campaign", *common, "--max-samples", "300", "--out", str(camp)])[0] == 0
+    assert run_cli(["oracle", *common, "--t-grid", "5", "--out", str(orc)])[0] == 0
+    code, _, err = run_cli(
+        ["report", "--stats", str(camp / "stats.json"),
+         "--oracle", str(orc / "oracle_stats.json"), "--out", str(out_dir)]
+    )
+    assert (code, err) == (0, "")
+    gate_rows = [line for line in (out_dir / "report.txt").read_text().splitlines()
+                 if line.startswith("  gate ") and "oracle=" in line]
+    assert len(gate_rows) == 9
+    assert all(line.endswith("z=+0.000") for line in gate_rows)
+
+
+def test_oracle_z_is_infinite_when_the_oracle_is_certain():
+    nn = OutcomeClass.NN
+    mc = SimpleNamespace(per_class={"gate": ClassStats(n=10, probs={nn: 0.9})})
+    oracle = SimpleNamespace(per_class={"gate": ClassStats(n=50, probs={nn: 1.0})})
+    assert cli._oracle_rows(mc, oracle, (nn,)) == [("gate", nn, 0.9, 1.0, -math.inf)]
+
+
 def test_report_recompute_verifies_log(finished_campaign, tmp_path):
     camp, _ = finished_campaign
     code, out, _ = run_cli(
@@ -710,6 +743,28 @@ def test_report_rejects_non_integer_stats_counts(finished_campaign, tmp_path, pa
     code, _, err = run_cli(["report", "--stats", str(broken), "--out", str(tmp_path / "rt")])
     _assert_input_error(code, err)
     assert "non-integer" in err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [(("classes", "gate", "counts", "NN"), 10**6, "class gate needs non-negative counts"),
+     (("classes", "gate", "n"), -5, "class gate needs non-negative counts"),
+     (("metrics", "P_m", "den"), -3, "metric P_m needs 0 <= num <= den")],
+    ids=["count-sum", "negative-n", "negative-den"],
+)
+def test_report_rejects_impossible_stats_integers(finished_campaign, tmp_path, path,
+                                                  value, message):
+    camp, _ = finished_campaign
+    doc = json.loads((camp / "stats.json").read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    broken = tmp_path / "impossible.json"
+    broken.write_text(json.dumps(doc))
+    code, _, err = run_cli(["report", "--stats", str(broken), "--out", str(tmp_path / "ri")])
+    _assert_input_error(code, err)
+    assert message in err
 
 
 @pytest.mark.parametrize(

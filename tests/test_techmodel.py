@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seusim.errors import InputError, ProfileError
-from seusim.netlist import parse_bench
+from seusim.netlist import parse_bench, wrap_combinational
 from seusim.techmodel import (
     bundled_profile_names,
     clock_period,
@@ -20,8 +20,8 @@ from seusim.techmodel import (
     settle_bound,
 )
 
-from conftest import (chain_profile_doc, dff_sites, gate_sites, profile_from,
-                      site_by_id)
+from conftest import (BUNDLED_CIRCUITS, bundled_circuit, chain_profile_doc,
+                      dff_sites, gate_sites, profile_from, site_by_id)
 
 
 def _doc(**overrides):
@@ -235,9 +235,29 @@ def test_enumerate_drains_layout(nand_dff_table):
         "capture-node",
         "capture-node",
     ]
-    # the struck signal: the gate's output net, or the flop's output net
+    # the net a strike inverts: the gate's output, a state node's stored bit
+    # (the flop's output) or a capture node's latched value (its data net)
     assert tab.sites[0].net == "n"
     assert tab.sites[2].net == "q"
+    assert [s.net for s in tab.sites[4:]] == ["n", "n"]
+
+
+@pytest.mark.parametrize("profile_name", bundled_profile_names())
+@pytest.mark.parametrize("name", BUNDLED_CIRCUITS)
+def test_drain_site_net_is_the_net_its_strike_inverts(name, profile_name):
+    c = bundled_circuit(name)
+    if not c.flops:
+        c = wrap_combinational(c)
+    sites = enumerate_drains(c, load_bundled_profile(profile_name)).sites
+    assert {s.ff_node_class for s in sites} == {"none", "state-node", "capture-node"}
+    for s in sites:
+        if s.ff_node_class == "none":
+            want = c.gate_by_id[s.cell].output
+        elif s.ff_node_class == "state-node":
+            want = c.flop_by_id[s.cell].output
+        else:
+            want = c.flop_by_id[s.cell].data
+        assert s.net == want, s.id
 
 
 def test_drain_table_register_fraction(nand_dff_table):
