@@ -19,15 +19,12 @@ import hashlib
 import io
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError, InputError, InvariantError
 from .injector import (INSTANT, SimContext, StrikeSample, grid_flip_counts,
-                       polarity_matches, run_sample, strike_reads,
-                       strike_row)
+                       polarity_matches, run_sample, strike_row)
 from .techmodel import enumerate_drains
 
 STRIKE_CLASSES = ("gate", "register")
@@ -305,7 +302,7 @@ def run_campaign(config, sample_runner=None):
     circuit, profile, trace = config.circuit, config.profile, config.trace
     _strike_cycles(trace)
     table = enumerate_drains(circuit, profile)
-    ctx = SimContext.build(circuit, profile)
+    ctx = SimContext.build(circuit, profile).bind(trace)
 
     if sample_runner is None:
         def sample_runner(sample, rng):
@@ -341,19 +338,17 @@ def exhaustive_campaign(config, t_grid):
     """Count every (drain, cycle, grid time) exactly once.
 
     The instant capture policy is required (nothing else is deterministic
-    per sample).  Under it a strike's result depends only on the drain, the
-    time and the golden values of ``strike_reads(ctx, drain)``, so a drain's
-    cycles are grouped by those values first, and one grid row per group is
-    simulated at its first cycle and counted once per cycle in the group; a
-    row whose strike has the wrong polarity counts as NN at every grid time
-    without being simulated.  A gate or state-node row is propagated once
-    from t = 0 and judged at every grid time at once by
-    ``grid_flip_counts``; a capture-node row does not depend on t, so one
-    strike stands for the whole row.  Class probabilities are weighted by
-    drain area within each strike class so they estimate the same measure
-    Monte Carlo samples from; raw counts are also kept (counts/n and the
-    weighted probabilities coincide whenever site areas are uniform within
-    a class).
+    per sample).  A cycle in which a drain's strike has the wrong polarity
+    counts as NN at every grid time.  A gate or state-node drain propagates
+    once from t = 0 for all its other (``live``) cycles, which are grouped
+    by the flop events they carry; each group's row is judged at every grid
+    time at once by ``grid_flip_counts``, or counts as (n_e1, 0) if it has
+    no event.  A capture-node strike depends on neither t nor the cycle, so
+    one strike stands for all its live cells.  Class probabilities are
+    weighted by drain area within each strike class so they estimate the
+    same measure Monte Carlo samples from; raw counts are also kept
+    (counts/n and the weighted probabilities coincide whenever site areas
+    are uniform within a class).
     """
     if config.policy.kind != "instant":
         raise ConfigError("the exhaustive oracle requires the instant policy")
@@ -361,7 +356,7 @@ def exhaustive_campaign(config, t_grid):
         raise ConfigError("t_grid must be >= 1")
     circuit, profile, trace = config.circuit, config.profile, config.trace
     table = enumerate_drains(circuit, profile)
-    ctx = SimContext.build(circuit, profile)
+    ctx = SimContext.build(circuit, profile).bind(trace)
 
     k_values = _strike_cycles(trace)
     n_samples = len(table.sites) * len(k_values) * t_grid
@@ -372,32 +367,36 @@ def exhaustive_campaign(config, t_grid):
 
     step = (ctx.period - ctx.settle) / t_grid
     times = [ctx.settle + i * step for i in range(t_grid)]
+    strikable = (1 << k_values.stop) - (1 << k_values.start)
     per_class = {s: ClassStats() for s in STRIKE_CLASSES}
     weight_sum = {s: 0.0 for s in STRIKE_CLASSES}
     weighted = {s: {c: 0.0 for c in OutcomeClass} for s in STRIKE_CLASSES}
     for drain in table.sites:
         sclass = drain.strike_class
+        golden = trace.net_masks[drain.net]
+        live = strikable & (golden if polarity_matches(drain.polarity, 1)
+                            else ~golden)
+        n_live = live.bit_count()
         drain_counts = {c: 0 for c in OutcomeClass}
-        read_key = itemgetter(*strike_reads(ctx, drain))
-        cycles = {}
-        for k in k_values:
-            cycles.setdefault(read_key(trace.settled_map(k)), []).append(k)
-        for ks in cycles.values():
-            settled = trace.settled_map(ks[0])
-            if not polarity_matches(drain.polarity, settled[drain.net]):
-                row = {OutcomeClass.NN: t_grid}
-            elif drain.ff_node_class == "capture-node":
-                result = run_sample(
-                    ctx, trace, StrikeSample(drain=drain, k=ks[0], t=times[0]))
-                row = {classify(result.flip_counts): t_grid}
-            else:
-                n_e1 = int(drain.ff_node_class == "state-node")
-                pulses = strike_row(ctx, settled, drain)
-                row = Counter()
-                for n_e2, n in grid_flip_counts(ctx, pulses, times).items():
-                    row[classify((n_e1, n_e2))] += n
-            for c, cnt in row.items():
-                drain_counts[c] += cnt * len(ks)
+        drain_counts[OutcomeClass.NN] = (len(k_values) - n_live) * t_grid
+        if n_live and drain.ff_node_class == "capture-node":
+            k = (live & -live).bit_length() - 1  # first live cycle
+            result = run_sample(
+                ctx, trace, StrikeSample(drain=drain, k=k, t=times[0]))
+            drain_counts[classify(result.flip_counts)] += n_live * t_grid
+        elif n_live:
+            n_e1 = int(drain.ff_node_class == "state-node")
+            pulses = strike_row(ctx, drain, live)
+            groups = [live]
+            for m in {m for ivs in pulses.values() for _, _, m in ivs}:
+                groups = [h for g in groups for h in (g & m, g & ~m) if h]
+            for g in groups:
+                row = {net: [iv for iv in ivs if iv[2] & g]
+                       for net, ivs in pulses.items()}
+                counts = (grid_flip_counts(ctx, row, times)
+                          if any(row.values()) else {0: t_grid})
+                for n_e2, n in counts.items():
+                    drain_counts[classify((n_e1, n_e2))] += n * g.bit_count()
         cs = per_class[sclass]
         cells = len(k_values) * t_grid
         cs.n += cells

@@ -492,7 +492,15 @@ def cmd_report(args):
         _verify_recompute(doc, stats, records)
         print(f"recompute: {len(records)} log rows reproduce the stored "
               "statistics exactly")
-    oracle = _load_stats(args.oracle)[1] if args.oracle else None
+    oracle_doc, oracle = (_load_stats(args.oracle) if args.oracle
+                          else (doc, None))
+    differ = [f"{key} {doc[key]!r} vs {oracle_doc[key]!r}"
+              for key in ("circuit", "profile", "period_ps", "settle_ps",
+                          "wrapped") if doc[key] != oracle_doc[key]]
+    if differ:
+        raise InvariantError(
+            f"oracle '{args.oracle}' does not describe the campaign's run: "
+            f"{', '.join(differ)}")
     out = Path(args.out)
     for name, text in build_report(stats, oracle,
                                    args.paper_columns).items():

@@ -4,8 +4,8 @@ Zero-delay, cycle-based, two-valued logic: within a cycle every net settles
 to the boolean function of the current primary inputs and flop states; at
 the clock edge every flop captures the settled value of its data net.  The
 resulting Trace is the baseline every injected sample is compared against,
-so it stores the settled value of every net for every cycle.  The simulator
-evaluates up to 64 cycles per pass over the gates, bit-packed into ints.
+so it stores every net's settled value in every cycle, one bit per cycle.
+The simulator packs up to 64 cycles into each pass over the gates.
 
 Stimulus file format (one of):
 
@@ -17,7 +17,6 @@ declaration order, e.g. ``01101`` for a 5-input circuit.
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InvariantError, StimulusError
 
@@ -110,9 +109,10 @@ def parse_stimulus(text):
 class Trace:
     """Golden simulation result.
 
-    ``settled[c][i]`` is the value of net ``net_ids[i]`` during cycle ``c``;
-    ``flop_states[c][j]`` is the state of flop ``flop_ids[j]`` during cycle
-    ``c`` (captured at the edge that started the cycle).
+    Bit ``c`` of ``net_masks[net]`` is the value of ``net`` during cycle
+    ``c``, for every net in ``net_ids`` order; ``flop_states[c][j]`` is the
+    state of flop ``flop_ids[j]`` during cycle ``c`` (captured at the edge
+    that started the cycle).
     """
 
     circuit_name: str
@@ -121,22 +121,18 @@ class Trace:
     net_ids: tuple
     pi_vectors: tuple
     flop_states: tuple
-    settled: tuple
+    net_masks: dict
 
     @property
     def cycle_count(self):
         return len(self.pi_vectors)
 
-    @cached_property
-    def _settled_maps(self):
-        return [dict(zip(self.net_ids, row)) for row in self.settled]
-
     def settled_map(self, cycle):
-        """net -> value mapping for one cycle (shared dict; do not mutate)."""
-        return self._settled_maps[cycle]
+        """net -> value mapping for one cycle."""
+        return {net: m >> cycle & 1 for net, m in self.net_masks.items()}
 
     def net_value(self, cycle, net):
-        return self.settled_map(cycle)[net]
+        return self.net_masks[net] >> cycle & 1
 
     def to_csv(self):
         lines = ["cycle,flop,bit"]
@@ -254,5 +250,5 @@ def simulate_reference(circuit, stimulus):
         net_ids=net_ids,
         pi_vectors=tuple(vectors),
         flop_states=_unpack(flop_masks, cycles),
-        settled=_unpack([net_masks[index[n]] for n in net_ids], cycles),
+        net_masks=dict(zip(net_ids, net_masks)),
     )

@@ -1,12 +1,12 @@
 """Single-strike fault injection against a golden trace.
 
 One sample = one drain site, one strike cycle k, one strike time t within
-the cycle.  A gate or state-node strike is played through the
-combinational fanout once, from t = 0 (``strike_row``); its intervals at
-the flops, shifted by t, are then judged against the capture edge
-(``_capture_all``, or ``grid_flip_counts`` for a whole oracle grid).  All
-strikes take this one path, so debug pulse lines give each event's start
-as an offset from t.  Three masking mechanisms apply:
+the cycle.  A gate or state-node strike is played through the combinational
+fanout once, from t = 0, for one cycle or a mask of many (``strike_row``);
+its intervals at the flops, shifted by t, are then judged against the
+capture edge (``_capture_all``, or ``grid_flip_counts`` for a whole oracle
+grid).  All strikes take this one path, so debug pulse lines give each
+event's start as an offset from t.  Three masking mechanisms apply:
 
 * logical   - a pulse passes a gate only while every side input holds a
               non-controlling golden value;
@@ -27,7 +27,7 @@ and a register strike contributes at most its own flop at e1.
 import math
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -104,15 +104,16 @@ class SampleResult(NamedTuple):
 
 @dataclass(frozen=True)
 class SimContext:
-    """Per-(circuit, profile) precomputation shared by every sample."""
+    """Per-(circuit, profile) precomputation; ``bind`` adds a trace's."""
 
     circuit: object
     profile: object
     period: float
     settle: float
-    # net -> ((gate id, output net, delay ps, controlling value, side-input
-    # nets), ...) in ``circuit.gate_fanout`` order
-    fanout: dict
+    # set by ``bind``: the trace, and net -> ((gate id, output net, delay
+    # ps, pass mask), ...) in ``circuit.gate_fanout`` order
+    trace: object = None
+    passes: dict = None
 
     @classmethod
     def build(cls, circuit, profile):
@@ -123,15 +124,26 @@ class SimContext:
                 f"circuit '{circuit.name}' never settles inside the clock "
                 f"period ({settle:.1f} ps >= {period:.1f} ps); increase the "
                 f"clock margin")
-        delays = {g.id: profile.delay(g.kind, len(g.inputs))
-                  for g in circuit.gates}
-        fanout = {
-            net: tuple((g.id, g.output, delays[g.id], CONTROLLING[g.kind],
-                        tuple(n for n in g.inputs if n != net))
-                       for g in gates)
-            for net, gates in circuit.gate_fanout.items()}
         return cls(circuit=circuit, profile=profile, period=period,
-                   settle=settle, fanout=fanout)
+                   settle=settle)
+
+    def bind(self, trace):
+        """This context bound to ``trace``; a fan-out entry's pass mask holds
+        the cycles in which no side input of its gate is controlling."""
+        masks = trace.net_masks
+        full = (1 << trace.cycle_count) - 1
+
+        def entry(net, gate):
+            ctrl, m = CONTROLLING[gate.kind], full
+            for n in gate.inputs if ctrl is not None else ():
+                if n != net:
+                    m &= full ^ masks[n] if ctrl else masks[n]
+            delay = self.profile.delay(gate.kind, len(gate.inputs))
+            return gate.id, gate.output, delay, m
+
+        passes = {net: tuple(entry(net, g) for g in gates)
+                  for net, gates in self.circuit.gate_fanout.items()}
+        return replace(self, trace=trace, passes=passes)
 
 
 def capture_at_edge(golden, intervals, edge, profile, policy=INSTANT,
@@ -172,38 +184,51 @@ def _attenuate(width, delay, theta):
     return 2.0 * (width - delay)
 
 
-def _propagate(ctx, settled, seed, debug=None):
-    """Event-wise propagation through the combinational fanout.
+def _propagate(ctx, seed, live, debug=None):
+    """Event-wise propagation through the combinational fanout of a bound
+    ``ctx``, in every cycle of the ``live`` mask at once.
 
     ``seed`` is a ``(net, start, width, step)`` tuple.  Returns {data net ->
-    [(start, end), ...]} for nets that feed flops.  Events are (net, start,
-    width) tuples that share the seed's ``step`` flag.  Duplicate (net,
-    start, width) glitches are collapsed.  A step ends past every capture
-    edge, so only its start decides a capture: a net is followed again only
-    when a step reaches it strictly earlier.
+    [(start, end, mask), ...]} for nets that feed flops, ``mask`` holding
+    the cycles the interval occurs in.  An event is followed only in cycles
+    no earlier event covered: a glitch equal in (net, start, width), or a
+    step (which ends past every capture edge) on its net at an earlier or
+    equal start.  Restricted to cycle c, the events and their order are
+    those of a call with ``live = 1 << c``; debug lines assume such a call.
     """
     theta = ctx.profile.filter_threshold
-    net, start, width, step = seed
-    fanout = ctx.fanout
+    masks, passes = ctx.trace.net_masks, ctx.passes
     flop_data = ctx.circuit.flops_by_data
-    at_flops = {}
-    seen = {}
-    queue = deque([(net, start, width)])
+    net, start, width, step = seed
+    single = not live & (live - 1)
+    at_flops, seen = {}, {}
+    queue = deque([(net, start, width, live)])
     while queue:
-        ev = queue.popleft()
-        net, start, width = ev
-        key = net if step else ev
-        if seen.get(key, math.inf) <= start:
-            continue
-        seen[key] = start
+        net, start, width, m = queue.popleft()
+        key = net if step else (net, start, width)
+        if single:
+            # one cycle: the earliest start followed under this key
+            if seen.get(key, math.inf) <= start:
+                continue
+            seen[key] = start
+        else:
+            # (start, mask) of every event already followed under this key
+            earlier = seen.setdefault(key, [])
+            for s, sm in earlier:
+                if s <= start:
+                    m &= ~sm
+            if not m:
+                continue
+            earlier.append((start, m))
         if debug is not None:
             debug.append(f"pulse net={net} start={start:.2f} "
-                         f"width={width:.2f} value={1 - settled[net]}"
+                         f"width={width:.2f} value={int(not masks[net] & m)}"
                          + (" step" if step else ""))
         if net in flop_data:
-            at_flops.setdefault(net, []).append((start, start + width))
-        for gate_id, out, d, ctrl, side in fanout.get(net, ()):
-            if ctrl is not None and ctrl in map(settled.__getitem__, side):
+            at_flops.setdefault(net, []).append((start, start + width, m))
+        for gate_id, out, d, pass_mask in passes.get(net, ()):
+            passed = m & pass_mask
+            if not passed:
                 if debug is not None:
                     debug.append(f"  masked at {gate_id} (logical)")
                 continue
@@ -215,7 +240,7 @@ def _propagate(ctx, settled, seed, debug=None):
                     if debug is not None:
                         debug.append(f"  masked at {gate_id} (electrical)")
                     continue
-            queue.append((out, start + d, new_width))
+            queue.append((out, start + d, new_width, passed))
     return at_flops
 
 
@@ -224,47 +249,24 @@ def polarity_matches(polarity, value):
     return value == (1 if polarity == "pulls-low" else 0)
 
 
-def strike_reads(ctx, drain):
-    """Sorted nets whose settled values decide an instant-policy strike.
-
-    A capture-node strike reads only its flop's data net.  A gate or
-    state-node strike reads its struck net plus every input and output of
-    every gate in that net's structural fan-out cone, which covers the
-    polarity check, every side input ``_propagate`` tests and every data
-    net ``_capture_all`` compares.  Two cycles that agree on these nets give
-    the same result at every strike time.
-    """
-    net = drain.net
-    if drain.ff_node_class == "capture-node":
-        return (net,)
-    cone, stack, reads = {net}, [net], set()
-    while stack:
-        for gate in ctx.circuit.gate_fanout.get(stack.pop(), ()):
-            reads.update(gate.inputs)
-            if gate.output not in cone:
-                cone.add(gate.output)
-                stack.append(gate.output)
-    return tuple(sorted(reads | cone))
-
-
-def _capture_all(ctx, settled, row, t, policy, rng, debug=None):
+def _capture_all(ctx, row, k, t, policy, rng, debug=None):
     """(flips_e2, window_hits) of the strike whose ``strike_row`` is ``row``,
-    started at ``t``, at the edge ending the cycle.
+    started at ``t`` in cycle ``k``, at the edge ending the cycle.
 
     Each disturbed flop judges its intervals as ``(t + start, t + end)``.
     Flops are visited in circuit order, so window-random draws come in a
     fixed order; a flop without a disturbance keeps its golden value and is
     skipped.
     """
-    edge = ctx.period
+    edge, masks = ctx.period, ctx.trace.net_masks
     flips, hits = set(), 0
     for flop in ctx.circuit.flops:
         intervals = row.get(flop.data)
         if intervals is None:
             continue
-        golden_next = settled[flop.data]
+        golden_next = masks[flop.data] >> k & 1
         captured, hit = capture_at_edge(
-            golden_next, [(t + s, t + e) for s, e in intervals], edge,
+            golden_next, [(t + s, t + e) for s, e, _ in intervals], edge,
             ctx.profile, policy, rng)
         hits += hit
         if captured != golden_next:
@@ -275,21 +277,17 @@ def _capture_all(ctx, settled, row, t, policy, rng, debug=None):
     return frozenset(flips), hits
 
 
-def strike_row(ctx, settled, drain, debug=None):
-    """The disturbance a matching strike at a gate or state-node ``drain``
-    leaves at the flops when it starts at ``t = 0``: {data net -> [(start,
-    end), ...]}.
-
-    A gate drain starts a glitch of ``glitch_width`` on its net.  A
-    state-node drain flips its stored bit and holds it for a whole period,
-    past the capture edge, where the flop recaptures its (possibly
-    disturbed) data input.  Delays and glitch widths do not depend on the
-    strike time, so a strike at ``t`` captures these intervals shifted by
-    ``t`` (see ``_capture_all``).
+def strike_row(ctx, drain, live, debug=None):
+    """The ``_propagate`` row a matching strike at a gate or state-node
+    ``drain`` leaves at the flops, started at ``t = 0`` in the cycles of
+    ``live``.  A gate drain starts a glitch of ``glitch_width`` on its net;
+    a state-node drain holds its flipped bit for a whole period, past the
+    capture edge.  Delays and widths do not depend on the strike time, so a
+    strike at ``t`` captures these intervals shifted by ``t``.
     """
     step = drain.ff_node_class != "none"
     width = ctx.period if step else ctx.profile.glitch_width
-    return _propagate(ctx, settled, (drain.net, 0.0, width, step), debug)
+    return _propagate(ctx, (drain.net, 0.0, width, step), live, debug)
 
 
 def grid_flip_counts(ctx, row, times):
@@ -310,7 +308,7 @@ def grid_flip_counts(ctx, row, times):
         for a, b in sorted(
                 (bisect_left(times, edge, key=lambda t: t + e),
                  bisect_left(times, edge, key=lambda t: t + s))
-                for s, e in intervals):
+                for s, e, _ in intervals):
             if a > hi:
                 diff[lo] += weight
                 diff[hi] -= weight
@@ -325,34 +323,32 @@ def grid_flip_counts(ctx, row, times):
 _EMPTY = SampleResult(frozenset(), frozenset())
 
 
-def disturb_gate(ctx, settled, sample, policy=INSTANT, rng=None, debug=None):
+def disturb_gate(ctx, sample, policy=INSTANT, rng=None, debug=None):
     """Inject a glitch at a gate output drain; returns the SampleResult.
 
     A gate strike can never alter the register file within the strike cycle,
     so flips_e1 is structurally empty here.
     """
-    row = strike_row(ctx, settled, sample.drain, debug)
-    flips_e2, hits = _capture_all(ctx, settled, row, sample.t, policy, rng,
-                                  debug)
+    k = sample.k
+    row = strike_row(ctx, sample.drain, 1 << k, debug)
+    flips_e2, hits = _capture_all(ctx, row, k, sample.t, policy, rng, debug)
     return SampleResult(frozenset(), flips_e2, hits)
 
 
-def disturb_register(ctx, settled, sample, policy=INSTANT, rng=None,
-                     debug=None):
+def disturb_register(ctx, sample, policy=INSTANT, rng=None, debug=None):
     """Inject at a flop drain (state-node or capture-node)."""
-    drain = sample.drain
+    drain, k = sample.drain, sample.k
     if drain.ff_node_class == "capture-node":
         # A capture-node strike corrupts the value being latched: the flop
         # captures the complement of its golden next state, which always
         # differs.
-        golden = settled[drain.net]
+        golden = ctx.trace.net_value(k, drain.net)
         if debug is not None:
             debug.append(f"capture flop={drain.cell} edge={ctx.period:.2f} "
                          f"captured={1 - golden} golden={golden}")
         return SampleResult(frozenset(), frozenset([drain.cell]))
-    row = strike_row(ctx, settled, drain, debug)
-    flips_e2, hits = _capture_all(ctx, settled, row, sample.t, policy, rng,
-                                  debug)
+    row = strike_row(ctx, drain, 1 << k, debug)
+    flips_e2, hits = _capture_all(ctx, row, k, sample.t, policy, rng, debug)
     return SampleResult(frozenset([drain.cell]), flips_e2, hits)
 
 
@@ -360,8 +356,8 @@ def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
     """Run one strike end to end; returns the raw flip sets.
 
     Classification into outcome classes is the campaign's job.  ``ctx`` is
-    the SimContext built once per (circuit, profile); ``debug`` may be a
-    list collecting human-readable event lines.
+    the SimContext built once per (circuit, profile), bound here to
+    ``trace`` unless it is already; ``debug`` may collect event lines.
     """
     if not 0.0 <= sample.t < ctx.period:
         raise InvariantError(
@@ -378,12 +374,13 @@ def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
         debug.append(f"sample drain={drain.id} class={drain.strike_class} "
                      f"k={sample.k} t={sample.t:.2f} "
                      f"polarity={drain.polarity}")
-    settled = trace.settled_map(sample.k)
-    if not polarity_matches(drain.polarity, settled[drain.net]):
+    ctx = ctx if ctx.trace is trace else ctx.bind(trace)
+    value = trace.net_masks[drain.net] >> sample.k & 1
+    if not polarity_matches(drain.polarity, value):
         if debug is not None:
             debug.append(f"polarity mismatch at {drain.id} "
-                         f"(net={drain.net} value={settled[drain.net]})")
+                         f"(net={drain.net} value={value})")
         return _EMPTY
     if drain.ff_node_class == "none":
-        return disturb_gate(ctx, settled, sample, policy, rng, debug)
-    return disturb_register(ctx, settled, sample, policy, rng, debug)
+        return disturb_gate(ctx, sample, policy, rng, debug)
+    return disturb_register(ctx, sample, policy, rng, debug)

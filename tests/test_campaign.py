@@ -36,7 +36,6 @@ from seusim.injector import (
     StrikeSample,
     polarity_matches,
     run_sample,
-    strike_reads,
 )
 from seusim.netlist import parse_bench, wrap_combinational
 from seusim.techmodel import enumerate_drains, load_bundled_profile
@@ -498,7 +497,7 @@ def test_exhaustive_matches_direct_average(toy_setup):
     stats = exhaustive_campaign(
         CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=1), t_grid=4
     )
-    ctx = SimContext.build(c, p)
+    ctx = SimContext.build(c, p).bind(tr)
     table = enumerate_drains(c, p)
     step = (ctx.period - ctx.settle) / 4
     counts = {"gate": dict.fromkeys(OutcomeClass, 0), "register": dict.fromkeys(OutcomeClass, 0)}
@@ -526,7 +525,7 @@ def test_two_cycle_trace_is_rejected(toy_setup, run):
     c, p, tr = toy_setup
     short = dataclasses.replace(
         tr, pi_vectors=tr.pi_vectors[:2], flop_states=tr.flop_states[:2],
-        settled=tr.settled[:2])
+        net_masks={net: m & 3 for net, m in tr.net_masks.items()})
     cfg = CampaignConfig(circuit=c, profile=p, trace=short, rng_seed=1)
     with pytest.raises(ConfigError, match="trace must cover at least 3 cycles"):
         run(cfg)
@@ -560,7 +559,7 @@ def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
     p = load_bundled_profile(profile_name)
     tr = simulate_reference(c, Stimulus.random(20, seed=4))
     t_grid = 7
-    ctx = SimContext.build(c, p)
+    ctx = SimContext.build(c, p).bind(tr)
     table = enumerate_drains(c, p)
     step = (ctx.period - ctx.settle) / t_grid
     cells = (tr.cycle_count - 2) * t_grid
@@ -583,17 +582,17 @@ def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
         CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=1), t_grid=t_grid
     )
     assert stats.total_samples == len(table.sites) * cells
-    # one call per distinct matching (drain, read signature) row, none per
-    # grid time
-    rows = set()
-    for site in table.sites:
-        reads = strike_reads(ctx, site)
-        for k in range(1, tr.cycle_count - 1):
-            settled = tr.settled_map(k)
-            if polarity_matches(site.polarity, settled[site.net]):
-                rows.add((site.id, tuple(settled[n] for n in reads)))
-    assert calls["strike_row"] + calls["run_sample"] == len(rows) > 0
-    assert calls["_propagate"] == calls["strike_row"]
+    # one propagation per gate or state-node drain and one strike per
+    # capture-node drain whose polarity matches in some cycle, none per
+    # cycle or grid time
+    matching = [site for site in table.sites
+                if any(polarity_matches(site.polarity, tr.net_value(k, site.net))
+                       for k in range(1, tr.cycle_count - 1))]
+    capture = sum(site.ff_node_class == "capture-node" for site in matching)
+    assert calls == {"strike_row": len(matching) - capture,
+                     "run_sample": capture,
+                     "_propagate": len(matching) - capture}
+    assert matching
     for sclass in ("gate", "register"):
         cs = stats.per_class[sclass]
         assert cs.counts == counts[sclass]
@@ -602,11 +601,13 @@ def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
 
 
 def test_exhaustive_counts_wrong_polarity_rows_without_simulating(monkeypatch):
-    # s27 under 180nm-like keeps 360 distinct (drain, read signature) rows at
-    # random:50:1000; in 180 of them the struck net already holds the value
-    # the strike drives, so only the other 180 rows are simulated, each once:
-    # 174 gate or state-node rows propagate from t = 0 and 6 capture-node
-    # rows run one strike, and no grid time propagates again
+    # s27 under 180nm-like has 26 gate or state-node drains and 6
+    # capture-node drains.  At random:50:1000 each drain's polarity matches
+    # in some of the 48 strike cycles, and the other cycles count as NN
+    # without being simulated.  So each gate or state-node drain propagates
+    # once from t = 0, for all its matching cycles together, each
+    # capture-node drain runs one strike, and no cycle or grid time
+    # propagates again
     c = bundled_circuit("s27")
     p = load_bundled_profile("180nm-like")
     tr = simulate_reference(c, Stimulus.random(50, 1000))
@@ -615,7 +616,7 @@ def test_exhaustive_counts_wrong_polarity_rows_without_simulating(monkeypatch):
         CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=1), t_grid=50
     )
     assert stats.total_samples == 76_800
-    assert calls == {"strike_row": 174, "run_sample": 6, "_propagate": 174}
+    assert calls == {"strike_row": 26, "run_sample": 6, "_propagate": 26}
 
 
 # ---------------------------------------------------------------------------

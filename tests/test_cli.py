@@ -421,6 +421,32 @@ def test_report_with_oracle_comparison(finished_campaign, tmp_path):
     assert len(rows) == 1 + 18  # header + 9 outcomes x 2 strike classes
 
 
+@pytest.mark.parametrize("circuit, tech", [("s27", "180nm-like"), ("c17", "180nm-like"),
+                                           ("c17", "65nm-like")])
+def test_report_refuses_an_oracle_of_another_run(bench_dir, tmp_path, circuit, tech):
+    # a c17 65nm-like campaign judged by an s27 180nm-like oracle used to
+    # exit 0 and print max |z| = 8.779 here, so the mismatch read as a
+    # model disagreement; the matching c17 65nm-like oracle is accepted
+    (bench_dir / "s27.bench").write_text(bundled_bench_text("s27"))
+    camp, orc = tmp_path / "c", tmp_path / "o"
+    assert run_cli(campaign_args(bench_dir, "c17", camp, **{
+        "--tech": "65nm-like", "--stimulus": "random:20:1", "--max-samples": "2000"}))[0] == 0
+    assert run_cli(["oracle", "--circuit", str(bench_dir / f"{circuit}.bench"), "--tech", tech,
+                    "--stimulus", "random:20:1", "--t-grid", "5", "--out", str(orc)])[0] == 0
+    code, _, err = run_cli(["report", "--stats", str(camp / "stats.json"), "--oracle",
+                            str(orc / "oracle_stats.json"), "--out", str(tmp_path / "r")])
+    if (circuit, tech) == ("c17", "65nm-like"):
+        assert (code, err) == (0, "")
+        return
+    assert code == 3
+    assert err.startswith("error:invariant-violation: ") and err.count("\n") == 1
+    assert ("circuit 'c17' vs 's27'" in err) == (circuit == "s27")
+    assert "profile '65nm-like' vs '180nm-like'" in err
+    assert "period_ps" in err and "settle_ps" in err
+    assert ("wrapped True vs False" in err) == (circuit == "s27")
+    assert not (tmp_path / "r").exists()
+
+
 def test_report_oracle_comparison_with_certain_outcome(bench_dir, tmp_path):
     # a 1 ps glitch dies at the first gate it crosses and can only land when
     # struck within 1 ps of the edge, so here every gate strike is NN in both

@@ -222,6 +222,21 @@ def test_trace_accessors():
     assert flop_value(tr, 0, "f1") == 0
 
 
+@pytest.mark.parametrize("name", BUNDLED_CIRCUITS)
+def test_net_masks_hold_the_settled_values(name):
+    # bit c of a net's mask is its value in cycle c by an independent
+    # evaluation, across packed blocks; settled_map reads the same bits
+    c = bundled_circuit(name)
+    tr = simulate_reference(c, Stimulus.random(130, seed=2))
+    assert list(tr.net_masks) == list(tr.net_ids)
+    assert all(m >> tr.cycle_count == 0 for m in tr.net_masks.values())
+    for cyc in range(tr.cycle_count):
+        flops = {f.output: tr.flop_states[cyc][i] for i, f in enumerate(c.flops)}
+        expected = truth_eval(c, tr.pi_vectors[cyc], flops)
+        assert {net: m >> cyc & 1 for net, m in tr.net_masks.items()} == expected
+        assert tr.settled_map(cyc) == expected
+
+
 def test_trace_csv_shape():
     c = bundled_circuit("toy_chain")
     tr = simulate_reference(c, Stimulus.random(5, seed=2))
@@ -308,7 +323,8 @@ def reference_simulate(circuit, stimulus):
         net_ids=net_ids,
         pi_vectors=tuple(vectors),
         flop_states=tuple(states),
-        settled=tuple(settled_rows),
+        net_masks={net: sum(row[i] << c for c, row in enumerate(settled_rows))
+                   for i, net in enumerate(net_ids)},
     )
 
 

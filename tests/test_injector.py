@@ -1,6 +1,5 @@
 """Tests for pulse injection, masking, and edge-capture semantics."""
 
-import dataclasses
 import math
 import random
 from collections import Counter, deque
@@ -24,7 +23,7 @@ from seusim.injector import (
     grid_flip_counts,
     parse_policy,
     run_sample,
-    strike_reads,
+    strike_row,
 )
 from seusim.netlist import CONTROLLING, parse_bench, wrap_combinational
 from seusim.techmodel import enumerate_drains, load_bundled_profile
@@ -35,6 +34,7 @@ from conftest import (
     bundled_circuit,
     chain_profile_doc,
     find_site,
+    multiplier_bench,
     profile_from,
 )
 
@@ -186,22 +186,19 @@ x = NAND(a, q4)
 y = NOT(b)
 z = AND(a, q5)
 """
-LATCH_CTX = SimContext.build(parse_bench(LATCH_FANOUT, name="latch"),
-                             load_bundled_profile("65nm-like"))
-LATCH_SETTLED = dict.fromkeys(("x", "y", "z"), 0)
+LATCH = parse_bench(LATCH_FANOUT, name="latch")
+LATCH_CTX = SimContext.build(LATCH, load_bundled_profile("65nm-like")).bind(held(LATCH, (0, 0)))
 
 
 def _per_grid_time(row, times):
-    return Counter(len(_capture_all(LATCH_CTX, LATCH_SETTLED, row, t, INSTANT,
-                                    None)[0])
-                   for t in times)
+    return Counter(len(_capture_all(LATCH_CTX, row, 1, t, INSTANT, None)[0]) for t in times)
 
 
 def test_grid_flip_counts_on_exact_edges():
     # integer times: t + start == edge never covers, t + end == edge does
     edge = LATCH_CTX.period
     times = [edge - 3.0, edge - 2.0, edge - 1.0]
-    row = {"x": [(2.0, 3.0)], "y": [(1.0, 5.0)]}
+    row = {"x": [(2.0, 3.0, 2)], "y": [(1.0, 5.0, 2)]}
     assert grid_flip_counts(LATCH_CTX, row, times) == {4: 1, 1: 1, 0: 1}
     assert _per_grid_time(row, times) == {4: 1, 1: 1, 0: 1}
 
@@ -222,7 +219,7 @@ def test_grid_flip_counts_match_capture_row_at_every_grid_time(data, n):
     point = st.one_of(on_edge, near_edge, anywhere)
     width = st.one_of(st.floats(0.0, edge), st.integers(0, int(edge)).map(float))
     interval = point.flatmap(lambda s: st.one_of(point, width.map(lambda w: s + w))
-                             .map(lambda e: (min(s, e), max(s, e))))
+                             .map(lambda e: (min(s, e), max(s, e), 2)))
     row = data.draw(st.dictionaries(st.sampled_from(["x", "y", "z"]),
                                     st.lists(interval, min_size=1, max_size=4),
                                     min_size=1))
@@ -695,7 +692,7 @@ def test_wider_glitches_dominate_narrower_ones(name):
         raw = json.loads(_bundled_profile_text("toy-equal"))
         raw["glitch_width"] = w
         p = load_profile(json.dumps(raw), source="<override>")
-        ctx = SimContext.build(c, p)
+        ctx = SimContext.build(c, p).bind(tr)
         table = enumerate_drains(c, p)
         gate_sites = [s for s in table.sites if s.strike_class == "gate"]
         grid = [ctx.settle + i * (ctx.period - ctx.settle) / 40 for i in range(40)]
@@ -717,47 +714,33 @@ def _bundled_profile_text(name):
 
 
 # ---------------------------------------------------------------------------
-# the nets an instant-policy strike reads
+# one propagation for many cycles
 
 
-@pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like"])
-@pytest.mark.parametrize("name", BUNDLED_CIRCUITS)
-def test_strike_reads_decide_the_strike(name, profile_name):
-    c = bundled_circuit(name)
+@pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like", "toy-equal"])
+@pytest.mark.parametrize("name", [*BUNDLED_CIRCUITS, "mul8"])
+def test_masked_rows_match_one_bit_rows(name, profile_name):
+    # a row propagated for many cycles at once, restricted to one of them,
+    # holds the intervals of that cycle's own row in the same order
+    if name == "mul8":
+        c = parse_bench(multiplier_bench(8), name=name)
+    else:
+        c = bundled_circuit(name)
     if not c.flops:
         c = wrap_combinational(c)
     p = load_bundled_profile(profile_name)
     tr = simulate_reference(c, Stimulus.random(14, seed=5))
-    ctx = SimContext.build(c, p)
-    times = [ctx.settle + i * (ctx.period - ctx.settle) / 5 for i in range(5)]
-
-    def flips(trace, drain, k):
-        return [
-            (r.flips_e1, r.flips_e2)
-            for r in (run_sample(ctx, trace, StrikeSample(drain=drain, k=k, t=t))
-                      for t in times)
-        ]
-
-    shared = 0
-    for drain in enumerate_drains(c, p).sites:
-        reads = strike_reads(ctx, drain)
-        if drain.ff_node_class == "capture-node":
-            assert reads == (c.flop_by_id[drain.cell].data,)
-        first = {}
-        for k in range(1, tr.cycle_count - 1):
-            settled = tr.settled_map(k)
-            got = flips(tr, drain, k)
-            key = tuple(settled[n] for n in reads)
-            if key in first:
-                shared += 1
-                assert got == first[key], (drain.id, k)
-            first.setdefault(key, got)
-            # complementing every net outside the reads changes nothing
-            rows = list(tr.settled)
-            rows[k] = tuple(v if n in reads else 1 - v
-                            for n, v in zip(tr.net_ids, rows[k]))
-            assert flips(dataclasses.replace(tr, settled=tuple(rows)), drain, k) == got
-    assert shared
+    ctx = SimContext.build(c, p).bind(tr)
+    every = (1 << tr.cycle_count) - 1
+    drains = [d for d in enumerate_drains(c, p).sites if d.ff_node_class != "capture-node"]
+    for drain in drains:
+        for live in (every, every // 3):
+            row = strike_row(ctx, drain, live)
+            for k in (k for k in range(tr.cycle_count) if live >> k & 1):
+                one = {net: [(s, e, 1 << k) for s, e, m in ivs if m >> k & 1]
+                       for net, ivs in row.items()}
+                one = {net: ivs for net, ivs in one.items() if ivs}
+                assert one == _propagate(ctx, strike_seed(ctx, drain, 0.0), 1 << k), (drain.id, k)
 
 
 # ---------------------------------------------------------------------------
@@ -829,13 +812,15 @@ def strike_seed(ctx, drain, t):
     return PulseEvent(net=drain.net, start=t, width=ctx.profile.glitch_width)
 
 
-def assert_propagates_like_reference(ctx, settled, seed):
+def assert_propagates_like_reference(ctx, k, seed):
+    # ``ctx`` is bound to a trace; the strike is in its cycle ``k``
     got_dbg, want_dbg = [], []
-    got = _propagate(ctx, settled, seed, got_dbg)
-    want = reference_propagate(ctx, settled, seed, want_dbg)
-    assert list(got.items()) == list(want.items())
+    got = _propagate(ctx, seed, 1 << k, got_dbg)
+    want = reference_propagate(ctx, ctx.trace.settled_map(k), seed, want_dbg)
+    assert list(got.items()) == [(net, [(s, e, 1 << k) for s, e in ivs])
+                                 for net, ivs in want.items()]
     assert got_dbg == want_dbg
-    assert _propagate(ctx, settled, seed) == want
+    assert _propagate(ctx, seed, 1 << k) == got
 
 
 @pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like"])
@@ -848,14 +833,14 @@ def test_propagate_matches_pulse_event_reference(name, profile_name):
         c = wrap_combinational(c)
     p = load_bundled_profile(profile_name)
     tr = simulate_reference(c, Stimulus.random(8, seed=3))
-    ctx = SimContext.build(c, p)
+    ctx = SimContext.build(c, p).bind(tr)
     times = [ctx.settle + i * (ctx.period - ctx.settle) / 6 for i in range(6)]
     drains = [d for d in enumerate_drains(c, p).sites if d.ff_node_class != "capture-node"]
     assert {d.ff_node_class for d in drains} == {"none", "state-node"}
     for drain in drains:
         for k in range(1, 7):
             for t in times:
-                assert_propagates_like_reference(ctx, tr.settled_map(k), strike_seed(ctx, drain, t))
+                assert_propagates_like_reference(ctx, k, strike_seed(ctx, drain, t))
 
 
 @pytest.mark.parametrize(
@@ -864,11 +849,11 @@ def test_propagate_matches_pulse_event_reference(name, profile_name):
 )
 def test_propagate_matches_pulse_event_reference_on_ladders(kind, stages, net, step, t):
     c = reconvergent_ladder(kind, stages)
-    ctx = SimContext.build(c, load_bundled_profile("65nm-like"))
+    ctx = SimContext.build(c, load_bundled_profile("65nm-like")).bind(held(c, (1,)))
     t = ctx.settle if t is None else t
     width = ctx.period - t if step else ctx.profile.glitch_width
     seed = PulseEvent(net=net, start=t, width=width, step=step)
-    assert_propagates_like_reference(ctx, held(c, (1,)).settled_map(1), seed)
+    assert_propagates_like_reference(ctx, 1, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +892,7 @@ def test_row_path_matches_per_cell_reference(name, profile_name):
         c = wrap_combinational(c)
     p = load_bundled_profile(profile_name)
     tr = simulate_reference(c, Stimulus.random(8, seed=4))
-    ctx = SimContext.build(c, p)
+    ctx = SimContext.build(c, p).bind(tr)
     draw = random.Random(f"{name}/{profile_name}")
     grid = [ctx.settle + i * (ctx.period - ctx.settle) / 4 for i in range(4)]
     drains = [d for d in enumerate_drains(c, p).sites if d.ff_node_class != "capture-node"]
