@@ -44,19 +44,26 @@ class OutcomeClass(enum.Enum):
     FMFM = "F_mF_m"
 
 
-_BUCKETS = ("N", "F", "F_m")
+_OUTCOMES = tuple(OutcomeClass)
 _BY_LABEL = {c.value: c for c in OutcomeClass}
-# _BY_BUCKETS[min(n1, 2)][min(n2, 2)] is the class of flip counts (n1, n2)
-_BY_BUCKETS = tuple(tuple(_BY_LABEL[b1 + b2] for b2 in _BUCKETS)
-                    for b1 in _BUCKETS)
+
+
+def _outcome_index(n1, n2):
+    """Position in ``OutcomeClass`` order of the class of flip counts (n1 at
+    the first edge, n2 at the second).
+
+    Each count is bucketed 0 -> N, 1 -> F, >=2 -> F_m, and the classes run
+    first-edge bucket major.  Monte Carlo, the oracle and the log recompute
+    all count outcomes at these indices.
+    """
+    if n1 < 0 or n2 < 0:
+        raise InvariantError(f"negative flip counts ({n1}, {n2})")
+    return 3 * (n1 if n1 < 2 else 2) + (n2 if n2 < 2 else 2)
 
 
 def classify(flip_counts):
     """Map a flip-count pair (first edge, second edge) to its OutcomeClass."""
-    n1, n2 = flip_counts
-    if n1 < 0 or n2 < 0:
-        raise InvariantError(f"negative flip counts ({n1}, {n2})")
-    return _BY_BUCKETS[n1 if n1 < 2 else 2][n2 if n2 < 2 else 2]
+    return _OUTCOMES[_outcome_index(*flip_counts)]
 
 
 ERRONEOUS = tuple(c for c in OutcomeClass if c is not OutcomeClass.NN)
@@ -100,27 +107,32 @@ class Ratio:
         return "-" if not self.defined else f"{self.value:.{digits}g}"
 
 
-def _stable_stream(seed, index):
-    """64-bit stream seed from (campaign seed, sample index), platform-stable."""
-    digest = hashlib.blake2b(
-        index.to_bytes(8, "little", signed=False),
-        digest_size=8,
-        key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"),
-    ).digest()
-    return int.from_bytes(digest, "little")
+def _seed_key(seed):
+    """BLAKE2b state keyed by a campaign seed; see ``_stable_stream``."""
+    return hashlib.blake2b(
+        digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+
+
+def _stable_stream(keyed, index):
+    """64-bit stream seed of a sample index, platform-stable: the index's 8
+    bytes hashed by a copy of the campaign seed's ``_seed_key`` state."""
+    h = keyed.copy()
+    h.update(index.to_bytes(8, "little", signed=False))
+    return int.from_bytes(h.digest(), "little")
 
 
 def sample_rng(seed, index):
     """The RNG stream owned by one sample index."""
-    return random.Random(_stable_stream(seed, index))
+    return random.Random(_stable_stream(_seed_key(seed), index))
 
 
-def sample_strike(rng, table, trace, period, settle):
-    """Draw one (drain, k, t): area-weighted site, uniform cycle, uniform t."""
+def sample_strike(rng, table, cycles, period, settle):
+    """Draw one (drain, k, t): area-weighted site, uniform cycle k in the
+    ``strike_cycles`` range ``cycles``, uniform t in [settle, period)."""
     drain = table.pick(rng.random())
-    k = rng.randrange(1, trace.cycle_count - 1)
+    k = rng.randrange(cycles.start, cycles.stop)
     t = settle + rng.random() * (period - settle)
-    return StrikeSample(drain=drain, k=k, t=t)
+    return StrikeSample(drain, k, t)
 
 
 @dataclass(frozen=True)
@@ -157,6 +169,11 @@ class SampleRecord(NamedTuple):
     n_e1: int
     n_e2: int
     outcome: OutcomeClass
+
+
+# A SampleRecord from a tuple of its fields, without the Python-level
+# ``__new__`` a NamedTuple call goes through.
+_new_record = tuple.__new__
 
 
 @dataclass
@@ -231,26 +248,31 @@ def derive_metrics(per_class):
     )
 
 
-def _criterion_met(per_class, stderr_target):
-    """True when each strike class's 1 - P_NN with p > 0 is tight enough."""
-    for cls_stats in per_class.values():
-        if cls_stats.n == 0:
-            continue
-        p = cls_stats.erroneous / cls_stats.n
-        if p > 0.0 and standard_error(p, cls_stats.n) >= stderr_target * p:
-            return False
-    return True
+def _criterion_met(n, erroneous, stderr_target):
+    """The stopping rule for one strike class with ``n`` samples: True
+    unless its 1 - P_NN is above 0 and not yet tight enough.  A campaign
+    stops once this holds for every strike class with samples."""
+    p = erroneous / n
+    return not (p > 0.0 and standard_error(p, n) >= stderr_target * p)
 
 
-def tally(per_class):
-    """Finish ``per_class`` counts into the CampaignStats fields they decide.
+def _new_tallies():
+    """{strike class: outcome counts in ``OutcomeClass`` order}, all 0."""
+    return {s: [0] * len(_OUTCOMES) for s in STRIKE_CLASSES}
 
-    Finalizes every class and returns {field: value} for ``per_class``,
-    ``class_share`` (each strike class's share of the samples),
-    ``total_samples`` and the metrics ``p_m``, ``p_gm`` and ``p_rm``.
+
+def tally(tallies):
+    """Finish ``_new_tallies`` counts into the CampaignStats fields they
+    decide.
+
+    Returns {field: value} for ``per_class`` (finalized ClassStats keyed by
+    OutcomeClass), ``class_share`` (each strike class's share of the
+    samples), ``total_samples`` and the metrics ``p_m``, ``p_gm`` and
+    ``p_rm``.
     """
-    for cs in per_class.values():
-        cs.finalize()
+    per_class = {s: ClassStats(n=sum(row),
+                               counts=dict(zip(_OUTCOMES, row))).finalize()
+                 for s, row in tallies.items()}
     total = sum(cs.n for cs in per_class.values())
     p_m, p_gm, p_rm = derive_metrics(per_class)
     return {
@@ -285,7 +307,7 @@ def _build_stats(config, ctx, tallied, stop_reason, records):
     )
 
 
-def _strike_cycles(trace):
+def strike_cycles(trace):
     """Cycles a strike may land in: each needs a cycle on either side."""
     if trace.cycle_count < 3:
         raise ConfigError("trace must cover at least 3 cycles")
@@ -295,40 +317,63 @@ def _strike_cycles(trace):
 def run_campaign(config, sample_runner=None):
     """Run the Monte Carlo campaign to the stopping rule.
 
-    Samples are evaluated in index order and the stopping rule is checked
-    after each one.  ``sample_runner(sample, rng) -> SampleResult`` may
-    replace the real injector (used by tests to stub outcome behaviour).
+    Sample ``i`` draws its strike from ``sample_rng(seed, i)``'s stream
+    (each stream is seeded from one BLAKE2b state keyed by the seed, copied
+    per index) and runs it through ``run_sample``, once per sample, in index
+    order.  ``sample_runner(sample, rng) -> SampleResult`` may replace the
+    real injector (used by tests to stub outcome behaviour).
+
+    A strike's reads do not depend on its time t, so the campaign keeps
+    them per ``(drain, k)`` in one table and later strikes at the same key
+    skip propagation.  The table is kept only when the key space (drains x
+    strikable cycles) is no larger than ``max_samples``; a circuit with far
+    more keys than samples rarely repeats one.
+
+    Outcomes are counted per strike class at ``_outcome_index``.  The
+    stopping rule holds once ``_criterion_met`` holds for every class with
+    samples; a sample changes one class, so only that class is re-judged.
     """
     circuit, profile, trace = config.circuit, config.profile, config.trace
-    _strike_cycles(trace)
+    cycles = strike_cycles(trace)
     table = enumerate_drains(circuit, profile)
     ctx = SimContext.build(circuit, profile).bind(trace)
+    policy, target = config.policy, config.stderr_target
+    reads = ({} if len(table.sites) * len(cycles) <= config.max_samples
+             else None)
 
-    if sample_runner is None:
-        def sample_runner(sample, rng):
-            return run_sample(ctx, trace, sample, config.policy, rng)
-
-    per_class = {s: ClassStats() for s in STRIKE_CLASSES}
+    tallies = _new_tallies()
+    met = dict.fromkeys(STRIKE_CLASSES, True)
     records = []
     stop_reason = "max-samples"
+    keyed = _seed_key(config.rng_seed)
+    # One generator, reseeded per sample: for an int, the C-level seed sets
+    # the state Random(x) has, without Random's Python-level wrappers.
+    rng = random.Random(0)
+    reseed = super(random.Random, rng).seed
+    period, settle = ctx.period, ctx.settle
+    first_stop = config.min_samples - 1     # the first index that may stop
     for i in range(config.max_samples):
-        rng = sample_rng(config.rng_seed, i)
-        sample = sample_strike(rng, table, trace, ctx.period, ctx.settle)
-        result = sample_runner(sample, rng)
+        reseed(_stable_stream(keyed, i))
+        sample = sample_strike(rng, table, cycles, period, settle)
+        if sample_runner is None:
+            result = run_sample(ctx, trace, sample, policy, rng, reads=reads)
+        else:
+            result = sample_runner(sample, rng)
         n_e1, n_e2 = len(result.flips_e1), len(result.flips_e2)
-        outcome = classify((n_e1, n_e2))
-        drain = sample.drain
-        records.append(SampleRecord(i, drain.id, drain.strike_class,
-                                    sample.k, sample.t, n_e1, n_e2, outcome))
-        cs = per_class[drain.strike_class]
-        cs.n += 1
-        cs.counts[outcome] += 1
-        if len(records) >= config.min_samples and _criterion_met(
-                per_class, config.stderr_target):
+        o = _outcome_index(n_e1, n_e2)
+        drain, k, t = sample
+        sclass = drain.strike_class
+        records.append(_new_record(SampleRecord, (
+            i, drain.id, sclass, k, t, n_e1, n_e2, _OUTCOMES[o])))
+        row = tallies[sclass]
+        row[o] += 1
+        n = sum(row)
+        met[sclass] = ok = _criterion_met(n, n - row[0], target)
+        if ok and i >= first_stop and all(met.values()):
             stop_reason = "stderr-met"
             break
 
-    return _build_stats(config, ctx, tally(per_class), stop_reason, records)
+    return _build_stats(config, ctx, tally(tallies), stop_reason, records)
 
 
 _ORACLE_BUDGET = 10_000_000
@@ -358,7 +403,7 @@ def exhaustive_campaign(config, t_grid):
     table = enumerate_drains(circuit, profile)
     ctx = SimContext.build(circuit, profile).bind(trace)
 
-    k_values = _strike_cycles(trace)
+    k_values = strike_cycles(trace)
     n_samples = len(table.sites) * len(k_values) * t_grid
     if n_samples > _ORACLE_BUDGET:
         raise ConfigError(
@@ -368,22 +413,24 @@ def exhaustive_campaign(config, t_grid):
     step = (ctx.period - ctx.settle) / t_grid
     times = [ctx.settle + i * step for i in range(t_grid)]
     strikable = (1 << k_values.stop) - (1 << k_values.start)
-    per_class = {s: ClassStats() for s in STRIKE_CLASSES}
+    tallies = _new_tallies()
     weight_sum = {s: 0.0 for s in STRIKE_CLASSES}
-    weighted = {s: {c: 0.0 for c in OutcomeClass} for s in STRIKE_CLASSES}
+    weighted = {s: [0.0] * len(_OUTCOMES) for s in STRIKE_CLASSES}
+    cells = len(k_values) * t_grid
     for drain in table.sites:
         sclass = drain.strike_class
         golden = trace.net_masks[drain.net]
         live = strikable & (golden if polarity_matches(drain.polarity, 1)
                             else ~golden)
         n_live = live.bit_count()
-        drain_counts = {c: 0 for c in OutcomeClass}
-        drain_counts[OutcomeClass.NN] = (len(k_values) - n_live) * t_grid
+        drain_counts = [0] * len(_OUTCOMES)
+        drain_counts[0] = (len(k_values) - n_live) * t_grid  # NN
         if n_live and drain.ff_node_class == "capture-node":
             k = (live & -live).bit_length() - 1  # first live cycle
             result = run_sample(
                 ctx, trace, StrikeSample(drain=drain, k=k, t=times[0]))
-            drain_counts[classify(result.flip_counts)] += n_live * t_grid
+            drain_counts[_outcome_index(*result.flip_counts)] += (
+                n_live * t_grid)
         elif n_live:
             n_e1 = int(drain.ff_node_class == "state-node")
             pulses = strike_row(ctx, drain, live)
@@ -396,20 +443,19 @@ def exhaustive_campaign(config, t_grid):
                 counts = (grid_flip_counts(ctx, row, times)
                           if any(row.values()) else {0: t_grid})
                 for n_e2, n in counts.items():
-                    drain_counts[classify((n_e1, n_e2))] += n * g.bit_count()
-        cs = per_class[sclass]
-        cells = len(k_values) * t_grid
-        cs.n += cells
-        for c, cnt in drain_counts.items():
-            cs.counts[c] += cnt
-            weighted[sclass][c] += drain.area * (cnt / cells)
+                    drain_counts[_outcome_index(n_e1, n_e2)] += (
+                        n * g.bit_count())
+        row, w = tallies[sclass], weighted[sclass]
+        for j, cnt in enumerate(drain_counts):
+            row[j] += cnt
+            w[j] += drain.area * (cnt / cells)
         weight_sum[sclass] += drain.area
 
-    tallied = tally(per_class)
-    for sclass, cs in per_class.items():
+    tallied = tally(tallies)
+    for sclass, cs in tallied["per_class"].items():
         if weight_sum[sclass] > 0.0:
-            cs.probs = {c: weighted[sclass][c] / weight_sum[sclass]
-                        for c in OutcomeClass}
+            cs.probs = {c: w / weight_sum[sclass]
+                        for c, w in zip(_OUTCOMES, weighted[sclass])}
         cs.stderrs = {c: 0.0 for c in OutcomeClass}
     total_area = table.total_area
     tallied["class_share"] = {"gate": table.gate_area / total_area,
@@ -423,18 +469,29 @@ LOG_COLUMNS = ("sample_index", "drain", "strike_class", "k", "t",
                "flips_e1", "flips_e2", "outcome")
 
 
-def write_sample_log(records, fh):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(LOG_COLUMNS)
-    for r in records:
-        writer.writerow([r.index, r.drain_id, r.strike_class, r.k,
-                         repr(r.t), r.n_e1, r.n_e2, r.outcome.value])
+def _csv_line(fields):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
 
 
 def sample_log_text(records):
-    buf = io.StringIO()
-    write_sample_log(records, buf)
-    return buf.getvalue()
+    """The sample log of ``records`` as csv text, one line per record.
+
+    Only the drain id and strike class can need csv quoting, so each
+    (drain id, strike class) pair is quoted once, by the csv module; the
+    numbers, ``repr(t)`` and the outcome label never need it.
+    """
+    prefixes = {}
+    lines = [_csv_line(LOG_COLUMNS)]
+    for index, drain_id, sclass, k, t, n_e1, n_e2, outcome in records:
+        prefix = prefixes.get((drain_id, sclass))
+        if prefix is None:
+            prefix = prefixes[drain_id, sclass] = _csv_line(
+                [drain_id, sclass])[:-1]
+        lines.append(f"{index},{prefix},{k},{t!r},{n_e1},{n_e2},"
+                     f"{outcome._value_}\n")
+    return "".join(lines)
 
 
 def read_sample_log(fh):
@@ -474,16 +531,16 @@ def recompute_from_log(records):
     the result must match the stored values exactly (same counts, same
     float divisions).
     """
-    per_class = {s: ClassStats() for s in STRIKE_CLASSES}
+    tallies = _new_tallies()
     for rec in records:
-        if rec.strike_class not in per_class:
+        row = tallies.get(rec.strike_class)
+        if row is None:
             raise InvariantError(
                 f"unknown strike class '{rec.strike_class}' in log")
-        if classify((rec.n_e1, rec.n_e2)) is not rec.outcome:
+        o = _outcome_index(rec.n_e1, rec.n_e2)
+        if _OUTCOMES[o] is not rec.outcome:
             raise InvariantError(
                 f"log row {rec.index}: outcome {rec.outcome.value} does not "
                 f"match flip counts ({rec.n_e1}, {rec.n_e2})")
-        cs = per_class[rec.strike_class]
-        cs.n += 1
-        cs.counts[rec.outcome] += 1
-    return tally(per_class)
+        row[o] += 1
+    return tally(tallies)

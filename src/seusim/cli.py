@@ -459,7 +459,8 @@ def debug_sample(circuit, profile, trace, config, index):
     ctx = SimContext.build(circuit, profile)
     table = enumerate_drains(circuit, profile)
     rng = sample_rng(config.rng_seed, index)
-    sample = sample_strike(rng, table, trace, ctx.period, ctx.settle)
+    sample = sample_strike(rng, table, camp.strike_cycles(trace), ctx.period,
+                           ctx.settle)
     lines = [f"debug replay of sample {index} (seed {config.rng_seed})"]
     result = run_sample(ctx, trace, sample, config.policy, rng, debug=lines)
     lines.append(f"flips_e1={sorted(result.flips_e1)} "

@@ -249,32 +249,31 @@ def polarity_matches(polarity, value):
     return value == (1 if polarity == "pulls-low" else 0)
 
 
-def _capture_all(ctx, row, k, t, policy, rng, debug=None):
-    """(flips_e2, window_hits) of the strike whose ``strike_row`` is ``row``,
-    started at ``t`` in cycle ``k``, at the edge ending the cycle.
+def _capture_all(ctx, reads, t, policy, rng, debug=None):
+    """SampleResult of the strike whose reads are ``reads``, started at
+    ``t``, at the edge ending its cycle.
 
-    Each disturbed flop judges its intervals as ``(t + start, t + end)``.
-    Flops are visited in circuit order, so window-random draws come in a
-    fixed order; a flop without a disturbance keeps its golden value and is
-    skipped.
+    Each disturbed flop judges its intervals as ``(t + start, t + end)``,
+    in circuit flop order, so window-random draws come in a fixed order.  A
+    strike that flips no flop and grazes none returns the reads' shared
+    undisturbed result.
     """
-    edge, masks = ctx.period, ctx.trace.net_masks
-    flips, hits = set(), 0
-    for flop in ctx.circuit.flops:
-        intervals = row.get(flop.data)
-        if intervals is None:
-            continue
-        golden_next = masks[flop.data] >> k & 1
+    settled, disturbed = reads
+    edge, profile = ctx.period, ctx.profile
+    flips, hits = [], 0
+    for flop_id, golden_next, intervals in disturbed:
         captured, hit = capture_at_edge(
-            golden_next, [(t + s, t + e) for s, e, _ in intervals], edge,
-            ctx.profile, policy, rng)
+            golden_next, [(t + s, t + e) for s, e in intervals], edge,
+            profile, policy, rng)
         hits += hit
         if captured != golden_next:
-            flips.add(flop.id)
+            flips.append(flop_id)
             if debug is not None:
-                debug.append(f"capture flop={flop.id} edge={edge:.2f} "
+                debug.append(f"capture flop={flop_id} edge={edge:.2f} "
                              f"captured={captured} golden={golden_next}")
-    return frozenset(flips), hits
+    if not flips and not hits:
+        return settled
+    return SampleResult(settled.flips_e1, frozenset(flips), hits)
 
 
 def strike_row(ctx, drain, live, debug=None):
@@ -319,25 +318,32 @@ def grid_flip_counts(ctx, row, times):
     return Counter(accumulate(diff[:-1]))
 
 
-# The result of a strike whose polarity does not match.
+# The result of a strike whose polarity does not match, and of a gate
+# strike that flips nothing.
 _EMPTY = SampleResult(frozenset(), frozenset())
 
 
-def disturb_gate(ctx, sample, policy=INSTANT, rng=None, debug=None):
-    """Inject a glitch at a gate output drain; returns the SampleResult.
+def _disturbed(ctx, row, k):
+    """Each disturbed flop's (flop id, golden next bit, intervals) for the
+    ``strike_row`` ``row`` of a strike in cycle ``k``, in circuit flop
+    order."""
+    masks = ctx.trace.net_masks
+    return tuple((flop.id, masks[flop.data] >> k & 1,
+                  tuple((s, e) for s, e, _ in row[flop.data]))
+                 for flop in ctx.circuit.flops if flop.data in row)
+
+
+def disturb_gate(ctx, drain, k, debug=None):
+    """The reads of a glitch at a gate output drain in cycle ``k``.
 
     A gate strike can never alter the register file within the strike cycle,
     so flips_e1 is structurally empty here.
     """
-    k = sample.k
-    row = strike_row(ctx, sample.drain, 1 << k, debug)
-    flips_e2, hits = _capture_all(ctx, row, k, sample.t, policy, rng, debug)
-    return SampleResult(frozenset(), flips_e2, hits)
+    return _EMPTY, _disturbed(ctx, strike_row(ctx, drain, 1 << k, debug), k)
 
 
-def disturb_register(ctx, sample, policy=INSTANT, rng=None, debug=None):
-    """Inject at a flop drain (state-node or capture-node)."""
-    drain, k = sample.drain, sample.k
+def disturb_register(ctx, drain, k, debug=None):
+    """The reads of a strike at a flop drain (state-node or capture-node)."""
     if drain.ff_node_class == "capture-node":
         # A capture-node strike corrupts the value being latched: the flop
         # captures the complement of its golden next state, which always
@@ -346,41 +352,58 @@ def disturb_register(ctx, sample, policy=INSTANT, rng=None, debug=None):
         if debug is not None:
             debug.append(f"capture flop={drain.cell} edge={ctx.period:.2f} "
                          f"captured={1 - golden} golden={golden}")
-        return SampleResult(frozenset(), frozenset([drain.cell]))
+        return SampleResult(frozenset(), frozenset([drain.cell])), ()
     row = strike_row(ctx, drain, 1 << k, debug)
-    flips_e2, hits = _capture_all(ctx, row, k, sample.t, policy, rng, debug)
-    return SampleResult(frozenset([drain.cell]), flips_e2, hits)
+    return (SampleResult(frozenset([drain.cell]), frozenset()),
+            _disturbed(ctx, row, k))
 
 
-def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None):
+def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None,
+               reads=None):
     """Run one strike end to end; returns the raw flip sets.
 
     Classification into outcome classes is the campaign's job.  ``ctx`` is
     the SimContext built once per (circuit, profile), bound here to
     ``trace`` unless it is already; ``debug`` may collect event lines.
+
+    A strike is judged in two steps.  Its *reads* do not depend on the
+    strike time: the polarity verdict, the result it has if no flop is
+    disturbed (``flips_e1`` included) and each disturbed flop's (flop id,
+    golden next bit, intervals), built by ``disturb_gate`` or
+    ``disturb_register``.  ``_capture_all`` then judges them at ``t``.  A
+    campaign may pass one dict as ``reads`` for all its strikes against one
+    trace and drain table: the reads of each ``(drain id, k)`` are kept there
+    and reused by later strikes at other times.  A debug replay builds its
+    reads afresh, so it logs every event.
     """
-    if not 0.0 <= sample.t < ctx.period:
+    drain, k, t = sample
+    if not 0.0 <= t < ctx.period:
         raise InvariantError(
-            f"strike time {sample.t} outside the clock period "
-            f"[0, {ctx.period})")
-    if not 1 <= sample.k <= trace.cycle_count - 2:
+            f"strike time {t} outside the clock period [0, {ctx.period})")
+    cached = reads is not None and debug is None
+    got = reads.get((drain.id, k)) if cached else None
+    if got is None and not 1 <= k <= trace.cycle_count - 2:
         raise InvariantError(
-            f"strike cycle {sample.k} out of range "
-            f"[1, {trace.cycle_count - 2}]")
+            f"strike cycle {k} out of range [1, {trace.cycle_count - 2}]")
     if policy.kind == "window-random" and rng is None:
         raise ConfigError("window-random policy needs an RNG stream")
-    drain = sample.drain
-    if debug is not None:
-        debug.append(f"sample drain={drain.id} class={drain.strike_class} "
-                     f"k={sample.k} t={sample.t:.2f} "
-                     f"polarity={drain.polarity}")
-    ctx = ctx if ctx.trace is trace else ctx.bind(trace)
-    value = trace.net_masks[drain.net] >> sample.k & 1
-    if not polarity_matches(drain.polarity, value):
+    if got is None:
         if debug is not None:
-            debug.append(f"polarity mismatch at {drain.id} "
-                         f"(net={drain.net} value={value})")
-        return _EMPTY
-    if drain.ff_node_class == "none":
-        return disturb_gate(ctx, sample, policy, rng, debug)
-    return disturb_register(ctx, sample, policy, rng, debug)
+            debug.append(f"sample drain={drain.id} class={drain.strike_class} "
+                         f"k={k} t={t:.2f} polarity={drain.polarity}")
+        ctx = ctx if ctx.trace is trace else ctx.bind(trace)
+        value = trace.net_masks[drain.net] >> k & 1
+        if not polarity_matches(drain.polarity, value):
+            if debug is not None:
+                debug.append(f"polarity mismatch at {drain.id} "
+                             f"(net={drain.net} value={value})")
+            got = _EMPTY, ()
+        elif drain.ff_node_class == "none":
+            got = disturb_gate(ctx, drain, k, debug)
+        else:
+            got = disturb_register(ctx, drain, k, debug)
+        if reads is not None:
+            reads[drain.id, k] = got
+    if not got[1]:
+        return got[0]
+    return _capture_all(ctx, got, t, policy, rng, debug)

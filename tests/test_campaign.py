@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,24 +24,29 @@ from seusim.campaign import (
     run_campaign,
     sample_log_text,
     sample_rng,
+    _criterion_met,
     sample_strike,
     standard_error,
-    write_sample_log,
+    strike_cycles,
 )
 from seusim.errors import ConfigError, InputError, InvariantError
 from seusim.golden import Stimulus, simulate_reference
 from seusim.injector import (
+    INSTANT,
     CapturePolicy,
     SampleResult,
     SimContext,
     StrikeSample,
+    capture_at_edge,
     polarity_matches,
     run_sample,
+    strike_row,
 )
 from seusim.netlist import parse_bench, wrap_combinational
 from seusim.techmodel import enumerate_drains, load_bundled_profile
 
-from conftest import BUNDLED_CIRCUITS, bundled_circuit, dff_sites, profile_from
+from conftest import (BUNDLED_CIRCUITS, bundled_circuit, dff_sites, multiplier_bench,
+                      profile_from)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +159,7 @@ def test_sample_strike_respects_bounds():
     table = enumerate_drains(c, p)
     period, settle = 720.0, 170.0
     for i in range(500):
-        s = sample_strike(sample_rng(9, i), table, tr, period, settle)
+        s = sample_strike(sample_rng(9, i), table, strike_cycles(tr), period, settle)
         assert s.drain in table.sites
         assert 1 <= s.k <= 5
         assert settle <= s.t < period
@@ -177,7 +183,7 @@ def test_sample_strike_single_drain_table():
     table = enumerate_drains(c, profile_from(doc))
     tr = simulate_reference(c, Stimulus.random(4, seed=1))
     for i in range(20):
-        s = sample_strike(sample_rng(3, i), table, tr, 100.0, 50.0)
+        s = sample_strike(sample_rng(3, i), table, strike_cycles(tr), 100.0, 50.0)
         assert s.drain.id == "q[0]"
 
 
@@ -369,6 +375,61 @@ def test_stopping_rule_gives_up_at_max_samples():
     stats = run_campaign(cfg, sample_runner=_bernoulli_runner(0.2))
     assert stats.stop_reason == "max-samples"
     assert stats.total_samples == 150
+
+
+def _class_bernoulli_runner(gate_prob, register_prob):
+    prob = {"gate": gate_prob, "register": register_prob}
+
+    def runner(sample, rng):
+        flips = frozenset({"q"}) if rng.random() < prob[sample.strike_class] else frozenset()
+        return SampleResult(flips_e1=frozenset(), flips_e2=flips)
+
+    return runner
+
+
+def _full_rejudgement_stop(records, min_samples, stderr_target, max_samples):
+    """(total_samples, stop_reason) of a campaign that re-judges every strike
+    class with samples by ``_criterion_met`` after every sample."""
+    n = {"gate": 0, "register": 0}
+    erroneous = {"gate": 0, "register": 0}
+    for i, rec in enumerate(records, start=1):
+        n[rec.strike_class] += 1
+        erroneous[rec.strike_class] += rec.outcome is not OutcomeClass.NN
+        if i >= min_samples and all(_criterion_met(n[s], erroneous[s], stderr_target)
+                                    for s in n if n[s]):
+            return i, "stderr-met"
+    return max_samples, "max-samples"
+
+
+@pytest.mark.parametrize("circuit", ["toy_chain", "solo"])
+@pytest.mark.parametrize("gate_prob, register_prob",
+                         [(0.0, 0.0), (0.0, 0.3), (0.3, 0.0), (0.05, 0.6), (0.5, 1.0),
+                          (0.3, 0.35), (0.6, 0.5)])
+def test_incremental_stopping_rule_matches_full_rejudgement(circuit, gate_prob, register_prob):
+    # the campaign re-judges only the class a sample changed; a full
+    # re-judgement of both classes after every sample must stop at the same
+    # index for the same reason.  A class that meets the rule at a flip can
+    # fail it again after samples that do not flip, so every sample must be
+    # re-judged.  "solo" has no gate drain, so its gate class never occurs;
+    # a 0.0 rate makes a class that never flips
+    if circuit == "solo":
+        c, p, tr = _flop_only_setup()
+    else:
+        c = bundled_circuit(circuit)
+        p = load_bundled_profile("toy-equal")
+        tr = simulate_reference(c, Stimulus.random(6, seed=2))
+    runner = _class_bernoulli_runner(gate_prob, register_prob)
+    for min_samples in (1, 40, 400):
+        for target in (0.05, 0.1, 0.2, 0.3, 0.4):
+            for seed in (1, 2, 3):
+                cfg = CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=seed,
+                                     max_samples=1500, min_samples=min_samples,
+                                     stderr_target=target)
+                stats = run_campaign(cfg, sample_runner=runner)
+                want = _full_rejudgement_stop(stats.records, min_samples, target, 1500)
+                assert (stats.total_samples, stats.stop_reason) == want, (
+                    min_samples, target, seed)
+                assert len(stats.records) == stats.total_samples
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +681,121 @@ def test_exhaustive_counts_wrong_polarity_rows_without_simulating(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the per-campaign reads table: a strike's t-independent reads are kept per
+# (drain, k) and judged again at each later strike time
+
+
+def _flop_order_reference(ctx, tr, sample, policy, rng):
+    """SampleResult of a strike judged from its ``strike_row``, flop by flop
+    in circuit order, without the reads a campaign keeps."""
+    drain, k, t = sample
+    if not polarity_matches(drain.polarity, tr.net_value(k, drain.net)):
+        return SampleResult(frozenset(), frozenset())
+    if drain.ff_node_class == "capture-node":
+        return SampleResult(frozenset(), frozenset([drain.cell]))
+    row = strike_row(ctx, drain, 1 << k)
+    flips, hits = set(), 0
+    for flop in ctx.circuit.flops:
+        golden = tr.net_value(k, flop.data)
+        captured, hit = capture_at_edge(
+            golden, [(t + s, t + e) for s, e, _ in row.get(flop.data, ())],
+            ctx.period, ctx.profile, policy, rng)
+        hits += hit
+        if captured != golden:
+            flips.add(flop.id)
+    e1 = frozenset([drain.cell]) if drain.ff_node_class == "state-node" else frozenset()
+    return SampleResult(e1, frozenset(flips), hits)
+
+
+@pytest.mark.parametrize("policy", [INSTANT, CapturePolicy("window-random", 0.5)],
+                         ids=lambda p: p.label)
+@pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like"])
+@pytest.mark.parametrize("name", BUNDLED_CIRCUITS + ("mul8",))
+def test_campaign_rows_match_cold_replays(monkeypatch, name, profile_name, policy):
+    # Every row of a campaign, whose strikes reuse the reads of earlier
+    # strikes at the same (drain, k), equals its sample replayed through
+    # run_sample on a freshly bound context: the same strike, the same flip
+    # sets and the same RNG state afterwards.  Each replay also equals a
+    # flop-by-flop judgement of its strike row, and its debug capture lines
+    # come in circuit flop order, so reads that lose that order (which
+    # decides the window-random draws and the debug text) fail too.  The
+    # bundled circuits keep the table (at most 66 drains x 18 cycles <=
+    # 2000 samples); mul8 bypasses it.
+    if name == "mul8":
+        c = wrap_combinational(parse_bench(multiplier_bench(8), name=name))
+    else:
+        c = bundled_circuit(name)
+        if not c.flops:
+            c = wrap_combinational(c)
+    p = load_bundled_profile(profile_name)
+    tr = simulate_reference(c, Stimulus.random(20, seed=3))
+    cfg = CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=11, max_samples=2000,
+                         stderr_target=1e-6, policy=policy)
+    seen = []
+
+    def recording(ctx, trace, sample, policy, rng, **kwargs):
+        result = run_sample(ctx, trace, sample, policy, rng, **kwargs)
+        seen.append((kwargs.get("reads") is not None, result, rng.getstate()))
+        return result
+
+    monkeypatch.setattr(campaign, "run_sample", recording)
+    stats = run_campaign(cfg)
+    assert len(stats.records) == len(seen) == 2000
+    assert {cached for cached, _, _ in seen} == {name != "mul8"}
+
+    ctx = SimContext.build(c, p).bind(tr)
+    table = enumerate_drains(c, p)
+    cycles = strike_cycles(tr)
+    flop_order = {flop.id: i for i, flop in enumerate(c.flops)}
+    for rec, (_, got, got_state) in zip(stats.records, seen):
+        rng = sample_rng(cfg.rng_seed, rec.index)
+        sample = sample_strike(rng, table, cycles, ctx.period, ctx.settle)
+        ref_rng = random.Random()
+        ref_rng.setstate(rng.getstate())
+        lines = []
+        want = run_sample(ctx, tr, sample, policy, rng, debug=lines)
+        where = (rec.index, sample.drain.id, sample.k)
+        captured = [line.split()[1][len("flop="):] for line in lines
+                    if line.startswith("capture flop=")]
+        assert captured == sorted(captured, key=flop_order.get), where
+        assert (rec.drain_id, rec.k, rec.t, rec.n_e1, rec.n_e2) == (
+            sample.drain.id, sample.k, sample.t, len(want.flips_e1), len(want.flips_e2)), where
+        assert got == want, where
+        assert got_state == rng.getstate(), where
+        assert _flop_order_reference(ctx, tr, sample, policy, ref_rng) == want, where
+        assert ref_rng.getstate() == got_state, where
+
+
+@pytest.mark.parametrize("max_samples, cached", [(1600, True), (1400, False)])
+def test_campaign_runs_each_strike_through_run_sample(monkeypatch, max_samples, cached):
+    # perfbench's traced run derives campaign.strike_key_reuse_ratio,
+    # campaign.gate_strike_share and injector.flip_ratio from the calls to
+    # campaign.run_sample, one per strike, and injector.pulses_at_flops from
+    # the calls to injector._propagate.  s27 has 32 drains; at 50 cycles its
+    # 32 x 48 = 1536 keys fit in 1600 samples, so a key's reads are stored
+    # and _propagate runs once per matching gate or state-node key.  At
+    # 1400 samples the table is bypassed and every matching gate or
+    # state-node strike propagates.
+    c = bundled_circuit("s27")
+    p = load_bundled_profile("65nm-like")
+    tr = simulate_reference(c, Stimulus.random(50, seed=1))
+    cfg = CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=1,
+                         max_samples=max_samples, stderr_target=1e-6)
+    calls = _count_row_simulations(monkeypatch)
+    stats = run_campaign(cfg)
+    assert stats.total_samples == max_samples
+    assert calls["run_sample"] == max_samples
+    sites = {d.id: d for d in enumerate_drains(c, p).sites}
+    propagating = [(rec.drain_id, rec.k) for rec in stats.records
+                   if sites[rec.drain_id].ff_node_class != "capture-node"
+                   and polarity_matches(sites[rec.drain_id].polarity,
+                                        tr.net_value(rec.k, sites[rec.drain_id].net))]
+    want = len(set(propagating)) if cached else len(propagating)
+    assert calls["_propagate"] == want
+    assert len(set(propagating)) < len(propagating)
+
+
+# ---------------------------------------------------------------------------
 # the sample log
 
 
@@ -636,9 +812,7 @@ def test_sample_log_round_trip(small_campaign):
 
 def test_sample_log_preserves_float_precision(small_campaign):
     _, stats = small_campaign
-    buf = io.StringIO()
-    write_sample_log(stats.records, buf)
-    rows = read_sample_log(io.StringIO(buf.getvalue()))
+    rows = read_sample_log(io.StringIO(sample_log_text(stats.records)))
     assert all(a.t == b.t for a, b in zip(rows, stats.records))
 
 
