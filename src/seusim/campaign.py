@@ -15,11 +15,12 @@ inputs and the seed.
 
 import csv
 import enum
-import hashlib
-import io
 import math
 import random
+# hashlib.blake2b itself, without the OpenSSL that importing hashlib loads
+from _blake2 import blake2b
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import ConfigError, InputError, InvariantError
@@ -109,7 +110,7 @@ class Ratio:
 
 def _seed_key(seed):
     """BLAKE2b state keyed by a campaign seed; see ``_stable_stream``."""
-    return hashlib.blake2b(
+    return blake2b(
         digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
 
 
@@ -469,12 +470,6 @@ LOG_COLUMNS = ("sample_index", "drain", "strike_class", "k", "t",
                "flips_e1", "flips_e2", "outcome")
 
 
-def _csv_line(fields):
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
-
-
 def sample_log_text(records):
     """The sample log of ``records`` as csv text, one line per record.
 
@@ -482,13 +477,17 @@ def sample_log_text(records):
     (drain id, strike class) pair is quoted once, by the csv module; the
     numbers, ``repr(t)`` and the outcome label never need it.
     """
+    # writerow returns what its file's write returns, and str returns its
+    # argument: one writer formats every line
+    csv_line = csv.writer(SimpleNamespace(write=str),
+                          lineterminator="\n").writerow
     prefixes = {}
-    lines = [_csv_line(LOG_COLUMNS)]
+    lines = [csv_line(LOG_COLUMNS)]
     for index, drain_id, sclass, k, t, n_e1, n_e2, outcome in records:
         prefix = prefixes.get((drain_id, sclass))
         if prefix is None:
-            prefix = prefixes[drain_id, sclass] = _csv_line(
-                [drain_id, sclass])[:-1]
+            prefix = prefixes[drain_id, sclass] = csv_line(
+                (drain_id, sclass))[:-1]
         lines.append(f"{index},{prefix},{k},{t!r},{n_e1},{n_e2},"
                      f"{outcome._value_}\n")
     return "".join(lines)

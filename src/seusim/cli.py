@@ -545,74 +545,100 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser():
-    parser = _Parser(prog="seusim",
-                     description="gate-level strike injection campaigns")
-    sub = parser.add_subparsers(dest="command", required=True)
+_CIRCUIT = ("--circuit", {"required": True, "help": ".bench netlist file"})
+_CAMPAIGN_INPUTS = (
+    _CIRCUIT,
+    ("--tech", {"required": True,
+                "help": "profile JSON path or bundled name "
+                        "(180nm-like, 65nm-like, ...)"}),
+    ("--stimulus", {"required": True,
+                    "help": "stimulus file or random:<cycles>:<seed>"}),
+    ("--seed", {"type": int, "default": 1}),
+    ("--max-samples", {"type": int, "default": 200_000}),
+    ("--min-samples", {"type": int, "default": 100}),
+    ("--stderr-target", {"type": float, "default": 0.10}),
+    ("--capture-policy", {"default": "instant",
+                          "help": "instant or window-random:<p>"}),
+    ("--out", {"required": True, "help": "output directory"}),
+)
 
-    def add_circuit(p):
-        p.add_argument("--circuit", required=True,
-                       help=".bench netlist file")
+# Every subcommand: name -> (help line, handler, (option, add_argument
+# keywords), ...), in the order the full parser lists them.
+_COMMANDS = {
+    "validate": ("check a netlist", cmd_validate, (_CIRCUIT,)),
+    "golden": ("fault-free reference run", cmd_golden, (
+        _CIRCUIT,
+        ("--stimulus", {"required": True}),
+        ("--out", {"required": True}),
+    )),
+    "campaign": ("Monte Carlo strike campaign", cmd_campaign, (
+        *_CAMPAIGN_INPUTS,
+        ("--workers", {"type": int, "default": 1,
+                       "help": "accepted for compatibility and ignored: "
+                               "campaigns run in one thread, and the value "
+                               "never changes the results"}),
+        ("--debug-sample", {"type": int, "default": None, "metavar": "INDEX",
+                            "help": "also write an event-by-event replay of "
+                                    "one sample"}),
+    )),
+    "oracle": ("exhaustive grid enumeration", cmd_oracle, (
+        *_CAMPAIGN_INPUTS,
+        ("--t-grid", {"type": int, "default": 200,
+                      "help": "uniform strike-time grid points per cycle"}),
+    )),
+    "report": ("render stats to CSV + text", cmd_report, (
+        ("--stats", {"required": True,
+                     "help": "stats.json from a campaign"}),
+        ("--log", {"help": "samples.csv raw log"}),
+        ("--oracle", {"help": "oracle_stats.json to compare against"}),
+        ("--recompute", {"action": "store_true",
+                         "help": "recompute statistics from the raw log and "
+                                 "require an exact match"}),
+        ("--paper-columns", {"action": "store_true",
+                             "help": "project outcome tables to "
+                                     "NN/NF/FN/FF"}),
+        ("--out", {"required": True}),
+    )),
+}
 
-    def add_campaign_inputs(p):
-        add_circuit(p)
-        p.add_argument("--tech", required=True,
-                       help="profile JSON path or bundled name "
-                            "(180nm-like, 65nm-like, ...)")
-        p.add_argument("--stimulus", required=True,
-                       help="stimulus file or random:<cycles>:<seed>")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--max-samples", type=int, default=200_000)
-        p.add_argument("--min-samples", type=int, default=100)
-        p.add_argument("--stderr-target", type=float, default=0.10)
-        p.add_argument("--capture-policy", default="instant",
-                       help="instant or window-random:<p>")
-        p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("validate", help="check a netlist")
-    add_circuit(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("golden", help="fault-free reference run")
-    add_circuit(p)
-    p.add_argument("--stimulus", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_golden)
-
-    p = sub.add_parser("campaign", help="Monte Carlo strike campaign")
-    add_campaign_inputs(p)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility and ignored: campaigns "
-                        "run in one thread, and the value never changes "
-                        "the results")
-    p.add_argument("--debug-sample", type=int, default=None, metavar="INDEX",
-                   help="also write an event-by-event replay of one sample")
-    p.set_defaults(func=cmd_campaign)
-
-    p = sub.add_parser("oracle", help="exhaustive grid enumeration")
-    add_campaign_inputs(p)
-    p.add_argument("--t-grid", type=int, default=200,
-                   help="uniform strike-time grid points per cycle")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("report", help="render stats to CSV + text")
-    p.add_argument("--stats", required=True, help="stats.json from a campaign")
-    p.add_argument("--log", help="samples.csv raw log")
-    p.add_argument("--oracle", help="oracle_stats.json to compare against")
-    p.add_argument("--recompute", action="store_true",
-                   help="recompute statistics from the raw log and require "
-                        "an exact match")
-    p.add_argument("--paper-columns", action="store_true",
-                   help="project outcome tables to NN/NF/FN/FF")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
+def _add_command(parser, name):
+    """Declare subcommand ``name``'s options and handler on ``parser``."""
+    _, func, options = _COMMANDS[name]
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(command=name, func=func)
     return parser
 
 
+def build_parser():
+    """The full parser, every subcommand included."""
+    parser = _Parser(prog="seusim",
+                     description="gate-level strike injection campaigns")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
+    return parser
+
+
+def parse_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns.
+
+    When ``argv`` starts with a subcommand, only that subcommand's parser
+    is built, from the table and under the prog the full parser gives it,
+    so its help, errors and exit codes are the full parser's.
+    """
+    if argv and argv[0] in _COMMANDS:
+        return _add_command(_Parser(prog=f"seusim {argv[0]}"),
+                            argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         return args.func(args)
     except InvariantError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)

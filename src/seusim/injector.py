@@ -110,10 +110,12 @@ class SimContext:
     profile: object
     period: float
     settle: float
-    # set by ``bind``: the trace, and net -> ((gate id, output net, delay
-    # ps, pass mask), ...) in ``circuit.gate_fanout`` order
+    # set by ``bind``: the trace, net -> ((gate id, output net, delay ps,
+    # pass mask), ...) in ``circuit.gate_fanout`` order, and data net ->
+    # [(flop position, flop id, data net), ...] in circuit flop order
     trace: object = None
     passes: dict = None
+    latches: dict = None
 
     @classmethod
     def build(cls, circuit, profile):
@@ -143,7 +145,10 @@ class SimContext:
 
         passes = {net: tuple(entry(net, g) for g in gates)
                   for net, gates in self.circuit.gate_fanout.items()}
-        return replace(self, trace=trace, passes=passes)
+        latches = {}
+        for pos, flop in enumerate(self.circuit.flops):
+            latches.setdefault(flop.data, []).append((pos, flop.id, flop.data))
+        return replace(self, trace=trace, passes=passes, latches=latches)
 
 
 def capture_at_edge(golden, intervals, edge, profile, policy=INSTANT,
@@ -327,10 +332,11 @@ def _disturbed(ctx, row, k):
     """Each disturbed flop's (flop id, golden next bit, intervals) for the
     ``strike_row`` ``row`` of a strike in cycle ``k``, in circuit flop
     order."""
-    masks = ctx.trace.net_masks
-    return tuple((flop.id, masks[flop.data] >> k & 1,
-                  tuple((s, e) for s, e, _ in row[flop.data]))
-                 for flop in ctx.circuit.flops if flop.data in row)
+    masks, latches = ctx.trace.net_masks, ctx.latches
+    return tuple((flop_id, masks[net] >> k & 1,
+                  tuple((s, e) for s, e, _ in row[net]))
+                 for _, flop_id, net in sorted(
+                     hit for net in row for hit in latches[net]))
 
 
 def disturb_gate(ctx, drain, k, debug=None):

@@ -15,7 +15,7 @@ other mention is a reference and must resolve.
 """
 
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -179,6 +179,7 @@ _DECL_RE = re.compile(r"(INPUT|OUTPUT)\s*\(\s*([^\s(),=#]+)\s*\)\s*$")
 _ASSIGN_RE = re.compile(
     r"([^\s(),=#]+)\s*=\s*([A-Za-z]+)\s*\(\s*([^()#]*?)\s*\)\s*$"
 )
+_BAD_ARG_RE = re.compile(r"[\s(),=#]")
 
 
 def parse_bench(text, name="bench"):
@@ -190,17 +191,18 @@ def parse_bench(text, name="bench"):
     """
     pis, pos, gates, flops = [], [], [], []
     declared = {}          # net -> (line, col) of its driver declaration
-    refs = []              # (net, line, col, what)
+    refs = []              # (net, line, col, gate it feeds or None: OUTPUT)
     dup_errors = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        # both patterns end in \s*$, so they match the left-stripped line
+        body = line.lstrip()
+        if not body:
             continue
-        stripped = line.strip()
-        col0 = line.index(stripped[0]) + 1
+        col0 = len(line) - len(body) + 1
 
-        m = _DECL_RE.match(stripped)
+        m = _DECL_RE.match(body)
         if m:
             kw, net = m.group(1), m.group(2)
             if kw == "INPUT":
@@ -213,10 +215,10 @@ def parse_bench(text, name="bench"):
                 pis.append(net)
             else:
                 pos.append(net)
-                refs.append((net, lineno, col0, "output declaration"))
+                refs.append((net, lineno, col0, None))
             continue
 
-        m = _ASSIGN_RE.match(stripped)
+        m = _ASSIGN_RE.match(body)
         if m:
             target, kind_raw, argtext = m.group(1), m.group(2), m.group(3)
             kind = kind_raw.upper()
@@ -230,10 +232,10 @@ def parse_bench(text, name="bench"):
                     f"empty argument list for '{target}'", lineno,
                     col0 + m.start(3))
             for a in args:
-                if re.search(r"[\s(),=#]", a):
+                if _BAD_ARG_RE.search(a):
                     raise BenchParseError(
                         f"malformed argument '{a}'", lineno, col0 + m.start(3))
-                refs.append((a, lineno, col0, f"input of '{target}'"))
+                refs.append((a, lineno, col0, target))
             if net_dup := declared.get(target):
                 dup_errors.append(
                     ("duplicate-driver",
@@ -251,11 +253,14 @@ def parse_bench(text, name="bench"):
                                   inputs=tuple(args), output=target))
             continue
 
-        raise BenchParseError(f"cannot parse line: '{stripped}'", lineno, col0)
+        raise BenchParseError(f"cannot parse line: '{body.rstrip()}'",
+                              lineno, col0)
 
     errors = list(dup_errors)
-    for net, lineno, col, what in refs:
+    for net, lineno, col, target in refs:
         if net not in declared:
+            what = ("output declaration" if target is None
+                    else f"input of '{target}'")
             errors.append(
                 ("undeclared-net",
                  f"reference to undeclared net '{net}' in {what}",
@@ -297,30 +302,31 @@ def validate(circuit):
     gate kinds, and combinational cycles.
     """
     diags = Diagnostics()
-    drivers = {}
-    for pi in circuit.primary_inputs:
-        drivers.setdefault(pi, []).append("primary input")
-    for g in circuit.gates:
-        drivers.setdefault(g.output, []).append(f"gate '{g.id}'")
-    for f in circuit.flops:
-        drivers.setdefault(f.output, []).append(f"flop '{f.id}'")
+    pis, gates, flops = circuit.primary_inputs, circuit.gates, circuit.flops
+    # net -> number of driving cells; the cells are named only on error
+    drivers = Counter(pis)
+    drivers.update(g.output for g in gates)
+    drivers.update(f.output for f in flops)
 
-    for net, who in drivers.items():
-        if len(who) > 1:
+    for net, count in drivers.items():
+        if count > 1:
+            who = (["primary input"] * pis.count(net)
+                   + [f"gate '{g.id}'" for g in gates if g.output == net]
+                   + [f"flop '{f.id}'" for f in flops if f.output == net])
             diags.errors.append(Diagnostic(
                 "duplicate-driver",
-                f"net '{net}' driven by {len(who)} cells: {', '.join(who)}"))
-    for net in circuit.nets:
+                f"net '{net}' driven by {count} cells: {', '.join(who)}"))
+    nets = circuit.nets
+    for net in nets:
         if net not in drivers:
             diags.errors.append(Diagnostic(
                 "undriven-net", f"net '{net}' has no driver"))
 
-    def check_ref(net, what):
-        if net not in circuit.nets:
-            diags.errors.append(Diagnostic(
-                "dangling-ref", f"{what} references undeclared net '{net}'"))
+    def dangling(net, what):
+        diags.errors.append(Diagnostic(
+            "dangling-ref", f"{what} references undeclared net '{net}'"))
 
-    for g in circuit.gates:
+    for g in gates:
         if g.kind not in GATE_KINDS:
             diags.errors.append(Diagnostic(
                 "unknown-kind", f"gate '{g.id}' has unknown kind '{g.kind}'"))
@@ -332,13 +338,15 @@ def validate(circuit):
                 "bad-fanin",
                 f"{g.kind} gate '{g.id}' must have exactly 1 input, "
                 f"has {len(g.inputs)}"))
-        for n in g.inputs:
-            check_ref(n, f"gate '{g.id}'")
-        check_ref(g.output, f"gate '{g.id}'")
-    for f in circuit.flops:
-        check_ref(f.data, f"flop '{f.id}'")
+        for n in (*g.inputs, g.output):
+            if n not in nets:
+                dangling(n, f"gate '{g.id}'")
+    for f in flops:
+        if f.data not in nets:
+            dangling(f.data, f"flop '{f.id}'")
     for n in circuit.primary_outputs:
-        check_ref(n, "output declaration")
+        if n not in nets:
+            dangling(n, "output declaration")
 
     seen_po = set()
     for n in circuit.primary_outputs:

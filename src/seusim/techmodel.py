@@ -287,10 +287,13 @@ def _arrivals(circuit, profile, pi_offset, flop_offset):
     arrival = {n: pi_offset for n in circuit.primary_inputs}
     for f in circuit.flops:
         arrival[f.output] = flop_offset
-    gate_by_id = circuit.gate_by_id
+    gate_by_id, delays = circuit.gate_by_id, profile.gate_delay
     for gid in circuit.gate_order:
         g = gate_by_id[gid]
-        d = profile.delay(g.kind, len(g.inputs))
+        try:
+            d = delays[g.kind, len(g.inputs)]
+        except KeyError:
+            d = profile.delay(g.kind, len(g.inputs))  # raises ProfileError
         arrival[g.output] = max(map(arrival.__getitem__, g.inputs)) + d
     return arrival
 

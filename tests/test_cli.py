@@ -8,14 +8,17 @@ import hashlib
 import io
 import json
 import math
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seusim import cli
+from seusim import campaign, cli
 from seusim.campaign import (LOG_COLUMNS, CampaignConfig, ClassStats, OutcomeClass,
                              read_sample_log, recompute_from_log, run_campaign)
 from seusim.errors import InputError
@@ -96,6 +99,120 @@ def test_usage_errors_exit_one(bench_dir):
     assert err.startswith("error:usage:")
     code, _, err = run_cli(["campaign", "--circuit", str(bench_dir / "toy_chain.bench")])
     assert code == 1  # --tech and --stimulus are required
+
+
+# Each subcommand with one valid argv of every option it takes.
+_VALID_ARGV = {
+    "validate": ["validate", "--circuit", "c.bench"],
+    "golden": ["golden", "--circuit", "c.bench", "--stimulus", "random:6:2",
+               "--out", "o"],
+    "campaign": ["campaign", "--circuit", "c.bench", "--tech", "65nm-like",
+                 "--stimulus", "random:6:2", "--seed", "-3",
+                 "--max-samples", "300", "--min-samples", "50",
+                 "--stderr-target", "0.05", "--capture-policy",
+                 "window-random:0.5", "--workers", "2", "--debug-sample", "7",
+                 "--out", "o"],
+    "oracle": ["oracle", "--circuit", "c.bench", "--tech", "65nm-like",
+               "--stimulus", "random:6:2", "--seed", "4", "--max-samples",
+               "9", "--t-grid", "5", "--out", "o"],
+    "report": ["report", "--stats", "s.json", "--log", "s.csv", "--oracle",
+               "o.json", "--recompute", "--paper-columns", "--out", "o"],
+}
+
+
+def _parser_cases():
+    """{test id: argv} of every argv the parsers are compared on."""
+    cases = {"empty": [], "help": ["-h"], "unknown-command": ["bogus"]}
+    for name, argv in _VALID_ARGV.items():
+        cases[f"{name}-help"] = [name, "-h"]
+        cases[f"{name}-valid"] = argv
+        # the first option is required by every subcommand
+        cases[f"{name}-missing-{argv[1]}"] = [name, *argv[3:]]
+        for flag in ("--seed", "--t-grid", "--max-samples"):
+            if flag in argv:
+                cases[f"{name}-non-integer-{flag}"] = argv + [flag, "1.5"]
+        cases[f"{name}-unknown-option"] = argv + ["--bogus"]
+        cases[f"{name}-stray-positional"] = argv + ["stray"]
+    return cases
+
+
+_PARSER_CASES = _parser_cases()
+
+
+def _parsed(parse, argv):
+    """(namespace or exit code, stdout, stderr) of one parse of ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _no_full_parser():
+    raise AssertionError("built the full parser for a named subcommand")
+
+
+@pytest.mark.parametrize("argv", list(_PARSER_CASES.values()),
+                         ids=list(_PARSER_CASES))
+def test_command_parser_matches_the_full_parser(monkeypatch, argv):
+    # same help, usage errors, exit codes and namespace as the parser of
+    # every subcommand, which a named subcommand never builds
+    expected = _parsed(cli.build_parser().parse_args, argv)
+    if argv and argv[0] in _VALID_ARGV:
+        monkeypatch.setattr(cli, "build_parser", _no_full_parser)
+    assert _parsed(cli.parse_args, argv) == expected
+    assert expected[0] in (0, 1) or argv == _VALID_ARGV[argv[0]]
+
+
+def test_main_parses_a_command_without_the_full_parser(bench_dir, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", _no_full_parser)
+    code, out, _ = run_cli(["validate", "--circuit",
+                            str(bench_dir / "toy_chain.bench")])
+    assert (code, out.splitlines()[-1]) == (0, "ok")
+
+
+# Runs every subcommand on s27 through seusim.cli.main in a fresh
+# interpreter, then names the OpenSSL-backed modules it loaded.
+_OPENSSL_PROBE = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+before = {"hashlib", "_hashlib"} & set(sys.modules)
+from seusim.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps([sorted(before), codes,
+                  sorted({"hashlib", "_hashlib"} & set(sys.modules))]))
+"""
+
+
+def test_commands_never_load_openssl(tmp_path):
+    bench = tmp_path / "s27.bench"
+    bench.write_text(bundled_bench_text("s27"))
+    mc, orc = tmp_path / "mc", tmp_path / "orc"
+    common = ["--circuit", str(bench), "--tech", "65nm-like",
+              "--stimulus", "random:6:2", "--seed", "5"]
+    commands = [
+        ["campaign", *common, "--max-samples", "300", "--min-samples", "50",
+         "--debug-sample", "146", "--out", str(mc)],
+        ["oracle", *common, "--t-grid", "5", "--out", str(orc)],
+        ["report", "--stats", str(mc / "stats.json"), "--log",
+         str(mc / "samples.csv"), "--recompute", "--out", str(tmp_path / "r")],
+        ["golden", "--circuit", str(bench), "--stimulus", "random:6:2",
+         "--out", str(tmp_path / "g")],
+        ["validate", "--circuit", str(bench)],
+    ]
+    src = Path(cli.__file__).resolve().parents[1]
+    # -S: no site hook runs, so only what seusim imports is counted
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _OPENSSL_PROBE, str(src),
+         json.dumps(commands)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    before, codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert (before, codes, loaded) == ([], [0] * len(commands), [])
+    # the stream seeds still hash with hashlib's own BLAKE2b
+    assert campaign.blake2b is hashlib.blake2b
 
 
 @pytest.fixture(scope="module")
