@@ -505,15 +505,14 @@ def read_sample_log(fh):
                 continue
             try:
                 idx, drain, sclass, k, t, n1, n2, outcome = row
-                rec = SampleRecord(
-                    index=int(idx), drain_id=drain, strike_class=sclass,
-                    k=int(k), t=float(t), n_e1=int(n1), n_e2=int(n2),
-                    outcome=_BY_LABEL[outcome])
+                idx, k, t = int(idx), int(k), float(t)
                 # no campaign draws a negative index, a cycle before 1 or
                 # a non-finite time
-                if rec.index < 0 or rec.k < 1 or not math.isfinite(rec.t):
+                if idx < 0 or k < 1 or not math.isfinite(t):
                     raise ValueError
-                records.append(rec)
+                records.append(_new_record(SampleRecord, (
+                    idx, drain, sclass, k, t, int(n1), int(n2),
+                    _BY_LABEL[outcome])))
             except (ValueError, KeyError):
                 raise InputError(f"sample log line {reader.line_num}: "
                                  f"malformed row {row}") from None

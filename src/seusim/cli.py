@@ -621,16 +621,55 @@ def build_parser():
     return parser
 
 
+def _parse_plain(name, tokens):
+    """Subcommand ``name``'s namespace for ``tokens``, read from the table.
+
+    Reads only the subcommand's own ``--flag value`` pairs and
+    ``store_true`` flags, each given once, every value converted by its
+    type and not starting with ``-``, every required flag present; any
+    other command line gives None, for argparse to read.
+    """
+    _, func, options = _COMMANDS[name]
+    table, given, tokens = dict(options), {}, iter(tokens)
+    for flag in tokens:
+        kwargs = table.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as a flag
+        if value.startswith("-"):
+            return None
+        try:
+            given[flag] = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+    args = argparse.Namespace(command=name, func=func)
+    for flag, kwargs in options:
+        if kwargs.get("required") and flag not in given:
+            return None
+        store_true = kwargs.get("action") == "store_true"
+        setattr(args, flag[2:].replace("-", "_"), given.get(
+            flag, False if store_true else kwargs.get("default")))
+    return args
+
+
 def parse_args(argv):
     """The namespace ``build_parser().parse_args(argv)`` returns.
 
-    When ``argv`` starts with a subcommand, only that subcommand's parser
-    is built, from the table and under the prog the full parser gives it,
-    so its help, errors and exit codes are the full parser's.
+    A well-formed subcommand line is read from the table and builds no
+    parser; any other one after a subcommand builds only that
+    subcommand's parser, under the prog the full parser gives it.
+    argparse alone prints help and usage errors and sets their exit
+    codes, so nothing a user sees differs from the full parser.
     """
     if argv and argv[0] in _COMMANDS:
-        return _add_command(_Parser(prog=f"seusim {argv[0]}"),
-                            argv[0]).parse_args(argv[1:])
+        args = _parse_plain(argv[0], argv[1:])
+        if args is None:
+            args = _add_command(_Parser(prog=f"seusim {argv[0]}"),
+                                argv[0]).parse_args(argv[1:])
+        return args
     return build_parser().parse_args(argv)
 
 

@@ -246,27 +246,31 @@ def enumerate_drains(circuit, profile):
     ``DrainSite``); cumulative weights are normalized so the table can be
     sampled area-proportionally.
     """
+    spec, new_site = profile.drain_spec, tuple.__new__
     sites = []
     gate_area = flop_area = 0.0
     for g in circuit.gates:
-        templates = profile.drain_spec.get(g.kind)
+        templates = spec.get(g.kind)
         if not templates:
             raise ProfileError(
                 f"profile '{profile.node_label}' has no drain sites for "
                 f"gate kind '{g.kind}'")
+        gid, net = g.id, g.output
         for i, tpl in enumerate(templates):
-            sites.append(DrainSite(f"{g.id}[{i}]", g.id, g.output, tpl.area,
-                                   tpl.polarity, tpl.ff_node_class))
+            sites.append(new_site(DrainSite, (
+                f"{gid}[{i}]", gid, net, tpl.area, tpl.polarity,
+                tpl.ff_node_class)))
             gate_area += tpl.area
-    templates = profile.drain_spec.get("DFF")
+    templates = spec.get("DFF")
     if circuit.flops and not templates:
         raise ProfileError(
             f"profile '{profile.node_label}' has no drain sites for DFF")
     for f in circuit.flops:
         for i, tpl in enumerate(templates):
             net = f.data if tpl.ff_node_class == "capture-node" else f.output
-            sites.append(DrainSite(f"{f.id}[{i}]", f.id, net, tpl.area,
-                                   tpl.polarity, tpl.ff_node_class))
+            sites.append(new_site(DrainSite, (
+                f"{f.id}[{i}]", f.id, net, tpl.area, tpl.polarity,
+                tpl.ff_node_class)))
             flop_area += tpl.area
 
     if not sites:

@@ -173,16 +173,79 @@ def test_main_parses_a_command_without_the_full_parser(bench_dir, monkeypatch):
     assert (code, out.splitlines()[-1]) == (0, "ok")
 
 
+# Tokens a command line is drawn from besides a subcommand's own flags:
+# plain values, values argparse reads differently or rejects, and options
+# that are not the table's.
+_ARGV_TOKENS = ["7", "-3", "1.5", "1e-6", "x", "", "-h", "--", "--seed=4",
+                "--circ", "--bogus"]
+
+
+def _drawn_argv(name):
+    """Command lines for subcommand ``name``: its required flags (each
+    with a value) or not, plus flag-value pairs and single tokens, repeats
+    included, in any order."""
+    options = cli._COMMANDS[name][2]
+    flags = [flag for flag, _ in options]
+    required = [[flag, "x"] for flag, kwargs in options
+                if kwargs.get("required")]
+    pair = st.tuples(st.sampled_from(flags), st.sampled_from(_ARGV_TOKENS))
+    single = st.sampled_from(flags + _ARGV_TOKENS).map(lambda t: [t])
+    items = st.tuples(st.booleans(),
+                      st.lists(st.one_of(pair.map(list), single), max_size=5))
+    return items.flatmap(
+        lambda drawn: st.permutations((required if drawn[0] else [])
+                                      + drawn[1])
+    ).map(lambda items: [token for item in items for token in item])
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_plain_parse_matches_argparse(name, data):
+    # a command line read from the table gives argparse's namespace, and
+    # every other one still gets argparse's help, error and exit code
+    tokens = data.draw(_drawn_argv(name))
+    plain = cli._parse_plain(name, tokens)
+    if plain is not None:
+        command = cli._add_command(cli._Parser(prog=f"seusim {name}"), name)
+        assert _parsed(command.parse_args, tokens) == (vars(plain), "", "")
+    assert (_parsed(cli.parse_args, [name, *tokens])
+            == _parsed(cli.build_parser().parse_args, [name, *tokens]))
+
+
+def _no_parser(*args, **kwargs):
+    raise AssertionError("built an argparse parser for a well-formed command")
+
+
+def test_well_formed_commands_build_no_parser(bench_dir, tmp_path, monkeypatch):
+    # the argv shapes perfbench runs are read from the option table
+    monkeypatch.setattr(cli, "_Parser", _no_parser)
+    common = ["--circuit", str(bench_dir / "c17.bench"), "--tech",
+              "toy-equal", "--stimulus", "random:6:2", "--seed", "5",
+              "--max-samples", "200", "--stderr-target", "1e-6"]
+    mc = tmp_path / "mc"
+    commands = [
+        ["campaign", *common, "--capture-policy", "window-random:0.5",
+         "--workers", "2", "--out", str(mc)],
+        ["report", "--stats", str(mc / "stats.json"), "--log",
+         str(mc / "samples.csv"), "--recompute", "--out", str(tmp_path / "r")],
+        ["oracle", *common, "--t-grid", "5", "--out", str(tmp_path / "o")],
+    ]
+    assert [run_cli(argv)[0] for argv in commands] == [0, 0, 0]
+
+
 # Runs every subcommand on s27 through seusim.cli.main in a fresh
-# interpreter, then names the OpenSSL-backed modules it loaded.
+# interpreter, then names the modules it loaded that no command needs:
+# OpenSSL's hashlib backend, and the locale module argparse's first
+# message lookup imports.
 _OPENSSL_PROBE = """\
 import json, sys
 sys.path.insert(0, sys.argv[1])
-before = {"hashlib", "_hashlib"} & set(sys.modules)
+unneeded = {"hashlib", "_hashlib", "locale"}
+before = unneeded & set(sys.modules)
 from seusim.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[2])]
-print(json.dumps([sorted(before), codes,
-                  sorted({"hashlib", "_hashlib"} & set(sys.modules))]))
+print(json.dumps([sorted(before), codes, sorted(unneeded & set(sys.modules))]))
 """
 
 
