@@ -357,7 +357,7 @@ def run_campaign(config, sample_runner=None):
         reseed(_stable_stream(keyed, i))
         sample = sample_strike(rng, table, cycles, period, settle)
         if sample_runner is None:
-            result = run_sample(ctx, trace, sample, policy, rng, reads=reads)
+            result = run_sample(ctx, sample, policy, rng, reads=reads)
         else:
             result = sample_runner(sample, rng)
         n_e1, n_e2 = len(result.flips_e1), len(result.flips_e2)
@@ -428,8 +428,7 @@ def exhaustive_campaign(config, t_grid):
         drain_counts[0] = (len(k_values) - n_live) * t_grid  # NN
         if n_live and drain.ff_node_class == "capture-node":
             k = (live & -live).bit_length() - 1  # first live cycle
-            result = run_sample(
-                ctx, trace, StrikeSample(drain=drain, k=k, t=times[0]))
+            result = run_sample(ctx, StrikeSample(drain, k, times[0]))
             drain_counts[_outcome_index(*result.flip_counts)] += (
                 n_live * t_grid)
         elif n_live:

@@ -80,17 +80,23 @@ def _load_stimulus(spec):
     return parse_stimulus("".join(_read_lines(spec, "stimulus")))
 
 
+def _load_valid_circuit(path):
+    """The circuit at ``path``; InvariantError if it fails validation."""
+    circuit = _load_circuit(path)
+    diags = validate(circuit)
+    if not diags.ok:
+        raise InvariantError(
+            f"circuit '{circuit.name}' fails validation: {diags.errors[0]}")
+    return circuit
+
+
 def _prepare_sequential(args):
     """Load circuit/profile/trace for campaign-style commands.
 
     A flop-free circuit is wrapped with boundary registers first (there is
     nothing to observe otherwise); the stats record that this happened.
     """
-    circuit = _load_circuit(args.circuit)
-    diags = validate(circuit)
-    if not diags.ok:
-        raise InvariantError(
-            f"circuit '{circuit.name}' fails validation: {diags.errors[0]}")
+    circuit = _load_valid_circuit(args.circuit)
     wrapped = False
     if not circuit.flops:
         circuit = wrap_combinational(circuit)
@@ -104,15 +110,17 @@ def _prepare_sequential(args):
 # --- stats (de)serialization ------------------------------------------------
 
 # The value kinds a stats document may hold, by the name its errors use.
-# Types are matched exactly, so a bool is not an integer or a number.
+# Types are matched exactly, so a bool is not an integer or a number.  A
+# probability lies in [0, 1]; a stderr is a number >= 0.
 _KINDS = {
     "string": lambda v: type(v) is str,
     "integer": lambda v: type(v) is int,
     "number": is_finite_number,
-    "number-or-null": lambda v: v is None or is_finite_number(v),
+    "stderr-or-null": lambda v: v is None or (is_finite_number(v) and v >= 0),
     "boolean": lambda v: type(v) is bool,
-    "object-of-numbers": lambda v: type(v) is dict and all(
-        map(is_finite_number, v.values())),
+    "probability": lambda v: is_finite_number(v) and 0.0 <= v <= 1.0,
+    "object-of-probabilities": lambda v: type(v) is dict and all(
+        map(_KINDS["probability"], v.values())),
 }
 
 # (JSON key, CampaignStats attribute, value kind) for every top-level
@@ -131,13 +139,13 @@ _STATS_FIELDS = (
     ("stop_reason", "stop_reason", "string"),
     ("total_samples", "total_samples", "integer"),
     ("wrapped", "wrapped", "boolean"),
-    ("class_share", "class_share", "object-of-numbers"),
+    ("class_share", "class_share", "object-of-probabilities"),
 )
 _METRIC_FIELDS = (("P_m", "p_m"), ("P_GM", "p_gm"), ("P_RM", "p_rm"))
 # ClassStats tables keyed by outcome class, serialized by outcome label,
 # with the kind of their values (a class without samples has no stderr).
-_CLASS_TABLES = (("counts", "integer"), ("probs", "number"),
-                 ("stderrs", "number-or-null"))
+_CLASS_TABLES = (("counts", "integer"), ("probs", "probability"),
+                 ("stderrs", "stderr-or-null"))
 
 
 def _metrics(stats):
@@ -168,10 +176,11 @@ def _typed(value, kind, what):
 def stats_from_dict(doc):
     """Rebuild CampaignStats (without records) from a stats.json document.
 
-    Raises InputError when a field is missing or of the wrong kind, the
-    layout or the set of strike classes is wrong, a class has a negative
-    count or counts that do not sum to its n, or a metric is not
-    ``0 <= num <= den``.
+    Raises InputError when a field is missing or of the wrong kind (a
+    probability outside [0, 1] or a negative stderr), the layout or the
+    set of strike classes is wrong, a class has a negative count or counts
+    that do not sum to its n, the ns do not sum to ``total_samples``, or a
+    metric is not ``0 <= num <= den``.
     """
     try:
         fields = {attr: _typed(doc[key], kind, key)
@@ -199,6 +208,9 @@ def stats_from_dict(doc):
                 raise InputError(
                     f"stats document class {name} needs non-negative counts "
                     f"that sum to its n ({cs.n})")
+        if fields["total_samples"] != sum(c.n for c in per_class.values()):
+            raise InputError(f"stats document total_samples is not the sum "
+                             f"of the class ns: {fields['total_samples']}")
     except KeyError as exc:
         raise InputError(f"stats document has no key {exc}") from None
     except (TypeError, AttributeError):
@@ -400,11 +412,7 @@ def cmd_validate(args):
 
 
 def cmd_golden(args):
-    circuit = _load_circuit(args.circuit)
-    diags = validate(circuit)
-    if not diags.ok:
-        raise InvariantError(
-            f"circuit '{circuit.name}' fails validation: {diags.errors[0]}")
+    circuit = _load_valid_circuit(args.circuit)
     stimulus = _load_stimulus(args.stimulus)
     trace = simulate_reference(circuit, stimulus)
     out = Path(args.out)
@@ -412,17 +420,6 @@ def cmd_golden(args):
     print(f"golden: {trace.cycle_count} cycles, {len(trace.flop_ids)} flops, "
           f"{len(trace.net_ids)} nets -> {out / 'trace.csv'}")
     return 0
-
-
-def _campaign_config(args, circuit, profile, trace):
-    return CampaignConfig(
-        circuit=circuit, profile=profile, trace=trace,
-        rng_seed=args.seed,
-        max_samples=args.max_samples,
-        min_samples=args.min_samples,
-        stderr_target=args.stderr_target,
-        policy=parse_policy(args.capture_policy),
-    )
 
 
 def cmd_campaign(args):
@@ -434,7 +431,11 @@ def cmd_campaign(args):
             f"debug sample index must be in [0, 2**64), got "
             f"{args.debug_sample}")
     circuit, profile, trace, wrapped = _prepare_sequential(args)
-    config = _campaign_config(args, circuit, profile, trace)
+    config = CampaignConfig(
+        circuit=circuit, profile=profile, trace=trace, rng_seed=args.seed,
+        max_samples=args.max_samples, min_samples=args.min_samples,
+        stderr_target=args.stderr_target,
+        policy=parse_policy(args.capture_policy))
     stats = camp.run_campaign(config)
     stats.wrapped = wrapped
     out = Path(args.out)
@@ -456,13 +457,13 @@ def cmd_campaign(args):
 
 def debug_sample(circuit, profile, trace, config, index):
     """Replay one sample index with the full event log attached."""
-    ctx = SimContext.build(circuit, profile)
+    ctx = SimContext.build(circuit, profile).bind(trace)
     table = enumerate_drains(circuit, profile)
     rng = sample_rng(config.rng_seed, index)
     sample = sample_strike(rng, table, camp.strike_cycles(trace), ctx.period,
                            ctx.settle)
     lines = [f"debug replay of sample {index} (seed {config.rng_seed})"]
-    result = run_sample(ctx, trace, sample, config.policy, rng, debug=lines)
+    result = run_sample(ctx, sample, config.policy, rng, debug=lines)
     lines.append(f"flips_e1={sorted(result.flips_e1)} "
                  f"flips_e2={sorted(result.flips_e2)} "
                  f"window_hits={result.window_hits}")
@@ -472,7 +473,8 @@ def debug_sample(circuit, profile, trace, config, index):
 
 def cmd_oracle(args):
     circuit, profile, trace, wrapped = _prepare_sequential(args)
-    config = _campaign_config(args, circuit, profile, trace)
+    config = CampaignConfig(circuit=circuit, profile=profile, trace=trace,
+                            rng_seed=args.seed)
     stats = camp.exhaustive_campaign(config, t_grid=args.t_grid)
     stats.wrapped = wrapped
     out = Path(args.out)
@@ -546,7 +548,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 _CIRCUIT = ("--circuit", {"required": True, "help": ".bench netlist file"})
-_CAMPAIGN_INPUTS = (
+_OUT = ("--out", {"required": True, "help": "output directory"})
+# The run a campaign or an oracle strikes, and its seed.
+_RUN_INPUTS = (
     _CIRCUIT,
     ("--tech", {"required": True,
                 "help": "profile JSON path or bundled name "
@@ -554,12 +558,6 @@ _CAMPAIGN_INPUTS = (
     ("--stimulus", {"required": True,
                     "help": "stimulus file or random:<cycles>:<seed>"}),
     ("--seed", {"type": int, "default": 1}),
-    ("--max-samples", {"type": int, "default": 200_000}),
-    ("--min-samples", {"type": int, "default": 100}),
-    ("--stderr-target", {"type": float, "default": 0.10}),
-    ("--capture-policy", {"default": "instant",
-                          "help": "instant or window-random:<p>"}),
-    ("--out", {"required": True, "help": "output directory"}),
 )
 
 # Every subcommand: name -> (help line, handler, (option, add_argument
@@ -572,7 +570,16 @@ _COMMANDS = {
         ("--out", {"required": True}),
     )),
     "campaign": ("Monte Carlo strike campaign", cmd_campaign, (
-        *_CAMPAIGN_INPUTS,
+        *_RUN_INPUTS,
+        ("--max-samples", {"type": int,
+                           "default": CampaignConfig.max_samples}),
+        ("--min-samples", {"type": int,
+                           "default": CampaignConfig.min_samples}),
+        ("--stderr-target", {"type": float,
+                             "default": CampaignConfig.stderr_target}),
+        ("--capture-policy", {"default": CampaignConfig.policy.label,
+                              "help": "instant or window-random:<p>"}),
+        _OUT,
         ("--workers", {"type": int, "default": 1,
                        "help": "accepted for compatibility and ignored: "
                                "campaigns run in one thread, and the value "
@@ -582,7 +589,8 @@ _COMMANDS = {
                                     "one sample"}),
     )),
     "oracle": ("exhaustive grid enumeration", cmd_oracle, (
-        *_CAMPAIGN_INPUTS,
+        *_RUN_INPUTS,
+        _OUT,
         ("--t-grid", {"type": int, "default": 200,
                       "help": "uniform strike-time grid points per cycle"}),
     )),
@@ -602,22 +610,16 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser, name):
-    """Declare subcommand ``name``'s options and handler on ``parser``."""
-    _, func, options = _COMMANDS[name]
-    for flag, kwargs in options:
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(command=name, func=func)
-    return parser
-
-
 def build_parser():
     """The full parser, every subcommand included."""
     parser = _Parser(prog="seusim",
                      description="gate-level strike injection campaigns")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(command=name, func=func)
     return parser
 
 
@@ -658,18 +660,15 @@ def _parse_plain(name, tokens):
 def parse_args(argv):
     """The namespace ``build_parser().parse_args(argv)`` returns.
 
-    A well-formed subcommand line is read from the table and builds no
-    parser; any other one after a subcommand builds only that
-    subcommand's parser, under the prog the full parser gives it.
-    argparse alone prints help and usage errors and sets their exit
-    codes, so nothing a user sees differs from the full parser.
+    Two paths give it: a well-formed subcommand line is read from the
+    option table by ``_parse_plain`` and builds no parser; any other line
+    goes to the full parser, which alone prints help and usage errors and
+    sets their exit codes.
     """
     if argv and argv[0] in _COMMANDS:
         args = _parse_plain(argv[0], argv[1:])
-        if args is None:
-            args = _add_command(_Parser(prog=f"seusim {argv[0]}"),
-                                argv[0]).parse_args(argv[1:])
-        return args
+        if args is not None:
+            return args
     return build_parser().parse_args(argv)
 
 

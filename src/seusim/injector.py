@@ -364,13 +364,12 @@ def disturb_register(ctx, drain, k, debug=None):
             _disturbed(ctx, row, k))
 
 
-def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None,
-               reads=None):
+def run_sample(ctx, sample, policy=INSTANT, rng=None, debug=None, reads=None):
     """Run one strike end to end; returns the raw flip sets.
 
     Classification into outcome classes is the campaign's job.  ``ctx`` is
-    the SimContext built once per (circuit, profile), bound here to
-    ``trace`` unless it is already; ``debug`` may collect event lines.
+    a SimContext bound to the golden trace; ``debug`` may collect event
+    lines.
 
     A strike is judged in two steps.  Its *reads* do not depend on the
     strike time: the polarity verdict, the result it has if no flop is
@@ -379,26 +378,24 @@ def run_sample(ctx, trace, sample, policy=INSTANT, rng=None, debug=None,
     ``disturb_register``.  ``_capture_all`` then judges them at ``t``.  A
     campaign may pass one dict as ``reads`` for all its strikes against one
     trace and drain table: the reads of each ``(drain id, k)`` are kept there
-    and reused by later strikes at other times.  A debug replay builds its
-    reads afresh, so it logs every event.
+    and reused by later strikes at other times.  A debug replay passes no
+    ``reads``, so it builds them afresh and logs every event.
     """
     drain, k, t = sample
     if not 0.0 <= t < ctx.period:
         raise InvariantError(
             f"strike time {t} outside the clock period [0, {ctx.period})")
-    cached = reads is not None and debug is None
-    got = reads.get((drain.id, k)) if cached else None
-    if got is None and not 1 <= k <= trace.cycle_count - 2:
+    got = None if reads is None else reads.get((drain.id, k))
+    if got is None and not 1 <= k <= ctx.trace.cycle_count - 2:
         raise InvariantError(
-            f"strike cycle {k} out of range [1, {trace.cycle_count - 2}]")
+            f"strike cycle {k} out of range [1, {ctx.trace.cycle_count - 2}]")
     if policy.kind == "window-random" and rng is None:
         raise ConfigError("window-random policy needs an RNG stream")
     if got is None:
         if debug is not None:
             debug.append(f"sample drain={drain.id} class={drain.strike_class} "
                          f"k={k} t={t:.2f} polarity={drain.polarity}")
-        ctx = ctx if ctx.trace is trace else ctx.bind(trace)
-        value = trace.net_masks[drain.net] >> k & 1
+        value = ctx.trace.net_masks[drain.net] >> k & 1
         if not polarity_matches(drain.polarity, value):
             if debug is not None:
                 debug.append(f"polarity mismatch at {drain.id} "

@@ -567,7 +567,7 @@ def test_exhaustive_matches_direct_average(toy_setup):
         for k in range(1, tr.cycle_count - 1):
             for i in range(4):
                 t = ctx.settle + i * step
-                r = run_sample(ctx, tr, StrikeSample(drain=site, k=k, t=t))
+                r = run_sample(ctx, StrikeSample(drain=site, k=k, t=t))
                 counts[site.strike_class][classify(r.flip_counts)] += 1
                 totals[site.strike_class] += 1
     for sclass in ("gate", "register"):
@@ -631,7 +631,7 @@ def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
         site_counts = dict.fromkeys(OutcomeClass, 0)
         for k in range(1, tr.cycle_count - 1):
             for i in range(t_grid):
-                r = run_sample(ctx, tr, StrikeSample(drain=site, k=k, t=ctx.settle + i * step))
+                r = run_sample(ctx, StrikeSample(drain=site, k=k, t=ctx.settle + i * step))
                 site_counts[classify(r.flip_counts)] += 1
         for oc, cnt in site_counts.items():
             counts[site.strike_class][oc] += cnt
@@ -733,8 +733,8 @@ def test_campaign_rows_match_cold_replays(monkeypatch, name, profile_name, polic
                          stderr_target=1e-6, policy=policy)
     seen = []
 
-    def recording(ctx, trace, sample, policy, rng, **kwargs):
-        result = run_sample(ctx, trace, sample, policy, rng, **kwargs)
+    def recording(ctx, sample, policy, rng, **kwargs):
+        result = run_sample(ctx, sample, policy, rng, **kwargs)
         seen.append((kwargs.get("reads") is not None, result, rng.getstate()))
         return result
 
@@ -753,7 +753,7 @@ def test_campaign_rows_match_cold_replays(monkeypatch, name, profile_name, polic
         ref_rng = random.Random()
         ref_rng.setstate(rng.getstate())
         lines = []
-        want = run_sample(ctx, tr, sample, policy, rng, debug=lines)
+        want = run_sample(ctx, sample, policy, rng, debug=lines)
         where = (rec.index, sample.drain.id, sample.k)
         captured = [line.split()[1][len("flop="):] for line in lines
                     if line.startswith("capture flop=")]

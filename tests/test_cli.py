@@ -113,8 +113,8 @@ _VALID_ARGV = {
                  "window-random:0.5", "--workers", "2", "--debug-sample", "7",
                  "--out", "o"],
     "oracle": ["oracle", "--circuit", "c.bench", "--tech", "65nm-like",
-               "--stimulus", "random:6:2", "--seed", "4", "--max-samples",
-               "9", "--t-grid", "5", "--out", "o"],
+               "--stimulus", "random:6:2", "--seed", "4", "--t-grid", "5",
+               "--out", "o"],
     "report": ["report", "--stats", "s.json", "--log", "s.csv", "--oracle",
                "o.json", "--recompute", "--paper-columns", "--out", "o"],
 }
@@ -151,16 +151,16 @@ def _parsed(parse, argv):
 
 
 def _no_full_parser():
-    raise AssertionError("built the full parser for a named subcommand")
+    raise AssertionError("built the full parser for a well-formed command")
 
 
 @pytest.mark.parametrize("argv", list(_PARSER_CASES.values()),
                          ids=list(_PARSER_CASES))
 def test_command_parser_matches_the_full_parser(monkeypatch, argv):
     # same help, usage errors, exit codes and namespace as the parser of
-    # every subcommand, which a named subcommand never builds
+    # every subcommand, which a line read from the option table never builds
     expected = _parsed(cli.build_parser().parse_args, argv)
-    if argv and argv[0] in _VALID_ARGV:
+    if argv and argv[0] in _VALID_ARGV and cli._parse_plain(argv[0], argv[1:]):
         monkeypatch.setattr(cli, "build_parser", _no_full_parser)
     assert _parsed(cli.parse_args, argv) == expected
     assert expected[0] in (0, 1) or argv == _VALID_ARGV[argv[0]]
@@ -204,13 +204,12 @@ def _drawn_argv(name):
 def test_plain_parse_matches_argparse(name, data):
     # a command line read from the table gives argparse's namespace, and
     # every other one still gets argparse's help, error and exit code
-    tokens = data.draw(_drawn_argv(name))
-    plain = cli._parse_plain(name, tokens)
+    argv = [name, *data.draw(_drawn_argv(name))]
+    expected = _parsed(cli.build_parser().parse_args, argv)
+    plain = cli._parse_plain(name, argv[1:])
     if plain is not None:
-        command = cli._add_command(cli._Parser(prog=f"seusim {name}"), name)
-        assert _parsed(command.parse_args, tokens) == (vars(plain), "", "")
-    assert (_parsed(cli.parse_args, [name, *tokens])
-            == _parsed(cli.build_parser().parse_args, [name, *tokens]))
+        assert expected == (vars(plain), "", "")
+    assert _parsed(cli.parse_args, argv) == expected
 
 
 def _no_parser(*args, **kwargs):
@@ -221,12 +220,12 @@ def test_well_formed_commands_build_no_parser(bench_dir, tmp_path, monkeypatch):
     # the argv shapes perfbench runs are read from the option table
     monkeypatch.setattr(cli, "_Parser", _no_parser)
     common = ["--circuit", str(bench_dir / "c17.bench"), "--tech",
-              "toy-equal", "--stimulus", "random:6:2", "--seed", "5",
-              "--max-samples", "200", "--stderr-target", "1e-6"]
+              "toy-equal", "--stimulus", "random:6:2", "--seed", "5"]
     mc = tmp_path / "mc"
     commands = [
-        ["campaign", *common, "--capture-policy", "window-random:0.5",
-         "--workers", "2", "--out", str(mc)],
+        ["campaign", *common, "--max-samples", "200", "--stderr-target",
+         "1e-6", "--capture-policy", "window-random:0.5", "--workers", "2",
+         "--out", str(mc)],
         ["report", "--stats", str(mc / "stats.json"), "--log",
          str(mc / "samples.csv"), "--recompute", "--out", str(tmp_path / "r")],
         ["oracle", *common, "--t-grid", "5", "--out", str(tmp_path / "o")],
@@ -537,14 +536,26 @@ def test_oracle_outputs(bench_dir, tmp_path):
     assert stats["total_samples"] == 240
 
 
-def test_oracle_requires_instant_policy(bench_dir, tmp_path):
-    code, _, err = run_cli(
+# The campaign's sampling controls, each with a value a campaign accepts.
+_CAMPAIGN_ONLY = {"--max-samples": "5", "--min-samples": "5",
+                  "--stderr-target": "0.5",
+                  "--capture-policy": "window-random:0.5"}
+
+
+@pytest.mark.parametrize("flag", list(_CAMPAIGN_ONLY))
+def test_oracle_rejects_campaign_only_flags(bench_dir, tmp_path, flag):
+    # the oracle enumerates every cell under the instant policy, so the
+    # sampling controls are not its options
+    out = tmp_path / "o2"
+    code, stdout, err = run_cli(
         ["oracle", "--circuit", str(bench_dir / "toy_chain.bench"),
          "--tech", "toy-equal", "--stimulus", "random:6:2",
-         "--capture-policy", "window-random:0.5", "--out", str(tmp_path / "o2")]
+         flag, _CAMPAIGN_ONLY[flag], "--out", str(out)]
     )
-    assert code == 3
-    assert "error:config-error" in err
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error:usage: ") and err.count("\n") == 1
+    assert flag in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -952,25 +963,34 @@ def test_report_rejects_non_integer_stats_counts(finished_campaign, tmp_path, pa
 
 
 @pytest.mark.parametrize(
-    "path, value, message",
-    [(("classes", "gate", "counts", "NN"), 10**6, "class gate needs non-negative counts"),
-     (("classes", "gate", "n"), -5, "class gate needs non-negative counts"),
-     (("metrics", "P_m", "den"), -3, "metric P_m needs 0 <= num <= den")],
-    ids=["count-sum", "negative-n", "negative-den"],
+    "flag, path, value, message",
+    [("--stats", ("classes", "gate", "counts", "NN"), 10**6,
+      "class gate needs non-negative counts"),
+     ("--stats", ("classes", "gate", "n"), -5, "class gate needs non-negative counts"),
+     ("--stats", ("metrics", "P_m", "den"), -3, "metric P_m needs 0 <= num <= den"),
+     # the class ns sum to the stored total, which is never 5
+     ("--stats", ("total_samples",), 5, "total_samples is not the sum of the class ns: 5"),
+     ("--oracle", ("total_samples",), 5, "total_samples is not the sum of the class ns: 5")],
+    ids=["count-sum", "negative-n", "negative-den", "total-samples",
+         "oracle-total-samples"],
 )
-def test_report_rejects_impossible_stats_integers(finished_campaign, tmp_path, path,
+def test_report_rejects_impossible_stats_integers(finished_campaign, tmp_path, flag, path,
                                                   value, message):
-    camp, _ = finished_campaign
-    doc = json.loads((camp / "stats.json").read_text())
+    camp, orc = finished_campaign
+    files = {"--stats": camp / "stats.json", "--oracle": orc / "oracle_stats.json"}
+    doc = json.loads(files[flag].read_text())
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
-    broken = tmp_path / "impossible.json"
-    broken.write_text(json.dumps(doc))
-    code, _, err = run_cli(["report", "--stats", str(broken), "--out", str(tmp_path / "ri")])
+    files[flag] = tmp_path / "impossible.json"
+    files[flag].write_text(json.dumps(doc))
+    argv = ["report"]
+    for k, v in files.items():
+        argv += [k, str(v)]
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / "ri")])
     _assert_input_error(code, err)
-    assert message in err
+    assert f"'{files[flag]}': stats document {message}" in err
 
 
 @pytest.mark.parametrize(
@@ -981,9 +1001,19 @@ def test_report_rejects_impossible_stats_integers(finished_campaign, tmp_path, p
      ("--stats", ("circuit",), 5),
      ("--stats", ("class_share",), [1, 2]),
      ("--stats", ("class_share", "gate"), "x"),
-     ("--oracle", ("classes", "gate", "probs", "NN"), "x")],
+     ("--oracle", ("classes", "gate", "probs", "NN"), "x"),
+     # numbers outside the range their field allows
+     ("--stats", ("classes", "gate", "probs", "NN"), -7),
+     ("--stats", ("classes", "gate", "probs", "FF"), 1.5),
+     ("--stats", ("classes", "gate", "stderrs", "NN"), -1),
+     ("--stats", ("class_share", "register"), 1.25),
+     ("--oracle", ("classes", "gate", "probs", "NN"), 1.5),
+     ("--oracle", ("classes", "register", "stderrs", "NF"), -1e-9),
+     ("--oracle", ("class_share", "gate"), -0.5)],
     ids=["period", "prob", "stderr", "circuit", "share-list", "share-value",
-         "oracle-prob"],
+         "oracle-prob", "prob-negative", "prob-above-one", "stderr-negative",
+         "share-above-one", "oracle-prob-above-one", "oracle-stderr-negative",
+         "oracle-share-negative"],
 )
 def test_report_rejects_ill_typed_stats(finished_campaign, tmp_path, flag, path, value):
     camp, orc = finished_campaign

@@ -49,8 +49,7 @@ def held(circuit, bits, cycles=5):
 
 def strike(circuit, profile, trace, site, t, k=1, policy=INSTANT, rng=None, debug=None):
     return run_sample(
-        SimContext.build(circuit, profile),
-        trace,
+        SimContext.build(circuit, profile).bind(trace),
         StrikeSample(drain=site, k=k, t=t),
         policy=policy,
         rng=rng,
@@ -453,18 +452,18 @@ def test_three_inverter_chain_filters_pulse(prof):
 def test_fanout_strike_corrupts_both_flops():
     c = bundled_circuit("toy_fanout")
     p = load_bundled_profile("toy-equal")
-    ctx = SimContext.build(c, p)
     tr = held(c, (1,))
+    ctx = SimContext.build(c, p).bind(tr)
     site = find_site(enumerate_drains(c, p), "t", polarity="pulls-high")
     for t in (540.0, 600.0, 659.0):
-        r = run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=t))
+        r = run_sample(ctx, StrikeSample(drain=site, k=1, t=t))
         assert r.flips_e2 == frozenset({"f1", "f2"})
     # immediately outside the shared coverage window both sinks graze
     for t in (539.0, 660.0):
-        r = run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=t))
+        r = run_sample(ctx, StrikeSample(drain=site, k=1, t=t))
         assert r.flips_e2 == frozenset()
         assert r.window_hits == 2
-    early = run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=500.0))
+    early = run_sample(ctx, StrikeSample(drain=site, k=1, t=500.0))
     assert early.flip_counts == (0, 0)
     assert early.window_hits == 0
 
@@ -472,12 +471,12 @@ def test_fanout_strike_corrupts_both_flops():
 def test_mask_circuit_staggered_coverage():
     c = bundled_circuit("toy_mask")
     p = load_bundled_profile("toy-equal")
-    ctx = SimContext.build(c, p)
     tr = held(c, (1, 1))
+    ctx = SimContext.build(c, p).bind(tr)
     site = find_site(enumerate_drains(c, p), "g1", polarity="pulls-low")
 
     def hit(t):
-        return run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=t)).flips_e2
+        return run_sample(ctx, StrikeSample(drain=site, k=1, t=t)).flips_e2
 
     # two sinks at different depths: f2 is one gate further than f1, so the
     # coverage windows are offset by one gate delay
@@ -490,14 +489,14 @@ def test_mask_circuit_staggered_coverage():
 def test_mask_circuit_logical_masking():
     c = bundled_circuit("toy_mask")
     p = load_bundled_profile("toy-equal")
-    ctx = SimContext.build(c, p)
     # with b = 0 the AND gate's side input controls its output, so the pulse
     # on g1 dies there no matter when it lands
     tr = held(c, (1, 0))
+    ctx = SimContext.build(c, p).bind(tr)
     site = find_site(enumerate_drains(c, p), "g1", polarity="pulls-low")
     for t in (500.0, 570.0, 630.0, 690.0):
         dbg = []
-        r = run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=t), debug=dbg)
+        r = run_sample(ctx, StrikeSample(drain=site, k=1, t=t), debug=dbg)
         assert r.flip_counts == (0, 0)
         assert any("masked at g2 (logical)" in line for line in dbg)
 
@@ -600,11 +599,11 @@ def test_state_step_through_deep_reconvergent_ladder():
     stages = 500
     c = reconvergent_ladder("XOR", stages)
     p = load_bundled_profile("65nm-like")
-    ctx = SimContext.build(c, p)
     tr = held(c, (1,))
+    ctx = SimContext.build(c, p).bind(tr)
     site = find_site(enumerate_drains(c, p), "x0", "state-node", "pulls-low")
     dbg = []
-    r = run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=ctx.settle), debug=dbg)
+    r = run_sample(ctx, StrikeSample(drain=site, k=1, t=ctx.settle), debug=dbg)
     nets = [line.split()[1] for line in _step_pulses(dbg)]
     assert len(nets) == len(set(nets)) == 2 * stages + 1
     assert (r.flips_e1, r.flips_e2, r.window_hits) == ({"x0"}, frozenset(), 0)
@@ -620,11 +619,11 @@ def test_glitch_through_reconvergent_ladder_keeps_one_event_per_path_delay():
     stages = 40
     c = reconvergent_ladder("AND", stages)
     p = load_bundled_profile("65nm-like")
-    ctx = SimContext.build(c, p)
     tr = held(c, (1,))
+    ctx = SimContext.build(c, p).bind(tr)
     site = find_site(enumerate_drains(c, p), "x1", polarity="pulls-low")
     dbg = []
-    r = run_sample(ctx, tr, StrikeSample(drain=site, k=1, t=700.0), debug=dbg)
+    r = run_sample(ctx, StrikeSample(drain=site, k=1, t=700.0), debug=dbg)
     starts = {}
     for line in dbg:
         if line.startswith("pulse "):
@@ -673,7 +672,7 @@ def test_wide_glitch_at_cycle_start_always_captured(depth):
     golden_g1 = tr.net_value(1, "g1")
     pol = "pulls-high" if golden_g1 == 0 else "pulls-low"
     site = find_site(table, "g1", polarity=pol)
-    r = run_sample(SimContext.build(c, p), tr, StrikeSample(drain=site, k=1, t=0.0))
+    r = run_sample(SimContext.build(c, p).bind(tr), StrikeSample(drain=site, k=1, t=0.0))
     assert r.flips_e2 == frozenset({"B"})
 
 
@@ -704,7 +703,7 @@ def test_wider_glitches_dominate_narrower_ones(name):
         flips = {}
         for s in gate_sites:
             for t in grid:
-                r = run_sample(ctx, tr, StrikeSample(drain=s, k=1, t=t))
+                r = run_sample(ctx, StrikeSample(drain=s, k=1, t=t))
                 flips[(s.id, t)] = r.flips_e2
         flips_by_width[w] = flips
     for lo, hi in zip(widths, widths[1:]):
@@ -936,7 +935,7 @@ def test_row_path_matches_per_cell_reference(name, profile_name):
                     stream = draw.getrandbits(32)
                     got_rng, want_rng = random.Random(stream), random.Random(stream)
                     sample = StrikeSample(drain=drain, k=k, t=t)
-                    r = run_sample(ctx, tr, sample, policy, got_rng)
+                    r = run_sample(ctx, sample, policy, got_rng)
                     want = reference_sample(ctx, tr, sample, policy, want_rng)
                     assert (r.flips_e1, r.flips_e2, r.window_hits) == want, (drain.id, k, t)
                     assert got_rng.getstate() == want_rng.getstate(), (drain.id, k, t)
