@@ -16,8 +16,8 @@ from .golden import Stimulus, Trace, parse_stimulus, simulate_reference
 from .injector import (INSTANT, CapturePolicy, SampleResult, SimContext,
                        StrikeSample, capture_at_edge, disturb_gate,
                        disturb_register, parse_policy, run_sample)
-from .netlist import (Circuit, Diagnostics, Flop, Gate, parse_bench,
-                      serialize_bench, validate, wrap_combinational)
+from .netlist import (Circuit, Diagnostics, Flop, Gate, parse_bench, validate,
+                      wrap_combinational)
 from .techmodel import (DrainSite, DrainTable, TechProfile, clock_period,
                         enumerate_drains, load_bundled_profile, load_profile,
                         load_profile_file, settle_bound)

@@ -61,8 +61,10 @@ def _load_circuit(path):
 
 
 def _load_profile(spec):
+    """A ``.json`` path or an existing file is read; any other spec, a
+    directory's name included, is a bundled profile name."""
     p = Path(spec)
-    if p.suffix == ".json" or p.exists():
+    if p.suffix == ".json" or p.is_file():
         return load_profile_file(p)
     return load_bundled_profile(spec)
 

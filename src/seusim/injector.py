@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .errors import ConfigError, InvariantError
 from .netlist import CONTROLLING
-from .techmodel import clock_period, settle_bound
+from .techmodel import period_and_settle
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,7 @@ class SimContext:
 
     @classmethod
     def build(cls, circuit, profile):
-        period = clock_period(circuit, profile)
-        settle = settle_bound(circuit, profile)
+        period, settle = period_and_settle(circuit, profile)
         if settle >= period:
             raise ConfigError(
                 f"circuit '{circuit.name}' never settles inside the clock "

@@ -18,6 +18,8 @@ import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 from .errors import BenchParseError, InvariantError
 
@@ -99,22 +101,6 @@ class Circuit:
         return {g.id: g for g in self.gates}
 
     @cached_property
-    def flop_by_id(self):
-        return {f.id: f for f in self.flops}
-
-    @cached_property
-    def driver(self):
-        """net -> ("pi", None) | ("gate", Gate) | ("flop", Flop); first wins."""
-        out = {}
-        for pi in self.primary_inputs:
-            out.setdefault(pi, ("pi", None))
-        for g in self.gates:
-            out.setdefault(g.output, ("gate", g))
-        for f in self.flops:
-            out.setdefault(f.output, ("flop", f))
-        return out
-
-    @cached_property
     def gate_fanout(self):
         """net -> tuple of gates reading it, in declaration order."""
         out = {}
@@ -139,18 +125,23 @@ class Circuit:
         deterministic for a given circuit.  Raises InvariantError on a
         combinational cycle (and, not being cached then, on every access).
         """
+        gates = self.gates
+        # net -> id of its first driving gate; a net that is also a primary
+        # input has no gate driver
+        gate_driver = {g.output: g.id for g in reversed(gates)}
+        for pi in self.primary_inputs:
+            gate_driver.pop(pi, None)
         indeg = {}
-        succs = {g.id: [] for g in self.gates}
-        for g in self.gates:
+        succs = {g.id: [] for g in gates}
+        for g in gates:
             count = 0
             for n in g.inputs:
-                kind, drv = self.driver.get(n, (None, None))
-                if kind == "gate":
+                if (drv := gate_driver.get(n)) is not None:
                     count += 1
-                    succs[drv.id].append(g.id)
+                    succs[drv].append(g.id)
             indeg[g.id] = count
 
-        ready = deque(g.id for g in self.gates if indeg[g.id] == 0)
+        ready = deque(g.id for g in gates if indeg[g.id] == 0)
         order = []
         while ready:
             gid = ready.popleft()
@@ -159,7 +150,7 @@ class Circuit:
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
                     ready.append(nxt)
-        if len(order) != len(self.gates):
+        if len(order) != len(gates):
             stuck = sorted(gid for gid, d in indeg.items() if d > 0)
             raise InvariantError(
                 "combinational cycle through gates: " + ", ".join(stuck[:8]))
@@ -179,7 +170,14 @@ _DECL_RE = re.compile(r"(INPUT|OUTPUT)\s*\(\s*([^\s(),=#]+)\s*\)\s*$")
 _ASSIGN_RE = re.compile(
     r"([^\s(),=#]+)\s*=\s*([A-Za-z]+)\s*\(\s*([^()#]*?)\s*\)\s*$"
 )
+# The argument text of an assignment has no edge whitespace, so splitting it
+# at commas with their surrounding whitespace strips every argument.
+_ARG_SEP_RE = re.compile(r"\s*,\s*")
 _BAD_ARG_RE = re.compile(r"[\s(),=#]")
+_GATE_KINDS = frozenset(GATE_KINDS)
+_CELL_KINDS = _GATE_KINDS | {"DFF"}
+_NETS = itemgetter(0)        # the nets of a reference record
+_ONE_INPUT_KINDS = frozenset(("NOT", "BUF"))
 
 
 def parse_bench(text, name="bench"):
@@ -190,9 +188,11 @@ def parse_bench(text, name="bench"):
     nets.  Positions are 1-based (line, col).
     """
     pis, pos, gates, flops = [], [], [], []
-    declared = {}          # net -> (line, col) of its driver declaration
-    refs = []              # (net, line, col, gate it feeds or None: OUTPUT)
+    declared = {}          # net -> line of its driver declaration
+    refs = []              # (nets, line, col, gate they feed or None: OUTPUT)
     dup_errors = []
+    match_assign, match_decl = _ASSIGN_RE.match, _DECL_RE.match
+    split_args, bad_arg = _ARG_SEP_RE.split, _BAD_ARG_RE.search
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -202,69 +202,71 @@ def parse_bench(text, name="bench"):
             continue
         col0 = len(line) - len(body) + 1
 
-        m = _DECL_RE.match(body)
-        if m:
-            kw, net = m.group(1), m.group(2)
-            if kw == "INPUT":
-                if net in declared:
-                    dup_errors.append(
-                        ("duplicate-driver",
-                         f"net '{net}' already driven", lineno, col0))
+        # only an assignment can hold a '=', so each line has one candidate
+        if "=" not in body:
+            m = match_decl(body)
+            if m:
+                kw, net = m.groups()
+                if kw == "INPUT":
+                    if net in declared:
+                        dup_errors.append(
+                            ("duplicate-driver",
+                             f"net '{net}' already driven", lineno, col0))
+                    else:
+                        declared[net] = lineno
+                    pis.append(net)
                 else:
-                    declared[net] = (lineno, col0)
-                pis.append(net)
-            else:
-                pos.append(net)
-                refs.append((net, lineno, col0, None))
-            continue
-
-        m = _ASSIGN_RE.match(body)
-        if m:
-            target, kind_raw, argtext = m.group(1), m.group(2), m.group(3)
+                    pos.append(net)
+                    refs.append(((net,), lineno, col0, None))
+                continue
+        elif m := match_assign(body):
+            target, kind_raw, argtext = m.groups()
             kind = kind_raw.upper()
-            kind_col = col0 + m.start(2)
-            if kind != "DFF" and kind not in GATE_KINDS:
+            if kind not in _CELL_KINDS:
                 raise BenchParseError(
-                    f"unknown gate kind '{kind_raw}'", lineno, kind_col)
-            args = [a.strip() for a in argtext.split(",")] if argtext.strip() else []
-            if not args or any(not a for a in args):
+                    f"unknown gate kind '{kind_raw}'", lineno,
+                    col0 + m.start(2))
+            args = split_args(argtext)
+            if "" in args:
                 raise BenchParseError(
                     f"empty argument list for '{target}'", lineno,
                     col0 + m.start(3))
-            for a in args:
-                if _BAD_ARG_RE.search(a):
-                    raise BenchParseError(
-                        f"malformed argument '{a}'", lineno, col0 + m.start(3))
-                refs.append((a, lineno, col0, target))
-            if net_dup := declared.get(target):
+            if bad_arg("".join(args)):
+                bad = next(a for a in args if bad_arg(a))
+                raise BenchParseError(
+                    f"malformed argument '{bad}'", lineno, col0 + m.start(3))
+            refs.append((args, lineno, col0, target))
+            if first := declared.get(target):
                 dup_errors.append(
                     ("duplicate-driver",
-                     f"net '{target}' already driven (first at line {net_dup[0]})",
+                     f"net '{target}' already driven (first at line {first})",
                      lineno, col0))
             else:
-                declared[target] = (lineno, col0)
+                declared[target] = lineno
             if kind == "DFF":
                 if len(args) != 1:
                     raise BenchParseError(
                         "DFF takes exactly one input", lineno, col0)
-                flops.append(Flop(id=target, data=args[0], output=target))
+                flops.append(Flop(target, args[0], target))
             else:
-                gates.append(Gate(id=target, kind=kind,
-                                  inputs=tuple(args), output=target))
+                gates.append(Gate(target, kind, tuple(args), target))
             continue
 
         raise BenchParseError(f"cannot parse line: '{body.rstrip()}'",
                               lineno, col0)
 
-    errors = list(dup_errors)
-    for net, lineno, col, target in refs:
-        if net not in declared:
-            what = ("output declaration" if target is None
-                    else f"input of '{target}'")
-            errors.append(
-                ("undeclared-net",
-                 f"reference to undeclared net '{net}' in {what}",
-                 lineno, col))
+    errors = dup_errors
+    # each reference is looked at only when some net is undeclared
+    if not declared.keys() >= set(chain.from_iterable(map(_NETS, refs))):
+        for nets, lineno, col, target in refs:
+            for net in nets:
+                if net not in declared:
+                    what = ("output declaration" if target is None
+                            else f"input of '{target}'")
+                    errors.append(
+                        ("undeclared-net",
+                         f"reference to undeclared net '{net}' in {what}",
+                         lineno, col))
     if errors:
         code, msg, line, col = errors[0]
         raise BenchParseError(msg, line, col, errors=errors)
@@ -279,21 +281,6 @@ def parse_bench(text, name="bench"):
     )
 
 
-def serialize_bench(circuit):
-    """Render a Circuit back to bench text (parse -> serialize round-trips)."""
-    lines = [f"# {circuit.name}"]
-    lines += [f"INPUT({n})" for n in circuit.primary_inputs]
-    lines += [f"OUTPUT({n})" for n in circuit.primary_outputs]
-    if circuit.flops:
-        lines.append("")
-        lines += [f"{f.output} = DFF({f.data})" for f in circuit.flops]
-    if circuit.gates:
-        lines.append("")
-        lines += [f"{g.output} = {g.kind}({', '.join(g.inputs)})"
-                  for g in circuit.gates]
-    return "\n".join(lines) + "\n"
-
-
 def validate(circuit):
     """Check structural invariants; returns Diagnostics (never raises).
 
@@ -302,54 +289,60 @@ def validate(circuit):
     gate kinds, and combinational cycles.
     """
     diags = Diagnostics()
+    errors = diags.errors
     pis, gates, flops = circuit.primary_inputs, circuit.gates, circuit.flops
-    # net -> number of driving cells; the cells are named only on error
-    drivers = Counter(pis)
-    drivers.update(g.output for g in gates)
-    drivers.update(f.output for f in flops)
-
-    for net, count in drivers.items():
-        if count > 1:
-            who = (["primary input"] * pis.count(net)
-                   + [f"gate '{g.id}'" for g in gates if g.output == net]
-                   + [f"flop '{f.id}'" for f in flops if f.output == net])
-            diags.errors.append(Diagnostic(
-                "duplicate-driver",
-                f"net '{net}' driven by {count} cells: {', '.join(who)}"))
+    pos = circuit.primary_outputs
+    outputs = [*pis, *[g.output for g in gates], *[f.output for f in flops]]
+    driven = set(outputs)
+    if len(driven) != len(outputs):
+        # net -> number of driving cells; the cells are named only on error
+        for net, count in Counter(outputs).items():
+            if count > 1:
+                who = (["primary input"] * pis.count(net)
+                       + [f"gate '{g.id}'" for g in gates if g.output == net]
+                       + [f"flop '{f.id}'" for f in flops if f.output == net])
+                errors.append(Diagnostic(
+                    "duplicate-driver",
+                    f"net '{net}' driven by {count} cells: {', '.join(who)}"))
     nets = circuit.nets
-    for net in nets:
-        if net not in drivers:
-            diags.errors.append(Diagnostic(
-                "undriven-net", f"net '{net}' has no driver"))
+    if not driven.issuperset(nets):
+        for net in nets:
+            if net not in driven:
+                errors.append(Diagnostic(
+                    "undriven-net", f"net '{net}' has no driver"))
+
+    declared = frozenset(nets)   # hand-built circuits may pass a tuple
 
     def dangling(net, what):
-        diags.errors.append(Diagnostic(
+        errors.append(Diagnostic(
             "dangling-ref", f"{what} references undeclared net '{net}'"))
 
     for g in gates:
-        if g.kind not in GATE_KINDS:
-            diags.errors.append(Diagnostic(
-                "unknown-kind", f"gate '{g.id}' has unknown kind '{g.kind}'"))
-        if len(g.inputs) < 1:
-            diags.errors.append(Diagnostic(
+        kind, ins = g.kind, g.inputs
+        if kind not in _GATE_KINDS:
+            errors.append(Diagnostic(
+                "unknown-kind", f"gate '{g.id}' has unknown kind '{kind}'"))
+        if not ins:
+            errors.append(Diagnostic(
                 "bad-fanin", f"gate '{g.id}' has no inputs"))
-        elif g.kind in ("NOT", "BUF") and len(g.inputs) != 1:
-            diags.errors.append(Diagnostic(
+        elif len(ins) != 1 and kind in _ONE_INPUT_KINDS:
+            errors.append(Diagnostic(
                 "bad-fanin",
-                f"{g.kind} gate '{g.id}' must have exactly 1 input, "
-                f"has {len(g.inputs)}"))
-        for n in (*g.inputs, g.output):
-            if n not in nets:
-                dangling(n, f"gate '{g.id}'")
+                f"{kind} gate '{g.id}' must have exactly 1 input, "
+                f"has {len(ins)}"))
+        if g.output not in declared or not declared.issuperset(ins):
+            for n in (*ins, g.output):
+                if n not in declared:
+                    dangling(n, f"gate '{g.id}'")
     for f in flops:
-        if f.data not in nets:
+        if f.data not in declared:
             dangling(f.data, f"flop '{f.id}'")
-    for n in circuit.primary_outputs:
-        if n not in nets:
+    for n in pos:
+        if n not in declared:
             dangling(n, "output declaration")
 
     seen_po = set()
-    for n in circuit.primary_outputs:
+    for n in pos:
         if n in seen_po:
             diags.warnings.append(Diagnostic(
                 "duplicate-output", f"net '{n}' declared OUTPUT more than once"))
@@ -358,7 +351,7 @@ def validate(circuit):
     try:
         circuit.gate_order  # computing the order raises on a cycle
     except InvariantError as exc:
-        diags.errors.append(Diagnostic("combinational-cycle", str(exc)))
+        errors.append(Diagnostic("combinational-cycle", str(exc)))
     return diags
 
 

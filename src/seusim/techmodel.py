@@ -15,10 +15,12 @@ characterization data when available.
 
 import bisect
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
-from importlib import resources
+from itertools import accumulate, repeat
+from operator import itemgetter, truediv
 from typing import NamedTuple
 
 from .errors import InputError, ProfileError
@@ -26,6 +28,12 @@ from .netlist import GATE_KINDS
 
 POLARITIES = ("pulls-low", "pulls-high")
 FF_NODE_CLASSES = ("none", "state-node", "capture-node")
+_FLOP_NODE_CLASSES, _GATE_NODE_CLASSES = FF_NODE_CLASSES[1:], ("none",)
+_GATE_KINDS = frozenset(GATE_KINDS)
+_CELL_KINDS = _GATE_KINDS | {"DFF"}
+_NUMBER_TYPES = (int, float)
+_FLOAT_MAX = sys.float_info.max
+_PROFILE_DIR = os.path.join(os.path.dirname(__file__), "data", "profiles")
 
 _SCALAR_FIELDS = ("ff_setup", "ff_hold", "ff_clk_to_q", "clock_margin",
                   "glitch_width")
@@ -59,6 +67,9 @@ class DrainSite(NamedTuple):
     @property
     def strike_class(self):
         return "gate" if self.ff_node_class == "none" else "register"
+
+
+_AREA = itemgetter(3)        # DrainSite.area
 
 
 @dataclass(frozen=True)
@@ -132,36 +143,41 @@ def load_profile(text, source="<profile>"):
     if not isinstance(doc, dict):
         raise ProfileError(f"{source}: top level must be an object")
 
+    # ``0 < v <= _FLOAT_MAX`` after the type test is ``is_finite_number(v)
+    # and v > 0``: it is false for NaN, infinities and out-of-range ints.
+    numbers, fmax = _NUMBER_TYPES, _FLOAT_MAX
     label = _require(doc, "node_label")
     raw_delay = _require(doc, "gate_delay")
     if not isinstance(raw_delay, dict):
         raise ProfileError("gate_delay must be an object")
     delays = {}
+    match_key = _DELAY_KEY_RE.match
     for key, val in raw_delay.items():
-        m = _DELAY_KEY_RE.match(key)
+        m = match_key(key)
         if not m:
             raise ProfileError(f"malformed gate_delay key '{key}' "
                                "(expected e.g. 'NAND2')")
-        kind, fanin = m.group(1), int(m.group(2))
-        if kind not in GATE_KINDS:
+        kind, fanin = m.groups()
+        fanin = int(fanin)
+        if kind not in _GATE_KINDS:
             raise ProfileError(f"unknown gate kind key '{key}'")
-        if not is_finite_number(val) or val <= 0:
+        if not (type(val) in numbers and 0 < val <= fmax):
             raise ProfileError(f"non-positive delay for '{key}'")
         if fanin < 1:
             raise ProfileError(f"bad fan-in in gate_delay key '{key}'")
-        delays[(kind, fanin)] = float(val)
+        delays[kind, fanin] = float(val)
     if not delays:
         raise ProfileError("gate_delay table is empty")
 
     scalars = {}
     for name in _SCALAR_FIELDS:
         val = _require(doc, name)
-        if not is_finite_number(val) or val <= 0:
+        if not (type(val) in numbers and 0 < val <= fmax):
             raise ProfileError(f"non-positive value for '{name}'")
         scalars[name] = float(val)
 
     theta = doc.get("filter_threshold", 1.0)
-    if not is_finite_number(theta) or theta < 0:
+    if not (type(theta) in numbers and 0 <= theta <= fmax):
         raise ProfileError("filter_threshold must be >= 0")
 
     raw_spec = _require(doc, "drain_spec")
@@ -169,19 +185,21 @@ def load_profile(text, source="<profile>"):
         raise ProfileError("drain_spec must be an object")
     spec = {}
     for kind, entries in raw_spec.items():
-        if kind != "DFF" and kind not in GATE_KINDS:
+        if kind not in _CELL_KINDS:
             raise ProfileError(f"unknown cell kind '{kind}' in drain_spec")
         if not isinstance(entries, list):
             raise ProfileError(f"drain_spec['{kind}'] must be a list")
         if not entries:
             raise ProfileError(f"empty drain site list for '{kind}'")
+        is_flop = kind == "DFF"
+        allowed = _FLOP_NODE_CLASSES if is_flop else _GATE_NODE_CLASSES
         templates = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ProfileError(
                     f"drain_spec['{kind}'][{i}] must be an object")
             area = entry.get("area")
-            if not is_finite_number(area) or area <= 0:
+            if not (type(area) in numbers and 0 < area <= fmax):
                 raise ProfileError(
                     f"non-positive area in drain_spec['{kind}'][{i}]")
             pol = entry.get("polarity")
@@ -189,14 +207,14 @@ def load_profile(text, source="<profile>"):
                 raise ProfileError(
                     f"bad polarity {pol!r} in drain_spec['{kind}'][{i}]")
             node_class = entry.get("ff_node_class", "none")
-            if node_class not in FF_NODE_CLASSES:
-                raise ProfileError(
-                    f"bad ff_node_class {node_class!r} in "
-                    f"drain_spec['{kind}'][{i}]")
-            if kind == "DFF" and node_class == "none":
-                raise ProfileError(
-                    "DFF drain sites must name a state-node or capture-node")
-            if kind != "DFF" and node_class != "none":
+            if node_class not in allowed:
+                if node_class not in FF_NODE_CLASSES:
+                    raise ProfileError(
+                        f"bad ff_node_class {node_class!r} in "
+                        f"drain_spec['{kind}'][{i}]")
+                if is_flop:
+                    raise ProfileError("DFF drain sites must name a "
+                                       "state-node or capture-node")
                 raise ProfileError(
                     f"gate kind '{kind}' cannot carry ff_node_class "
                     f"'{node_class}'")
@@ -222,15 +240,15 @@ def load_profile_file(path):
 
 
 def bundled_profile_names():
-    root = resources.files("seusim").joinpath("data/profiles")
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(n[:-5] for n in os.listdir(_PROFILE_DIR)
+                  if n.endswith(".json"))
 
 
 def load_bundled_profile(name):
     """Load a profile shipped with the package (e.g. "65nm-like")."""
-    ref = resources.files("seusim").joinpath(f"data/profiles/{name}.json")
     try:
-        text = ref.read_text(encoding="utf-8")
+        with open(f"{_PROFILE_DIR}/{name}.json", "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except FileNotFoundError:
         raise ProfileError(
             f"no bundled profile '{name}' "
@@ -247,77 +265,101 @@ def enumerate_drains(circuit, profile):
     sampled area-proportionally.
     """
     spec, new_site = profile.drain_spec, tuple.__new__
+    # cell kind -> (id suffix, area, polarity, node class) per template
+    rows_of = {}
     sites = []
     gate_area = flop_area = 0.0
     for g in circuit.gates:
-        templates = spec.get(g.kind)
-        if not templates:
-            raise ProfileError(
-                f"profile '{profile.node_label}' has no drain sites for "
-                f"gate kind '{g.kind}'")
+        rows = rows_of.get(g.kind)
+        if rows is None:
+            templates = spec.get(g.kind)
+            if not templates:
+                raise ProfileError(
+                    f"profile '{profile.node_label}' has no drain sites for "
+                    f"gate kind '{g.kind}'")
+            rows = rows_of[g.kind] = [
+                (f"[{i}]", tpl.area, tpl.polarity, tpl.ff_node_class)
+                for i, tpl in enumerate(templates)]
         gid, net = g.id, g.output
-        for i, tpl in enumerate(templates):
+        for suffix, area, polarity, node_class in rows:
             sites.append(new_site(DrainSite, (
-                f"{gid}[{i}]", gid, net, tpl.area, tpl.polarity,
-                tpl.ff_node_class)))
-            gate_area += tpl.area
+                gid + suffix, gid, net, area, polarity, node_class)))
+            gate_area += area
     templates = spec.get("DFF")
     if circuit.flops and not templates:
         raise ProfileError(
             f"profile '{profile.node_label}' has no drain sites for DFF")
+    if circuit.flops:
+        rows = [(f"[{i}]", tpl.ff_node_class == "capture-node", tpl.area,
+                 tpl.polarity, tpl.ff_node_class)
+                for i, tpl in enumerate(templates)]
     for f in circuit.flops:
-        for i, tpl in enumerate(templates):
-            net = f.data if tpl.ff_node_class == "capture-node" else f.output
+        fid = f.id
+        for suffix, capture, area, polarity, node_class in rows:
             sites.append(new_site(DrainSite, (
-                f"{f.id}[{i}]", f.id, net, tpl.area, tpl.polarity,
-                tpl.ff_node_class)))
-            flop_area += tpl.area
+                fid + suffix, fid, f.data if capture else f.output, area,
+                polarity, node_class)))
+            flop_area += area
 
     if not sites:
         raise ProfileError(
             f"circuit '{circuit.name}' exposes no drain sites")
     total = gate_area + flop_area
-    cum, acc = [], 0.0
-    for s in sites:
-        acc += s.area / total
-        cum.append(acc)
+    # the running sum adds each site's share in site order, as a loop would
+    cum = list(accumulate(map(truediv, map(_AREA, sites), repeat(total))))
     cum[-1] = 1.0
     return DrainTable(sites=tuple(sites), cumulative=tuple(cum),
                       gate_area=gate_area, flop_area=flop_area)
 
 
-def _arrivals(circuit, profile, pi_offset, flop_offset):
-    """Arrival time per net with the given source offsets."""
-    arrival = {n: pi_offset for n in circuit.primary_inputs}
+def _timing(circuit, profile):
+    """``(critical path, settle bound)`` from one pass over the gates.
+
+    Arrival times are kept twice: once with every source at 0 (for the
+    critical path) and once with flop outputs moving clk-to-q after the
+    edge (for the settle bound).  Each is summed as its own pass would sum
+    it, so both are exact.
+    """
+    crit = dict.fromkeys(circuit.primary_inputs, 0.0)
+    settle = dict(crit)
+    cq = profile.ff_clk_to_q
     for f in circuit.flops:
-        arrival[f.output] = flop_offset
+        crit[f.output] = 0.0
+        settle[f.output] = cq
+    crit_at, settle_at = crit.__getitem__, settle.__getitem__
     gate_by_id, delays = circuit.gate_by_id, profile.gate_delay
     for gid in circuit.gate_order:
         g = gate_by_id[gid]
+        ins = g.inputs
         try:
-            d = delays[g.kind, len(g.inputs)]
+            d = delays[g.kind, len(ins)]
         except KeyError:
-            d = profile.delay(g.kind, len(g.inputs))  # raises ProfileError
-        arrival[g.output] = max(map(arrival.__getitem__, g.inputs)) + d
-    return arrival
+            d = profile.delay(g.kind, len(ins))  # raises ProfileError
+        crit[g.output] = max(map(crit_at, ins)) + d
+        settle[g.output] = max(map(settle_at, ins)) + d
+    return (max((crit[f.data] for f in circuit.flops), default=0.0),
+            max(settle.values(), default=0.0))
 
 
 def critical_path(circuit, profile):
     """Longest register-to-register / PI-to-register combinational delay."""
-    arrival = _arrivals(circuit, profile, 0.0, 0.0)
-    return max((arrival[f.data] for f in circuit.flops), default=0.0)
+    return _timing(circuit, profile)[0]
 
 
-def clock_period(circuit, profile):
-    """clk-to-q + critical path + setup + margin, in picoseconds."""
-    period = (profile.ff_clk_to_q + critical_path(circuit, profile)
-              + profile.ff_setup + profile.clock_margin)
+def _period(profile, critical):
+    period = (profile.ff_clk_to_q + critical + profile.ff_setup
+              + profile.clock_margin)
     if profile.ff_setup + profile.ff_hold >= period:
         raise ProfileError(
             f"profile '{profile.node_label}': setup + hold "
             f"({profile.ff_setup + profile.ff_hold}) does not fit inside the "
             f"clock period ({period})")
     return period
+
+
+def clock_period(circuit, profile):
+    """clk-to-q + critical path + setup + margin, in picoseconds."""
+    return _period(profile, critical_path(circuit, profile))
 
 
 def settle_bound(circuit, profile):
@@ -327,5 +369,10 @@ def settle_bound(circuit, profile):
     move clk-to-q after the edge.  Strikes are only meaningful after this
     bound, once the golden values are stable everywhere.
     """
-    arrival = _arrivals(circuit, profile, 0.0, profile.ff_clk_to_q)
-    return max(arrival.values(), default=0.0)
+    return _timing(circuit, profile)[1]
+
+
+def period_and_settle(circuit, profile):
+    """``(clock_period, settle_bound)`` from one timing pass."""
+    critical, settle = _timing(circuit, profile)
+    return _period(profile, critical), settle

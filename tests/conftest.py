@@ -142,6 +142,43 @@ def chain3():
     return parse_bench(CHAIN3, name="chain3")
 
 
+def serialize_bench(circuit):
+    """Render a Circuit back to bench text (parse -> serialize round-trips)."""
+    lines = [f"# {circuit.name}"]
+    lines += [f"INPUT({n})" for n in circuit.primary_inputs]
+    lines += [f"OUTPUT({n})" for n in circuit.primary_outputs]
+    if circuit.flops:
+        lines.append("")
+        lines += [f"{f.output} = DFF({f.data})" for f in circuit.flops]
+    if circuit.gates:
+        lines.append("")
+        lines += [f"{g.output} = {g.kind}({', '.join(g.inputs)})"
+                  for g in circuit.gates]
+    return "\n".join(lines) + "\n"
+
+
+def driver_map(circuit):
+    """net -> ("pi", None) | ("gate", Gate) | ("flop", Flop); first wins."""
+    out = {}
+    for pi in circuit.primary_inputs:
+        out.setdefault(pi, ("pi", None))
+    for g in circuit.gates:
+        out.setdefault(g.output, ("gate", g))
+    for f in circuit.flops:
+        out.setdefault(f.output, ("flop", f))
+    return out
+
+
+def flop_by_id(circuit):
+    """flop id -> Flop of ``circuit``."""
+    return {f.id: f for f in circuit.flops}
+
+
+def settled_map(trace, cycle):
+    """net -> settled value of every net in one cycle of a golden trace."""
+    return {net: m >> cycle & 1 for net, m in trace.net_masks.items()}
+
+
 def site_by_id(table, site_id):
     """The drain site called ``site_id``; KeyError when there is none."""
     for s in table.sites:
@@ -189,11 +226,12 @@ def truth_eval(circuit, pi_bits, flop_bits=None):
         values = dict(zip(circuit.primary_inputs, pi_bits))
     if flop_bits:
         values.update(flop_bits)
+    driver = driver_map(circuit)
 
     def resolve(net):
         if net in values:
             return values[net]
-        kind, drv = circuit.driver[net]
+        kind, drv = driver[net]
         assert kind == "gate", f"net '{net}' has no value and no gate driver"
         values[net] = _LOGIC[drv.kind]([resolve(n) for n in drv.inputs])
         return values[net]

@@ -423,6 +423,34 @@ def test_campaign_rejects_unknown_profile(bench_dir, tmp_path):
     assert "error:profile-error" in err
 
 
+def test_campaign_tech_name_shadowed_by_a_directory(bench_dir, tmp_path,
+                                                    monkeypatch):
+    # the first run creates a directory called 65nm-like in the working
+    # directory; the second must still read the bundled profile
+    monkeypatch.chdir(tmp_path)
+    argv = campaign_args(bench_dir, "toy_chain", "65nm-like",
+                         **{"--tech": "65nm-like"})
+    assert run_cli(argv)[0] == 0
+    first = (tmp_path / "65nm-like" / "stats.json").read_bytes()
+    code, _, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert (tmp_path / "65nm-like" / "stats.json").read_bytes() == first
+
+
+def test_campaign_tech_directory_without_bundled_profile(bench_dir, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "notaprofile").mkdir()
+    code, out, err = run_cli(
+        campaign_args(bench_dir, "toy_chain", "x", **{"--tech": "notaprofile"}))
+    assert code == 2
+    assert err.startswith(
+        "error:profile-error: no bundled profile 'notaprofile' (available: ")
+    assert err.count("\n") == 1
+    assert out == ""
+    assert not (tmp_path / "x").exists()
+
+
 def _edited_profile(tmp_path, edit):
     ref = resources.files("seusim").joinpath("data/profiles/toy-equal.json")
     doc = json.loads(ref.read_text(encoding="utf-8"))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seusim import golden
 from seusim.errors import InputError, InvariantError, StimulusError
 from seusim.golden import (
     Stimulus,
@@ -17,7 +18,7 @@ from seusim.netlist import (GATE_KINDS, Circuit, Flop, Gate, parse_bench,
                             wrap_combinational)
 
 from conftest import (BUNDLED_CIRCUITS, bundled_circuit, flop_value,
-                      multiplier_bench, truth_eval)
+                      multiplier_bench, settled_map, truth_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,25 @@ def test_random_stimulus_is_deterministic():
     assert a != c
     assert len(a) == 8
     assert all(len(v) == 4 and set(v) <= {0, 1} for v in a)
+
+
+def reference_random_vectors(stimulus, n_inputs):
+    """Random vectors drawn one ``getrandbits(1)`` call per bit, cycle by
+    cycle in input order: the draw ``Stimulus.resolve_vectors`` must equal."""
+    rng = random.Random(stimulus.rng_seed)
+    return tuple(
+        tuple(rng.getrandbits(1) for _ in range(n_inputs))
+        for _ in range(stimulus.cycle_count))
+
+
+@pytest.mark.parametrize("seed", [0, 1, -5, 2**70])
+def test_random_vectors_match_per_bit_draws(seed):
+    for cycles in (3, 4, 31, 32, 33, 64, 65, 200):
+        for n_inputs in range(41):
+            stim = Stimulus.random(cycles, seed)
+            assert (stim.resolve_vectors(n_inputs)
+                    == reference_random_vectors(stim, n_inputs)), \
+                (cycles, n_inputs)
 
 
 def test_parse_stimulus_random_directive():
@@ -182,7 +202,7 @@ def test_trace_state_advances_by_settled_data():
     c = bundled_circuit("fsm3")
     tr = simulate_reference(c, Stimulus.random(10, seed=5))
     for cyc in range(tr.cycle_count - 1):
-        settled = tr.settled_map(cyc)
+        settled = settled_map(tr, cyc)
         for i, f in enumerate(c.flops):
             assert tr.flop_states[cyc + 1][i] == settled[f.data]
 
@@ -195,7 +215,7 @@ def test_settled_nets_match_independent_evaluation(name):
         pis = dict(zip(c.primary_inputs, tr.pi_vectors[cyc]))
         flops = {f.output: tr.flop_states[cyc][i] for i, f in enumerate(c.flops)}
         expected = truth_eval(c, pis, flops)
-        settled = tr.settled_map(cyc)
+        settled = settled_map(tr, cyc)
         for net, val in expected.items():
             assert settled[net] == val, f"{name} cycle {cyc} net {net}"
 
@@ -234,7 +254,7 @@ def test_net_masks_hold_the_settled_values(name):
         flops = {f.output: tr.flop_states[cyc][i] for i, f in enumerate(c.flops)}
         expected = truth_eval(c, tr.pi_vectors[cyc], flops)
         assert {net: m >> cyc & 1 for net, m in tr.net_masks.items()} == expected
-        assert tr.settled_map(cyc) == expected
+        assert settled_map(tr, cyc) == expected
 
 
 def test_trace_csv_shape():
@@ -286,7 +306,11 @@ def reference_simulate(circuit, stimulus):
 
     The packed ``simulate_reference`` must return a Trace equal to this.
     """
-    vectors = stimulus.resolve_vectors(len(circuit.primary_inputs))
+    n_inputs = len(circuit.primary_inputs)
+    if stimulus.mode == "random":
+        vectors = reference_random_vectors(stimulus, n_inputs)
+    else:
+        vectors = stimulus.resolve_vectors(n_inputs)
     n_flops = len(circuit.flops)
     if stimulus.initial_state is None:
         state = tuple(0 for _ in range(n_flops))
@@ -362,14 +386,15 @@ def test_packed_matches_per_cycle_on_multipliers(n, wrapped):
     assert_same_trace(c, Stimulus.random(70, seed=n))
 
 
-def random_sequential_circuit(rng, name):
+def random_sequential_circuit(rng, name, flops=(1, 5)):
     """A valid netlist with every gate kind and flop-to-flop feedback.
 
     Gates are declared in shuffled order, so levelization matters; flop
-    data nets are drawn from every net, flop outputs included.
+    data nets are drawn from every net, flop outputs included.  The flop
+    count is drawn from the ``flops`` range.
     """
     pis = [f"i{j}" for j in range(rng.randint(1, 3))]
-    flops = [f"q{j}" for j in range(rng.randint(1, 5))]
+    flops = [f"q{j}" for j in range(rng.randint(*flops))]
     nets, gates = pis + flops, []
     kinds = list(GATE_KINDS) + [rng.choice(GATE_KINDS)
                                 for _ in range(rng.randint(0, 10))]
@@ -406,6 +431,58 @@ def test_packed_matches_per_cycle_on_random_sequential_netlists():
         assert simulate_reference(c, stim) == reference_simulate(c, stim), \
             f"case {case}"
     assert kinds == set(GATE_KINDS)
+
+
+def count_passes(monkeypatch):
+    """A list that gains one entry per packed pass over the gates."""
+    passes = []
+    evaluate = golden._evaluate
+
+    def counted(*args):
+        passes.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(golden, "_evaluate", counted)
+    return passes
+
+
+@pytest.mark.parametrize("name", ["fsm3", "lfsr8", "s27", "toy_chain",
+                                  "toy_fanout", "toy_mask"])
+def test_state_table_walk_settles_each_block_in_one_pass(name, monkeypatch):
+    # one pass builds the table; each of the three blocks then starts from
+    # the walked masks and settles at once, where a feedback loop would
+    # otherwise take one pass per cycle
+    c = bundled_circuit(name)
+    passes = count_passes(monkeypatch)
+    stim = Stimulus.random(150, seed=5)
+    assert simulate_reference(c, stim) == reference_simulate(c, stim)
+    assert len(passes) == 1 + 3
+
+
+def test_state_table_walk_is_exact_on_random_sequential_netlists(monkeypatch):
+    rng = random.Random(77)
+    passes = count_passes(monkeypatch)
+    for case in range(60):
+        c = random_sequential_circuit(rng, f"rand{case}")
+        state = tuple(rng.getrandbits(1) for _ in c.flops)
+        stim = Stimulus.random(rng.randint(3, 200), seed=case,
+                               initial_state=state)
+        passes.clear()
+        assert simulate_reference(c, stim) == reference_simulate(c, stim)
+        assert len(passes) == 1 + -(-stim.cycle_count // 64), f"case {case}"
+
+
+def test_feedback_beyond_the_state_table_iterates_to_the_same_trace(
+        monkeypatch):
+    # nine or more flops leave the state table out of reach, so feedback
+    # settles one pass per cycle, as before the table
+    rng = random.Random(78)
+    passes = count_passes(monkeypatch)
+    for case in range(40):
+        c = random_sequential_circuit(rng, f"wide{case}", flops=(9, 12))
+        stim = Stimulus.random(rng.randint(3, 150), seed=case)
+        assert simulate_reference(c, stim) == reference_simulate(c, stim)
+    assert len(passes) > 40 * 4
 
 
 def test_packed_rejects_unknown_kind_and_non_binary_state():

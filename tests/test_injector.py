@@ -38,8 +38,10 @@ from conftest import (
     bundled_circuit,
     chain_profile_doc,
     find_site,
+    flop_by_id,
     multiplier_bench,
     profile_from,
+    settled_map,
 )
 
 
@@ -811,7 +813,7 @@ def reference_propagate(ctx, settled, seed_event, debug=None):
 def strike_seed(ctx, drain, t):
     """The event a gate or state-node strike at ``t`` starts from."""
     if drain.ff_node_class == "state-node":
-        net = ctx.circuit.flop_by_id[drain.cell].output
+        net = flop_by_id(ctx.circuit)[drain.cell].output
         return PulseEvent(net=net, start=t, width=ctx.period - t, step=True)
     return PulseEvent(net=drain.net, start=t, width=ctx.profile.glitch_width)
 
@@ -820,7 +822,7 @@ def assert_propagates_like_reference(ctx, k, seed):
     # ``ctx`` is bound to a trace; the strike is in its cycle ``k``
     got_dbg, want_dbg = [], []
     got = _propagate(ctx, seed, 1 << k, got_dbg)
-    want = reference_propagate(ctx, ctx.trace.settled_map(k), seed, want_dbg)
+    want = reference_propagate(ctx, settled_map(ctx.trace, k), seed, want_dbg)
     assert list(got.items()) == [(net, [(s, e, 1 << k) for s, e in ivs])
                                  for net, ivs in want.items()]
     assert got_dbg == want_dbg
@@ -895,7 +897,7 @@ def reference_sample(ctx, trace, sample, policy, rng):
     """(flips_e1, flips_e2, window_hits) of a gate or state-node strike:
     ``reference_propagate`` from a seed at ``t``, then ``capture_at_edge`` on
     every flop in circuit order."""
-    drain, settled = sample.drain, trace.settled_map(sample.k)
+    drain, settled = sample.drain, settled_map(trace, sample.k)
     seed = strike_seed(ctx, drain, sample.t)
     if settled[seed.net] != (1 if drain.polarity == "pulls-low" else 0):
         return frozenset(), frozenset(), 0

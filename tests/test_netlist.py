@@ -1,6 +1,8 @@
 """Tests for bench parsing, validation, levelization, and boundary wrapping."""
 
 import dataclasses
+import re
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -9,17 +11,20 @@ from hypothesis import strategies as st
 from seusim.errors import BenchParseError, InputError, InvariantError
 from seusim.netlist import (
     CONTROLLING,
+    GATE_KINDS,
     Circuit,
+    Diagnostic,
+    Diagnostics,
     Flop,
     Gate,
     parse_bench,
-    serialize_bench,
     validate,
     wrap_combinational,
 )
 
 from conftest import (BUNDLED_CIRCUITS, bundled_bench_text, bundled_circuit,
-                      multiplier_bench)
+                      driver_map, flop_by_id, multiplier_bench,
+                      serialize_bench)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +93,7 @@ def test_parse_s27_counts():
     assert c.stats() == {"inputs": 4, "outputs": 1, "gates": 10, "flops": 3, "nets": 17}
     kinds = sorted(g.kind for g in c.gates)
     assert kinds == ["AND", "NAND", "NOR", "NOR", "NOR", "NOR", "NOT", "NOT", "OR", "OR"]
-    assert c.flop_by_id["G7"].data == "G13"
+    assert flop_by_id(c)["G7"].data == "G13"
     assert c.primary_outputs == ("G17",)
 
 
@@ -166,6 +171,215 @@ def test_parse_bench_parses_or_raises_input_error(text):
         parse_bench(text, name="fuzz")
     except InputError:
         pass
+
+
+# The parser as it was before its per-line work was cut down, kept as the
+# reference: ``parse_bench`` must give the same Circuit or the same error.
+_REF_DECL_RE = re.compile(r"(INPUT|OUTPUT)\s*\(\s*([^\s(),=#]+)\s*\)\s*$")
+_REF_ASSIGN_RE = re.compile(
+    r"([^\s(),=#]+)\s*=\s*([A-Za-z]+)\s*\(\s*([^()#]*?)\s*\)\s*$"
+)
+_REF_BAD_ARG_RE = re.compile(r"[\s(),=#]")
+
+
+def reference_parse_bench(text, name="bench"):
+    pis, pos, gates, flops = [], [], [], []
+    declared = {}
+    refs = []
+    dup_errors = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        body = line.lstrip()
+        if not body:
+            continue
+        col0 = len(line) - len(body) + 1
+
+        m = _REF_DECL_RE.match(body)
+        if m:
+            kw, net = m.group(1), m.group(2)
+            if kw == "INPUT":
+                if net in declared:
+                    dup_errors.append(
+                        ("duplicate-driver",
+                         f"net '{net}' already driven", lineno, col0))
+                else:
+                    declared[net] = (lineno, col0)
+                pis.append(net)
+            else:
+                pos.append(net)
+                refs.append((net, lineno, col0, None))
+            continue
+
+        m = _REF_ASSIGN_RE.match(body)
+        if m:
+            target, kind_raw, argtext = m.group(1), m.group(2), m.group(3)
+            kind = kind_raw.upper()
+            kind_col = col0 + m.start(2)
+            if kind != "DFF" and kind not in GATE_KINDS:
+                raise BenchParseError(
+                    f"unknown gate kind '{kind_raw}'", lineno, kind_col)
+            args = [a.strip() for a in argtext.split(",")] if argtext.strip() else []
+            if not args or any(not a for a in args):
+                raise BenchParseError(
+                    f"empty argument list for '{target}'", lineno,
+                    col0 + m.start(3))
+            for a in args:
+                if _REF_BAD_ARG_RE.search(a):
+                    raise BenchParseError(
+                        f"malformed argument '{a}'", lineno, col0 + m.start(3))
+                refs.append((a, lineno, col0, target))
+            if net_dup := declared.get(target):
+                dup_errors.append(
+                    ("duplicate-driver",
+                     f"net '{target}' already driven (first at line {net_dup[0]})",
+                     lineno, col0))
+            else:
+                declared[target] = (lineno, col0)
+            if kind == "DFF":
+                if len(args) != 1:
+                    raise BenchParseError(
+                        "DFF takes exactly one input", lineno, col0)
+                flops.append(Flop(id=target, data=args[0], output=target))
+            else:
+                gates.append(Gate(id=target, kind=kind,
+                                  inputs=tuple(args), output=target))
+            continue
+
+        raise BenchParseError(f"cannot parse line: '{body.rstrip()}'",
+                              lineno, col0)
+
+    errors = list(dup_errors)
+    for net, lineno, col, target in refs:
+        if net not in declared:
+            what = ("output declaration" if target is None
+                    else f"input of '{target}'")
+            errors.append(
+                ("undeclared-net",
+                 f"reference to undeclared net '{net}' in {what}",
+                 lineno, col))
+    if errors:
+        code, msg, line, col = errors[0]
+        raise BenchParseError(msg, line, col, errors=errors)
+
+    return Circuit(
+        name=name,
+        primary_inputs=tuple(pis),
+        primary_outputs=tuple(pos),
+        gates=tuple(gates),
+        flops=tuple(flops),
+        nets=frozenset(declared),
+    )
+
+
+def reference_gate_order(circuit):
+    """Kahn's levelization as ``Circuit.gate_order`` computed it before it
+    stopped going through the driver map."""
+    driver = driver_map(circuit)
+    indeg = {}
+    succs = {g.id: [] for g in circuit.gates}
+    for g in circuit.gates:
+        count = 0
+        for n in g.inputs:
+            kind, drv = driver.get(n, (None, None))
+            if kind == "gate":
+                count += 1
+                succs[drv.id].append(g.id)
+        indeg[g.id] = count
+    ready = deque(g.id for g in circuit.gates if indeg[g.id] == 0)
+    order = []
+    while ready:
+        gid = ready.popleft()
+        order.append(gid)
+        for nxt in succs[gid]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                ready.append(nxt)
+    if len(order) != len(circuit.gates):
+        stuck = sorted(gid for gid, d in indeg.items() if d > 0)
+        return "combinational cycle through gates: " + ", ".join(stuck[:8])
+    return tuple(order)
+
+
+def parse_outcome(parse, text):
+    """The Circuit ``parse`` returns with its gate order (or cycle message),
+    or everything its error carries."""
+    try:
+        circuit = parse(text, name="fuzz")
+    except BenchParseError as exc:
+        return ("error", str(exc), exc.line, exc.col, exc.errors)
+    if parse is reference_parse_bench:
+        return circuit, reference_gate_order(circuit)
+    try:
+        return circuit, circuit.gate_order
+    except InvariantError as exc:
+        return circuit, str(exc)
+
+
+_NETS = ("a", "b", "G1", "n_2", "q", "z")
+_KINDS = (*GATE_KINDS, "DFF", "dff", "nand", "Xor", "MUX", "foo")
+_PAD = st.sampled_from(("", " ", "  ", "\t"))
+_BAD_ARGS = ("", " ", "a b", "a\tb", "a=b", "=", "a\xa0b")
+
+
+@st.composite
+def bench_lines(draw):
+    """One line of the bench grammar, with padding around every token."""
+    p = [draw(_PAD) for _ in range(6)]
+    net = st.sampled_from(_NETS)
+    shape = draw(st.sampled_from(("input", "output", "gate", "comment", "")))
+    if shape in ("input", "output"):
+        line = f"{p[0]}{shape.upper()}{p[1]}({p[2]}{draw(net)}{p[3]}){p[4]}"
+    elif shape == "gate":
+        # mostly net names, sometimes empty, blank or with a space or '='
+        arg = st.one_of(net, net, net, st.sampled_from(_BAD_ARGS))
+        args = draw(st.lists(arg, max_size=4))
+        sep = draw(_PAD) + "," + draw(_PAD)
+        line = (f"{p[0]}{draw(net)}{p[1]}={p[2]}{draw(st.sampled_from(_KINDS))}"
+                f"{p[3]}({p[4]}{sep.join(args)}{p[5]})")
+    else:
+        line = p[0]
+    if draw(st.booleans()):
+        line += f"{draw(_PAD)}# {draw(st.sampled_from(_NETS))}"
+    return line
+
+
+# Characters that break a line in one of the ways the grammar has to reject
+# or tolerate: a stray '=', a space or a comma inside an argument, a comment
+# start, parentheses, and characters str.splitlines treats as line breaks.
+_MUTATIONS = ("=", " ", ",", ",,", "#", "(", ")", "\r", "\x0c", "\x1c",
+              " ", "\xa0", "\r\n")
+
+
+@st.composite
+def mutated_bench_texts(draw):
+    lines = draw(st.lists(bench_lines(), max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:j] + draw(st.sampled_from(_MUTATIONS)) + lines[i][j:]
+    if lines and draw(st.booleans()):
+        lines.append(draw(st.sampled_from(lines)))      # a repeated line
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(
+    mutated_bench_texts(),
+    st.lists(st.sampled_from(_BENCH_TOKENS), max_size=60).map("".join),
+))
+def test_parse_bench_matches_reference_parser(text):
+    assert (parse_outcome(parse_bench, text)
+            == parse_outcome(reference_parse_bench, text))
+
+
+@pytest.mark.parametrize("name", [*BUNDLED_CIRCUITS, "mul12"])
+def test_parse_bench_matches_reference_parser_on_real_netlists(name):
+    text = multiplier_bench(12) if name == "mul12" else bundled_bench_text(name)
+    assert (parse_outcome(parse_bench, text)
+            == parse_outcome(reference_parse_bench, text))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +516,103 @@ def test_validate_unknown_kind_on_handbuilt_circuit():
     assert codes == ["unknown-kind"]
 
 
+def reference_validate(circuit):
+    """``validate`` as it was before its set checks, levelizing with
+    ``reference_gate_order``."""
+    diags = Diagnostics()
+    pis, gates, flops = circuit.primary_inputs, circuit.gates, circuit.flops
+    drivers = Counter(pis)
+    drivers.update(g.output for g in gates)
+    drivers.update(f.output for f in flops)
+
+    for net, count in drivers.items():
+        if count > 1:
+            who = (["primary input"] * pis.count(net)
+                   + [f"gate '{g.id}'" for g in gates if g.output == net]
+                   + [f"flop '{f.id}'" for f in flops if f.output == net])
+            diags.errors.append(Diagnostic(
+                "duplicate-driver",
+                f"net '{net}' driven by {count} cells: {', '.join(who)}"))
+    nets = circuit.nets
+    for net in nets:
+        if net not in drivers:
+            diags.errors.append(Diagnostic(
+                "undriven-net", f"net '{net}' has no driver"))
+
+    def dangling(net, what):
+        diags.errors.append(Diagnostic(
+            "dangling-ref", f"{what} references undeclared net '{net}'"))
+
+    for g in gates:
+        if g.kind not in GATE_KINDS:
+            diags.errors.append(Diagnostic(
+                "unknown-kind", f"gate '{g.id}' has unknown kind '{g.kind}'"))
+        if len(g.inputs) < 1:
+            diags.errors.append(Diagnostic(
+                "bad-fanin", f"gate '{g.id}' has no inputs"))
+        elif g.kind in ("NOT", "BUF") and len(g.inputs) != 1:
+            diags.errors.append(Diagnostic(
+                "bad-fanin",
+                f"{g.kind} gate '{g.id}' must have exactly 1 input, "
+                f"has {len(g.inputs)}"))
+        for n in (*g.inputs, g.output):
+            if n not in nets:
+                dangling(n, f"gate '{g.id}'")
+    for f in flops:
+        if f.data not in nets:
+            dangling(f.data, f"flop '{f.id}'")
+    for n in circuit.primary_outputs:
+        if n not in nets:
+            dangling(n, "output declaration")
+
+    seen_po = set()
+    for n in circuit.primary_outputs:
+        if n in seen_po:
+            diags.warnings.append(Diagnostic(
+                "duplicate-output", f"net '{n}' declared OUTPUT more than once"))
+        seen_po.add(n)
+
+    order = reference_gate_order(circuit)
+    if isinstance(order, str):
+        diags.errors.append(Diagnostic("combinational-cycle", order))
+    return diags
+
+
+_HAND_NETS = st.sampled_from(("a", "b", "c", "d", "e"))
+
+
+@st.composite
+def handbuilt_circuits(draw):
+    """Circuits built without the parser, so every structural defect the
+    parser rejects can occur: duplicate drivers of any two kinds, undriven
+    and undeclared nets, bad fan-in, unknown kinds, repeated outputs and
+    cycles.  ``nets`` is a frozenset or, as in hand-written tests, a tuple."""
+    gates = tuple(
+        Gate(id=out, kind=draw(st.sampled_from((*GATE_KINDS, "MUX"))),
+             inputs=tuple(draw(st.lists(_HAND_NETS, max_size=3))), output=out)
+        for out in draw(st.lists(_HAND_NETS, max_size=4)))
+    flops = tuple(Flop(id=q, data=draw(_HAND_NETS), output=q)
+                  for q in draw(st.lists(_HAND_NETS, max_size=2)))
+    nets = draw(st.lists(_HAND_NETS, max_size=5, unique=True))
+    return Circuit(
+        name="hand",
+        primary_inputs=tuple(draw(st.lists(_HAND_NETS, max_size=3))),
+        primary_outputs=tuple(draw(st.lists(_HAND_NETS, max_size=3))),
+        gates=gates, flops=flops,
+        nets=tuple(nets) if draw(st.booleans()) else frozenset(nets))
+
+
+@settings(max_examples=400, deadline=None)
+@given(handbuilt_circuits())
+def test_validate_matches_reference_on_handbuilt_circuits(circuit):
+    assert validate(circuit) == reference_validate(circuit)
+    try:
+        order = circuit.gate_order
+    except InvariantError as exc:
+        order = str(exc)
+    assert order == reference_gate_order(circuit)
+
+
 def test_validate_duplicate_output_is_warning_only():
     c = parse_bench("INPUT(a)\nOUTPUT(z)\nOUTPUT(z)\nz = NOT(a)\n")
     diag = validate(c)
@@ -322,11 +633,12 @@ def test_levelize_covers_every_gate_once():
     for name in BUNDLED_CIRCUITS:
         c = bundled_circuit(name)
         order = c.gate_order
+        driver = driver_map(c)
         assert sorted(order) == sorted(g.id for g in c.gates)
         pos = {gid: i for i, gid in enumerate(order)}
         for g in c.gates:
             for n in g.inputs:
-                kind, drv = c.driver.get(n, (None, None))
+                kind, drv = driver.get(n, (None, None))
                 if kind == "gate":
                     assert pos[drv.id] < pos[g.id]
 
@@ -354,9 +666,9 @@ def test_wrap_adds_one_flop_per_port():
     assert len(w.flops) == 4
     assert w.primary_inputs == ("a_pi", "b_pi", "c_pi")
     assert w.primary_outputs == ("y_po",)
-    f = w.flop_by_id["a"]
+    f = flop_by_id(w)["a"]
     assert (f.data, f.output) == ("a_pi", "a")
-    g = w.flop_by_id["y_po"]
+    g = flop_by_id(w)["y_po"]
     assert (g.data, g.output) == ("y", "y_po")
     assert w.gates == c.gates
 
@@ -385,8 +697,8 @@ def test_wrap_avoids_net_name_collisions():
     c = parse_bench("INPUT(a)\nINPUT(a_pi)\nOUTPUT(z)\nz = AND(a, a_pi)\n")
     w = wrap_combinational(c)
     assert sorted(w.nets) == ["a", "a_pi", "a_pi_pi", "a_pi_w", "z", "z_po"]
-    assert w.flop_by_id["a"].data == "a_pi_w"
-    assert w.flop_by_id["a_pi"].data == "a_pi_pi"
+    assert flop_by_id(w)["a"].data == "a_pi_w"
+    assert flop_by_id(w)["a_pi"].data == "a_pi_pi"
 
 
 def test_wrap_result_serializes_and_validates():
@@ -440,11 +752,12 @@ def test_controlling_values_table():
 
 def test_gate_fanout_and_driver_maps():
     c = bundled_circuit("toy_mask")
-    kind, drv = c.driver["g1"]
+    driver = driver_map(c)
+    kind, drv = driver["g1"]
     assert kind == "gate" and drv.id == "g1"
-    kind, drv = c.driver["f1"]
+    kind, drv = driver["f1"]
     assert kind == "flop" and drv.id == "f1"
-    kind, _ = c.driver["a"]
+    kind, _ = driver["a"]
     assert kind == "pi"
     sinks = {g.id for g in c.gate_fanout["g1"]}
     assert sinks == {"g2"}

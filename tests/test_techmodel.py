@@ -2,14 +2,21 @@
 
 import json
 import re
+import sys
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seusim.errors import InputError, ProfileError
-from seusim.netlist import parse_bench, wrap_combinational
+from seusim.injector import SimContext
+from seusim.netlist import GATE_KINDS, parse_bench, wrap_combinational
 from seusim.techmodel import (
+    DrainSite,
+    DrainTable,
+    DrainTemplate,
+    TechProfile,
     bundled_profile_names,
     clock_period,
     critical_path,
@@ -21,7 +28,8 @@ from seusim.techmodel import (
 )
 
 from conftest import (BUNDLED_CIRCUITS, bundled_circuit, chain_profile_doc,
-                      dff_sites, gate_sites, profile_from, site_by_id)
+                      dff_sites, flop_by_id, gate_sites, multiplier_bench,
+                      profile_from, site_by_id)
 
 
 def _doc(**overrides):
@@ -85,67 +93,67 @@ def test_delay_unknown_fanin_or_kind():
         p.delay("MUX", 2)
 
 
-@pytest.mark.parametrize(
-    "mutate, message",
-    [
-        (lambda d: d.pop("ff_setup"), "missing field 'ff_setup'"),
-        (
-            lambda d: d["gate_delay"].__setitem__("NOT1", 0.0),
-            "non-positive delay for 'NOT1'",
+_BAD_DOCUMENTS = [
+    (lambda d: d.pop("ff_setup"), "missing field 'ff_setup'"),
+    (
+        lambda d: d["gate_delay"].__setitem__("NOT1", 0.0),
+        "non-positive delay for 'NOT1'",
+    ),
+    (
+        lambda d: d["gate_delay"].__setitem__("FOO2", 10.0),
+        "unknown gate kind key 'FOO2'",
+    ),
+    (
+        lambda d: d["gate_delay"].__setitem__("NOTx", 10.0),
+        "malformed gate_delay key 'NOTx'",
+    ),
+    (
+        lambda d: d.__setitem__("glitch_width", -1.0),
+        "non-positive value for 'glitch_width'",
+    ),
+    (
+        lambda d: d.__setitem__("filter_threshold", -0.5),
+        "filter_threshold must be >= 0",
+    ),
+    (
+        lambda d: d["drain_spec"].__setitem__(
+            "DFF", [{"area": 1.0, "polarity": "pulls-low"}]
         ),
-        (
-            lambda d: d["gate_delay"].__setitem__("FOO2", 10.0),
-            "unknown gate kind key 'FOO2'",
+        "DFF drain sites must name a state-node or capture-node",
+    ),
+    (
+        lambda d: d["drain_spec"].__setitem__(
+            "NOT",
+            [{"area": 1.0, "polarity": "pulls-low", "ff_node_class": "state-node"}],
         ),
-        (
-            lambda d: d["gate_delay"].__setitem__("NOTx", 10.0),
-            "malformed gate_delay key 'NOTx'",
+        "cannot carry ff_node_class",
+    ),
+    (
+        lambda d: d["drain_spec"].__setitem__(
+            "NOT", [{"area": 1.0, "polarity": "sideways"}]
         ),
-        (
-            lambda d: d.__setitem__("glitch_width", -1.0),
-            "non-positive value for 'glitch_width'",
+        "bad polarity 'sideways'",
+    ),
+    (
+        lambda d: d["drain_spec"].__setitem__("NOT", []),
+        "empty drain site list for 'NOT'",
+    ),
+    (
+        lambda d: d["drain_spec"].__setitem__(
+            "NOT", [{"area": -2.0, "polarity": "pulls-low"}]
         ),
-        (
-            lambda d: d.__setitem__("filter_threshold", -0.5),
-            "filter_threshold must be >= 0",
+        "non-positive area",
+    ),
+    (
+        lambda d: d["drain_spec"].__setitem__(
+            "FOO", [{"area": 1.0, "polarity": "pulls-low"}]
         ),
-        (
-            lambda d: d["drain_spec"].__setitem__(
-                "DFF", [{"area": 1.0, "polarity": "pulls-low"}]
-            ),
-            "DFF drain sites must name a state-node or capture-node",
-        ),
-        (
-            lambda d: d["drain_spec"].__setitem__(
-                "NOT",
-                [{"area": 1.0, "polarity": "pulls-low", "ff_node_class": "state-node"}],
-            ),
-            "cannot carry ff_node_class",
-        ),
-        (
-            lambda d: d["drain_spec"].__setitem__(
-                "NOT", [{"area": 1.0, "polarity": "sideways"}]
-            ),
-            "bad polarity 'sideways'",
-        ),
-        (
-            lambda d: d["drain_spec"].__setitem__("NOT", []),
-            "empty drain site list for 'NOT'",
-        ),
-        (
-            lambda d: d["drain_spec"].__setitem__(
-                "NOT", [{"area": -2.0, "polarity": "pulls-low"}]
-            ),
-            "non-positive area",
-        ),
-        (
-            lambda d: d["drain_spec"].__setitem__(
-                "FOO", [{"area": 1.0, "polarity": "pulls-low"}]
-            ),
-            "unknown cell kind 'FOO'",
-        ),
-    ],
-)
+        "unknown cell kind 'FOO'",
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate, message", _BAD_DOCUMENTS)
 def test_load_profile_rejects_bad_documents(mutate, message):
     doc = _doc()
     mutate(doc)
@@ -202,6 +210,148 @@ def test_load_profile_parses_or_raises_input_error(text):
         pass
 
 
+# The loader as it was before its checks were inlined, kept as the reference:
+# ``load_profile`` must return an equal profile or raise the same error.
+def _ref_is_finite_number(value):
+    return (type(value) in (int, float)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def _ref_require(doc, key):
+    if key not in doc:
+        raise ProfileError(f"missing field '{key}'")
+    return doc[key]
+
+
+def reference_load_profile(text, source="<profile>"):
+    def reject_constant(name):
+        raise ProfileError(f"{source}: non-finite number {name}")
+
+    try:
+        doc = json.loads(text, parse_constant=reject_constant)
+    except (ValueError, RecursionError) as exc:
+        raise ProfileError(f"{source}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ProfileError(f"{source}: top level must be an object")
+
+    label = _ref_require(doc, "node_label")
+    raw_delay = _ref_require(doc, "gate_delay")
+    if not isinstance(raw_delay, dict):
+        raise ProfileError("gate_delay must be an object")
+    delays = {}
+    for key, val in raw_delay.items():
+        m = re.match(r"([A-Z]+)(\d+)$", key)
+        if not m:
+            raise ProfileError(f"malformed gate_delay key '{key}' "
+                               "(expected e.g. 'NAND2')")
+        kind, fanin = m.group(1), int(m.group(2))
+        if kind not in GATE_KINDS:
+            raise ProfileError(f"unknown gate kind key '{key}'")
+        if not _ref_is_finite_number(val) or val <= 0:
+            raise ProfileError(f"non-positive delay for '{key}'")
+        if fanin < 1:
+            raise ProfileError(f"bad fan-in in gate_delay key '{key}'")
+        delays[(kind, fanin)] = float(val)
+    if not delays:
+        raise ProfileError("gate_delay table is empty")
+
+    scalars = {}
+    for name in ("ff_setup", "ff_hold", "ff_clk_to_q", "clock_margin",
+                 "glitch_width"):
+        val = _ref_require(doc, name)
+        if not _ref_is_finite_number(val) or val <= 0:
+            raise ProfileError(f"non-positive value for '{name}'")
+        scalars[name] = float(val)
+
+    theta = doc.get("filter_threshold", 1.0)
+    if not _ref_is_finite_number(theta) or theta < 0:
+        raise ProfileError("filter_threshold must be >= 0")
+
+    raw_spec = _ref_require(doc, "drain_spec")
+    if not isinstance(raw_spec, dict):
+        raise ProfileError("drain_spec must be an object")
+    spec = {}
+    for kind, entries in raw_spec.items():
+        if kind != "DFF" and kind not in GATE_KINDS:
+            raise ProfileError(f"unknown cell kind '{kind}' in drain_spec")
+        if not isinstance(entries, list):
+            raise ProfileError(f"drain_spec['{kind}'] must be a list")
+        if not entries:
+            raise ProfileError(f"empty drain site list for '{kind}'")
+        templates = []
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ProfileError(
+                    f"drain_spec['{kind}'][{i}] must be an object")
+            area = entry.get("area")
+            if not _ref_is_finite_number(area) or area <= 0:
+                raise ProfileError(
+                    f"non-positive area in drain_spec['{kind}'][{i}]")
+            pol = entry.get("polarity")
+            if pol not in ("pulls-low", "pulls-high"):
+                raise ProfileError(
+                    f"bad polarity {pol!r} in drain_spec['{kind}'][{i}]")
+            node_class = entry.get("ff_node_class", "none")
+            if node_class not in ("none", "state-node", "capture-node"):
+                raise ProfileError(
+                    f"bad ff_node_class {node_class!r} in "
+                    f"drain_spec['{kind}'][{i}]")
+            if kind == "DFF" and node_class == "none":
+                raise ProfileError(
+                    "DFF drain sites must name a state-node or capture-node")
+            if kind != "DFF" and node_class != "none":
+                raise ProfileError(
+                    f"gate kind '{kind}' cannot carry ff_node_class "
+                    f"'{node_class}'")
+            templates.append(DrainTemplate(float(area), pol, node_class))
+        spec[kind] = tuple(templates)
+
+    return TechProfile(
+        node_label=label,
+        gate_delay=delays,
+        filter_threshold=float(theta),
+        drain_spec=spec,
+        **scalars,
+    )
+
+
+def profile_outcome(load, text):
+    """The profile ``load`` returns, or the type and text of its error."""
+    try:
+        return load(text, source="<t>")
+    except InputError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("name", bundled_profile_names())
+def test_bundled_profiles_match_reference_loader(name):
+    text = (resources.files("seusim") / "data" / "profiles" / f"{name}.json"
+            ).read_text(encoding="utf-8")
+    loaded = load_bundled_profile(name)
+    assert loaded == reference_load_profile(text, source=f"bundled:{name}")
+    assert loaded == load_profile(text)
+
+
+@pytest.mark.parametrize("mutate", [m for m, _ in _BAD_DOCUMENTS])
+def test_bad_documents_keep_reference_messages(mutate):
+    doc = _doc()
+    mutate(doc)
+    text = json.dumps(doc)
+    want = profile_outcome(reference_load_profile, text)
+    assert want[0] == "ProfileError"
+    assert profile_outcome(load_profile, text) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), mutated_profiles(), st.sampled_from(
+    ["[]", '{"node_label": NaN}', "{\"gate_delay\": -Infinity}", "\ufeff{}",
+     json.dumps(_doc(gate_delay={"AND2": 10 ** 400})),
+     json.dumps(_doc(ff_hold=1e400)), json.dumps(_doc(ff_hold=True))])))
+def test_load_profile_matches_reference_loader(text):
+    assert (profile_outcome(load_profile, text)
+            == profile_outcome(reference_load_profile, text))
+
+
 def test_filter_threshold_zero_is_allowed():
     prof = profile_from(_doc(filter_threshold=0.0))
     assert prof.filter_threshold == 0.0
@@ -254,9 +404,9 @@ def test_drain_site_net_is_the_net_its_strike_inverts(name, profile_name):
         if s.ff_node_class == "none":
             want = c.gate_by_id[s.cell].output
         elif s.ff_node_class == "state-node":
-            want = c.flop_by_id[s.cell].output
+            want = flop_by_id(c)[s.cell].output
         else:
-            want = c.flop_by_id[s.cell].data
+            want = flop_by_id(c)[s.cell].data
         assert s.net == want, s.id
 
 
@@ -404,3 +554,91 @@ def test_settle_bound_counts_output_only_logic():
     assert critical_path(c, prof) == 0.0
     assert clock_period(c, prof) == 100.0
     assert settle_bound(c, prof) == 350.0
+
+
+def reference_arrivals(circuit, profile, pi_offset, flop_offset):
+    """One arrival pass per source offset, as timing was computed before
+    ``SimContext.build`` took both bounds from a single pass."""
+    arrival = {n: pi_offset for n in circuit.primary_inputs}
+    for f in circuit.flops:
+        arrival[f.output] = flop_offset
+    for gid in circuit.gate_order:
+        g = circuit.gate_by_id[gid]
+        d = profile.delay(g.kind, len(g.inputs))
+        arrival[g.output] = max(arrival[n] for n in g.inputs) + d
+    return arrival
+
+
+def _fractional_profile():
+    """65nm-like with delays and clk-to-q off the integers, so that a sum
+    taken in another order would round differently."""
+    doc = json.loads((resources.files("seusim") / "data" / "profiles"
+                      / "65nm-like.json").read_text(encoding="utf-8"))
+    doc["gate_delay"] = {k: v * 1.1 + 0.01 for k, v in doc["gate_delay"].items()}
+    doc["ff_clk_to_q"] = 60.3
+    return profile_from(doc)
+
+
+def _timing_case(name, profile_name):
+    """A bundled or generated circuit, wrapped as the CLI wraps it, and a
+    bundled or fractional profile."""
+    if name.startswith("mul"):
+        c = parse_bench(multiplier_bench(int(name[3:])), name=name)
+    else:
+        c = bundled_circuit(name)
+    if not c.flops:
+        c = wrap_combinational(c)
+    if profile_name == "fractional":
+        return c, _fractional_profile()
+    return c, load_bundled_profile(profile_name)
+
+
+_TIMING_PROFILES = ["65nm-like", "180nm-like", "toy-equal", "fractional"]
+_TIMING_CIRCUITS = [*BUNDLED_CIRCUITS, "mul8", "mul12"]
+
+
+@pytest.mark.parametrize("profile_name", _TIMING_PROFILES)
+@pytest.mark.parametrize("name", _TIMING_CIRCUITS)
+def test_context_timing_matches_two_pass_reference(name, profile_name):
+    c, prof = _timing_case(name, profile_name)
+    ctx = SimContext.build(c, prof)
+    critical = max((reference_arrivals(c, prof, 0.0, 0.0)[f.data]
+                    for f in c.flops), default=0.0)
+    period = prof.ff_clk_to_q + critical + prof.ff_setup + prof.clock_margin
+    settle = max(reference_arrivals(c, prof, 0.0, prof.ff_clk_to_q).values())
+    assert (ctx.period, ctx.settle) == (period, settle)
+    assert (ctx.period, ctx.settle) == (clock_period(c, prof),
+                                        settle_bound(c, prof))
+    assert critical_path(c, prof) == critical
+
+
+def reference_enumerate_drains(circuit, profile):
+    """The drain table as built before the per-kind site rows."""
+    sites = []
+    gate_area = flop_area = 0.0
+    for g in circuit.gates:
+        for i, tpl in enumerate(profile.drain_spec[g.kind]):
+            sites.append(DrainSite(f"{g.id}[{i}]", g.id, g.output, tpl.area,
+                                   tpl.polarity, tpl.ff_node_class))
+            gate_area += tpl.area
+    for f in circuit.flops:
+        for i, tpl in enumerate(profile.drain_spec["DFF"]):
+            net = f.data if tpl.ff_node_class == "capture-node" else f.output
+            sites.append(DrainSite(f"{f.id}[{i}]", f.id, net, tpl.area,
+                                   tpl.polarity, tpl.ff_node_class))
+            flop_area += tpl.area
+    total = gate_area + flop_area
+    cum, acc = [], 0.0
+    for s in sites:
+        acc += s.area / total
+        cum.append(acc)
+    cum[-1] = 1.0
+    return DrainTable(sites=tuple(sites), cumulative=tuple(cum),
+                      gate_area=gate_area, flop_area=flop_area)
+
+
+@pytest.mark.parametrize("profile_name", _TIMING_PROFILES)
+@pytest.mark.parametrize("name", _TIMING_CIRCUITS)
+def test_drain_table_matches_reference(name, profile_name):
+    c, prof = _timing_case(name, profile_name)
+    assert enumerate_drains(c, prof) == reference_enumerate_drains(c, prof)
