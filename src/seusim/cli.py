@@ -17,7 +17,6 @@ numbers (the raw sample log keeps full-precision strike times).
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -25,8 +24,8 @@ from pathlib import Path
 
 from . import campaign as camp
 from .campaign import (STRIKE_CLASSES, CampaignConfig, CampaignStats,
-                       ClassStats, OutcomeClass, Ratio, recompute_from_log,
-                       sample_rng, sample_strike, standard_error)
+                       OutcomeClass, recompute_from_log, sample_rng,
+                       sample_strike, standard_error)
 from .errors import ConfigError, InputError, InvariantError, SeuSimError
 from .golden import Stimulus, parse_stimulus, simulate_reference
 from .injector import SimContext, parse_policy, run_sample
@@ -112,22 +111,24 @@ def _prepare_sequential(args):
 # --- stats (de)serialization ------------------------------------------------
 
 # The value kinds a stats document may hold, by the name its errors use.
-# Types are matched exactly, so a bool is not an integer or a number.  A
-# probability lies in [0, 1]; a stderr is a number >= 0.
+# Types are matched exactly, so a bool is not an integer or a number.
 _KINDS = {
     "string": lambda v: type(v) is str,
     "integer": lambda v: type(v) is int,
+    # no run has more samples than the 2**64 indices that key an RNG stream
+    "count": lambda v: type(v) is int and 0 <= v < 2**64,
     "number": is_finite_number,
-    "stderr-or-null": lambda v: v is None or (is_finite_number(v) and v >= 0),
     "boolean": lambda v: type(v) is bool,
-    "probability": lambda v: is_finite_number(v) and 0.0 <= v <= 1.0,
-    "object-of-probabilities": lambda v: type(v) is dict and all(
-        map(_KINDS["probability"], v.values())),
+    # an oracle's area-weighted table, which its counts cannot rebuild:
+    # probabilities that sum to 1 within a tolerance of 1e-9
+    "distribution": lambda v: type(v) is dict and all(
+        is_finite_number(p) and 0.0 <= p <= 1.0 for p in v.values())
+        and abs(sum(v.values()) - 1.0) <= 1e-9,
 }
 
-# (JSON key, CampaignStats attribute, value kind) for every top-level
-# stats.json field except the per-class tables and the metrics.
-_STATS_FIELDS = (
+# (JSON key, CampaignStats attribute, value kind) for the run's inputs: the
+# top-level stats.json fields that the class counts do not decide.
+_INPUT_FIELDS = (
     ("circuit", "circuit_name", "string"),
     ("profile", "profile_label", "string"),
     ("policy", "policy_label", "string"),
@@ -139,15 +140,9 @@ _STATS_FIELDS = (
     ("min_samples", "min_samples", "integer"),
     ("max_samples", "max_samples", "integer"),
     ("stop_reason", "stop_reason", "string"),
-    ("total_samples", "total_samples", "integer"),
     ("wrapped", "wrapped", "boolean"),
-    ("class_share", "class_share", "object-of-probabilities"),
 )
 _METRIC_FIELDS = (("P_m", "p_m"), ("P_GM", "p_gm"), ("P_RM", "p_rm"))
-# ClassStats tables keyed by outcome class, serialized by outcome label,
-# with the kind of their values (a class without samples has no stderr).
-_CLASS_TABLES = (("counts", "integer"), ("probs", "probability"),
-                 ("stderrs", "stderr-or-null"))
 
 
 def _metrics(stats):
@@ -156,11 +151,12 @@ def _metrics(stats):
 
 
 def stats_to_dict(stats):
-    doc = {key: getattr(stats, attr) for key, attr, _ in _STATS_FIELDS}
+    doc = {key: getattr(stats, attr) for key, attr, _ in _INPUT_FIELDS}
+    doc.update(total_samples=stats.total_samples, class_share=stats.class_share)
     doc["classes"] = {
         name: {"n": cs.n, **{
             table: {c.value: getattr(cs, table)[c] for c in OutcomeClass}
-            for table, _ in _CLASS_TABLES}}
+            for table in ("counts", "probs", "stderrs")}}
         for name, cs in stats.per_class.items()}
     doc["metrics"] = {
         key: {"num": r.num, "den": r.den, "value": r.value,
@@ -175,61 +171,69 @@ def _typed(value, kind, what):
     return value
 
 
+def _differing(rebuilt, stored, path=""):
+    """Dotted paths where the JSON value ``stored`` differs from ``rebuilt``
+    or has a key it lacks; KeyError where ``stored`` lacks one of its keys."""
+    if type(rebuilt) is dict and type(stored) is dict:
+        return [p for key in sorted(rebuilt.keys() | stored.keys())
+                for p in (_differing(rebuilt[key], stored[key], f"{path}{key}.")
+                          if key in rebuilt else [path + key])]
+    return [] if rebuilt == stored else [path[:-1]]
+
+
 def stats_from_dict(doc):
     """Rebuild CampaignStats (without records) from a stats.json document.
 
-    Raises InputError when a field is missing or of the wrong kind (a
-    probability outside [0, 1] or a negative stderr), the layout or the
-    set of strike classes is wrong, a class has a negative count or counts
-    that do not sum to its n, the ns do not sum to ``total_samples``, or a
-    metric is not ``0 <= num <= den``.
+    Only the run's inputs and the class counts are read: the inputs pass
+    the checks a run makes, each count is an integer >= 0, and the document
+    must equal the serialized ``tally`` of the counts.  An oracle document
+    (stop reason ``exhaustive``) holds area-weighted probabilities and
+    class shares, so those are read as distributions, and its stderrs are
+    0.0.  Raises InputError otherwise, naming the fields at fault.
     """
     try:
         fields = {attr: _typed(doc[key], kind, key)
-                  for key, attr, kind in _STATS_FIELDS}
-        for key, attr in _METRIC_FIELDS:
-            m = doc["metrics"][key]
-            r = Ratio(_typed(m["num"], "integer", f"{key} num"),
-                      _typed(m["den"], "integer", f"{key} den"))
-            if not 0 <= r.num <= r.den:
-                raise InputError(f"stats document metric {key} needs "
-                                 f"0 <= num <= den, got {r.num}/{r.den}")
-            fields[attr] = r
-        if set(doc["classes"]) != set(STRIKE_CLASSES):
+                  for key, attr, kind in _INPUT_FIELDS}
+        try:
+            CampaignConfig(None, None, None, *(fields[k] for k in (
+                "rng_seed", "max_samples", "min_samples", "stderr_target")))
+        except ConfigError as exc:
+            raise InputError(f"stats document: {exc}") from None
+        if not 0 <= fields["settle"] < fields["period"]:
+            raise InputError("stats document needs 0 <= settle_ps < period_ps")
+        classes = doc["classes"]
+        if set(classes) != set(STRIKE_CLASSES):
             raise InputError(f"stats document classes must be {STRIKE_CLASSES}")
-        per_class = {}
-        for name in STRIKE_CLASSES:
-            sub = doc["classes"][name]
-            cs = per_class[name] = ClassStats(
-                n=_typed(sub["n"], "integer", f"{name} n"),
-                **{table: {c: _typed(sub[table][c.value], kind,
-                                     f"{name} {table} {c.value}")
-                           for c in OutcomeClass}
-                   for table, kind in _CLASS_TABLES})
-            if min(cs.counts.values()) < 0 or sum(cs.counts.values()) != cs.n:
-                raise InputError(
-                    f"stats document class {name} needs non-negative counts "
-                    f"that sum to its n ({cs.n})")
-        if fields["total_samples"] != sum(c.n for c in per_class.values()):
-            raise InputError(f"stats document total_samples is not the sum "
-                             f"of the class ns: {fields['total_samples']}")
+        fields.update(camp.tally({name: [
+            _typed(classes[name]["counts"][c.value], "count",
+                   f"classes.{name}.counts.{c.value}") for c in OutcomeClass]
+            for name in STRIKE_CLASSES}))
+        if fields["stop_reason"] == "exhaustive":
+            share = _typed(doc["class_share"], "distribution", "class_share")
+            fields["class_share"] = {s: share[s] for s in STRIKE_CLASSES}
+            for name, cs in fields["per_class"].items():
+                cs.stderrs = dict.fromkeys(OutcomeClass, 0.0)
+                if cs.n:
+                    probs = _typed(classes[name]["probs"], "distribution",
+                                   f"classes.{name}.probs")
+                    cs.probs = {c: probs[c.value] for c in OutcomeClass}
+        stats = CampaignStats(records=[], **fields)
+        differ = _differing(stats_to_dict(stats), doc)
     except KeyError as exc:
         raise InputError(f"stats document has no key {exc}") from None
-    except (TypeError, AttributeError):
+    except TypeError:
         raise InputError("stats document does not have the stats.json "
                          "layout") from None
-    return CampaignStats(per_class=per_class, records=[], **fields)
+    if differ:
+        raise InputError(f"stats document does not agree with its counts "
+                         f"in: {', '.join(differ)}")
+    return stats
 
 
 def _load_stats(path):
     """(JSON document, CampaignStats) read from a stats file."""
-    text = "".join(_read_lines(path, "stats"))
-
-    def reject_constant(name):
-        raise InputError(f"'{path}' holds the non-finite number {name}")
-
     try:
-        doc = json.loads(text, parse_constant=reject_constant)
+        doc = json.loads("".join(_read_lines(path, "stats")))
     except (ValueError, RecursionError) as exc:
         raise InputError(f"'{path}' is not valid JSON: {exc}") from None
     try:
@@ -494,14 +498,15 @@ def cmd_report(args):
     if args.recompute:
         if records is None:
             raise ConfigError("--recompute needs --log")
-        _verify_recompute(doc, stats, records)
+        _verify_recompute(stats, records)
         print(f"recompute: {len(records)} log rows reproduce the stored "
               "statistics exactly")
+    want = dict(doc, stop_reason="exhaustive")
     oracle_doc, oracle = (_load_stats(args.oracle) if args.oracle
-                          else (doc, None))
-    differ = [f"{key} {doc[key]!r} vs {oracle_doc[key]!r}"
-              for key in ("circuit", "profile", "period_ps", "settle_ps",
-                          "wrapped") if doc[key] != oracle_doc[key]]
+                          else (want, None))
+    differ = [f"{key} {want[key]!r} vs {oracle_doc[key]!r}" for key in (
+        "circuit", "profile", "period_ps", "settle_ps", "wrapped",
+        "stop_reason") if want[key] != oracle_doc[key]]
     if differ:
         raise InvariantError(
             f"oracle '{args.oracle}' does not describe the campaign's run: "
@@ -514,14 +519,10 @@ def cmd_report(args):
     return 0
 
 
-def _verify_recompute(doc, stats, records):
-    """Raise unless the raw log rebuilds the stored stats document exactly.
-
-    Every stored field is compared: counts, probabilities, standard errors,
-    class share, metrics (stored values and errors included) and the
-    sample total.  The fields the log cannot tell (circuit, seed, ...) are
-    taken from ``stats``; the rows must be samples 0..n-1 in order, each
-    struck inside the stored ``[settle, period)`` window.
+def _verify_recompute(stats, records):
+    """Raise unless the log rows are samples 0..n-1 in order, each struck
+    inside the stored ``[settle, period)`` window, and their per-class
+    counts equal the stored ones, which decide every other stored field.
     """
     for i, rec in enumerate(records):
         if rec.index != i:
@@ -531,14 +532,13 @@ def _verify_recompute(doc, stats, records):
             raise InvariantError(
                 f"log row {i}: strike time {rec.t!r} outside the stored "
                 f"window [{stats.settle!r}, {stats.period!r})")
-    rebuilt = stats_to_dict(dataclasses.replace(
-        stats, **recompute_from_log(records)))
-    differ = sorted(key for key in rebuilt.keys() | doc.keys()
-                    if rebuilt.get(key) != doc.get(key))
+    logged = recompute_from_log(records)["per_class"]
+    differ = [name for name, cs in stats.per_class.items()
+              if logged[name].counts != cs.counts]
     if differ:
         raise InvariantError(
-            f"statistics recomputed from {len(records)} log rows do not "
-            f"match the stored ones in: {', '.join(differ)}")
+            f"the counts of {len(records)} log rows do not match the stored "
+            f"ones in: {', '.join(differ)}")
 
 
 # --- argument parsing -------------------------------------------------------

@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seusim import campaign, cli
-from seusim.campaign import (LOG_COLUMNS, CampaignConfig, ClassStats, OutcomeClass,
-                             read_sample_log, recompute_from_log, run_campaign)
+from seusim.campaign import (LOG_COLUMNS, CampaignConfig, CampaignStats, ClassStats,
+                             OutcomeClass, read_sample_log, recompute_from_log,
+                             run_campaign)
 from seusim.errors import InputError
 from seusim.golden import Stimulus, simulate_reference
 from seusim.netlist import parse_bench
@@ -968,15 +969,25 @@ def test_report_rejects_stats_with_wrong_classes(finished_campaign, tmp_path, ch
     assert "classes must be ('gate', 'register')" in err
 
 
+# the start of the error for a document whose fields differ from what its
+# counts rebuild
+_DISAGREE = "does not agree with its counts in: "
+
+
 @pytest.mark.parametrize(
-    "path, value",
-    [(("classes", "gate", "n"), "x"),
-     (("classes", "register", "counts", "NF"), 1.5),
-     (("metrics", "P_m", "num"), "3"),
-     (("metrics", "P_GM", "den"), True)],
+    "path, value, message",
+    [(("classes", "gate", "n"), "x",
+      _DISAGREE + "classes.gate.n"),
+     (("classes", "register", "counts", "NF"), 1.5,
+      "has a non-count classes.register.counts.NF: 1.5"),
+     (("metrics", "P_m", "num"), "3",
+      _DISAGREE + "metrics.P_m.num"),
+     (("metrics", "P_GM", "den"), True,
+      _DISAGREE + "metrics.P_GM.den")],
     ids=["n", "count", "num", "den"],
 )
-def test_report_rejects_non_integer_stats_counts(finished_campaign, tmp_path, path, value):
+def test_report_rejects_non_integer_stats_counts(finished_campaign, tmp_path, path, value,
+                                                 message):
     camp, _ = finished_campaign
     doc = json.loads((camp / "stats.json").read_text())
     parent = doc
@@ -987,18 +998,23 @@ def test_report_rejects_non_integer_stats_counts(finished_campaign, tmp_path, pa
     broken.write_text(json.dumps(doc))
     code, _, err = run_cli(["report", "--stats", str(broken), "--out", str(tmp_path / "rt")])
     _assert_input_error(code, err)
-    assert "non-integer" in err
+    assert err == f"error:input-error: '{broken}': stats document {message}\n"
 
 
 @pytest.mark.parametrize(
     "flag, path, value, message",
+    # every field the counts decide is named where it differs from its rebuild
     [("--stats", ("classes", "gate", "counts", "NN"), 10**6,
-      "class gate needs non-negative counts"),
-     ("--stats", ("classes", "gate", "n"), -5, "class gate needs non-negative counts"),
-     ("--stats", ("metrics", "P_m", "den"), -3, "metric P_m needs 0 <= num <= den"),
+      _DISAGREE + "class_share.gate, class_share.register, "
+      "classes.gate.n, classes.gate.probs.NF, classes.gate.probs.NN, "
+      "classes.gate.stderrs.NF, classes.gate.stderrs.NN, total_samples"),
+     ("--stats", ("classes", "gate", "n"), -5,
+      _DISAGREE + "classes.gate.n"),
+     ("--stats", ("metrics", "P_m", "den"), -3,
+      _DISAGREE + "metrics.P_m.den"),
      # the class ns sum to the stored total, which is never 5
-     ("--stats", ("total_samples",), 5, "total_samples is not the sum of the class ns: 5"),
-     ("--oracle", ("total_samples",), 5, "total_samples is not the sum of the class ns: 5")],
+     ("--stats", ("total_samples",), 5, _DISAGREE + "total_samples"),
+     ("--oracle", ("total_samples",), 5, _DISAGREE + "total_samples")],
     ids=["count-sum", "negative-n", "negative-den", "total-samples",
          "oracle-total-samples"],
 )
@@ -1018,32 +1034,39 @@ def test_report_rejects_impossible_stats_integers(finished_campaign, tmp_path, f
         argv += [k, str(v)]
     code, _, err = run_cli(argv + ["--out", str(tmp_path / "ri")])
     _assert_input_error(code, err)
-    assert f"'{files[flag]}': stats document {message}" in err
+    assert err == f"error:input-error: '{files[flag]}': stats document {message}\n"
 
 
 @pytest.mark.parametrize(
-    "flag, path, value",
-    [("--stats", ("period_ps",), "x"),
-     ("--stats", ("classes", "gate", "probs", "NF"), "x"),
-     ("--stats", ("classes", "register", "stderrs", "NN"), "x"),
-     ("--stats", ("circuit",), 5),
-     ("--stats", ("class_share",), [1, 2]),
-     ("--stats", ("class_share", "gate"), "x"),
-     ("--oracle", ("classes", "gate", "probs", "NN"), "x"),
+    "flag, path, value, message",
+    [("--stats", ("period_ps",), "x", "has a non-number period_ps: 'x'"),
+     ("--stats", ("classes", "gate", "probs", "NF"), "x", _DISAGREE + "classes.gate.probs.NF"),
+     ("--stats", ("classes", "register", "stderrs", "NN"), "x",
+      _DISAGREE + "classes.register.stderrs.NN"),
+     ("--stats", ("circuit",), 5, "has a non-string circuit: 5"),
+     ("--stats", ("class_share",), [1, 2], _DISAGREE + "class_share"),
+     ("--stats", ("class_share", "gate"), "x", _DISAGREE + "class_share.gate"),
+     # an oracle's area-weighted tables are read, not rebuilt
+     ("--oracle", ("classes", "gate", "probs", "NN"), "x",
+      "has a non-distribution classes.gate.probs: "),
      # numbers outside the range their field allows
-     ("--stats", ("classes", "gate", "probs", "NN"), -7),
-     ("--stats", ("classes", "gate", "probs", "FF"), 1.5),
-     ("--stats", ("classes", "gate", "stderrs", "NN"), -1),
-     ("--stats", ("class_share", "register"), 1.25),
-     ("--oracle", ("classes", "gate", "probs", "NN"), 1.5),
-     ("--oracle", ("classes", "register", "stderrs", "NF"), -1e-9),
-     ("--oracle", ("class_share", "gate"), -0.5)],
+     ("--stats", ("classes", "gate", "probs", "NN"), -7, _DISAGREE + "classes.gate.probs.NN"),
+     ("--stats", ("classes", "gate", "probs", "FF"), 1.5, _DISAGREE + "classes.gate.probs.FF"),
+     ("--stats", ("classes", "gate", "stderrs", "NN"), -1,
+      _DISAGREE + "classes.gate.stderrs.NN"),
+     ("--stats", ("class_share", "register"), 1.25, _DISAGREE + "class_share.register"),
+     ("--oracle", ("classes", "gate", "probs", "NN"), 1.5,
+      "has a non-distribution classes.gate.probs: "),
+     ("--oracle", ("classes", "register", "stderrs", "NF"), -1e-9,
+      _DISAGREE + "classes.register.stderrs.NF"),
+     ("--oracle", ("class_share", "gate"), -0.5, "has a non-distribution class_share: ")],
     ids=["period", "prob", "stderr", "circuit", "share-list", "share-value",
          "oracle-prob", "prob-negative", "prob-above-one", "stderr-negative",
          "share-above-one", "oracle-prob-above-one", "oracle-stderr-negative",
          "oracle-share-negative"],
 )
-def test_report_rejects_ill_typed_stats(finished_campaign, tmp_path, flag, path, value):
+def test_report_rejects_ill_typed_stats(finished_campaign, tmp_path, flag, path, value,
+                                       message):
     camp, orc = finished_campaign
     files = {"--stats": camp / "stats.json", "--oracle": orc / "oracle_stats.json"}
     doc = json.loads(files[flag].read_text())
@@ -1058,7 +1081,123 @@ def test_report_rejects_ill_typed_stats(finished_campaign, tmp_path, flag, path,
         argv += [k, str(v)]
     code, _, err = run_cli(argv + ["--out", str(tmp_path / "rt")])
     _assert_input_error(code, err)
-    assert f"'{files[flag]}': stats document has a non-" in err
+    expected = f"error:input-error: '{files[flag]}': stats document {message}"
+    # a distribution's message goes on with the table it read
+    assert err.startswith(expected) if message.endswith(": ") else err == expected + "\n"
+
+
+# Edits of an s27 stats.json that contradict the run or its own counts, each
+# with the part of the error that names the field at fault.
+_RUN_EDITS = {
+    "period": (("period_ps",), -5, "needs 0 <= settle_ps < period_ps"),
+    "settle": (("settle_ps",), 1e9, "needs 0 <= settle_ps < period_ps"),
+    "min-samples": (("min_samples",), 1000000, "< min_samples (1000000)"),
+    "stderr-target": (("stderr_target",), -3, "stderr_target must be in (0, 1), got -3"),
+    "gate-P_NN": (("classes", "gate", "probs", "NN"), 0, _DISAGREE + "classes.gate.probs.NN"),
+    "gate-share": (("class_share", "gate"), 0.9, _DISAGREE + "class_share.gate"),
+}
+
+
+@pytest.mark.parametrize("edits", [*([name] for name in _RUN_EDITS), list(_RUN_EDITS)],
+                         ids=[*_RUN_EDITS, "all"])
+def test_report_rejects_stats_that_contradict_the_run(tmp_path, edits):
+    # each of these edits, and all six at once, used to exit 0 and print
+    # "clock period: -5 ps   settle bound: 1e+09 ps" and a gate share of 0.9
+    bench = tmp_path / "s27.bench"
+    bench.write_text(bundled_bench_text("s27"))
+    camp = tmp_path / "c"
+    assert run_cli(["campaign", "--circuit", str(bench), "--tech", "65nm-like", "--stimulus",
+                    "random:20:1", "--max-samples", "300", "--out", str(camp)])[0] == 0
+    doc = json.loads((camp / "stats.json").read_text())
+    for name in edits:
+        path, value, _ = _RUN_EDITS[name]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    code, out, err = run_cli(["report", "--stats", str(edited), "--out", str(tmp_path / "r")])
+    _assert_input_error(code, err)
+    assert out == ""
+    # CampaignConfig's stderr_target check is the first to fail on all six
+    assert _RUN_EDITS[edits[0] if len(edits) == 1 else "stderr-target"][2] in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("shift, code", [(0.43, 2), (1e-6, 2), (1e-12, 0)],
+                         ids=["sum-1.43", "sum-1+1e-6", "within-tolerance"])
+def test_report_requires_oracle_probabilities_that_sum_to_one(finished_campaign, tmp_path,
+                                                              shift, code):
+    # an oracle's probabilities are area-weighted, so they are read rather
+    # than rebuilt: each table must sum to 1 within the stated tolerance
+    camp, orc = finished_campaign
+    doc = json.loads((orc / "oracle_stats.json").read_text())
+    probs = doc["classes"]["gate"]["probs"]
+    probs[min(probs, key=probs.get)] += shift
+    edited = tmp_path / "oracle.json"
+    edited.write_text(json.dumps(doc))
+    got, _, err = run_cli(["report", "--stats", str(camp / "stats.json"), "--oracle",
+                           str(edited), "--out", str(tmp_path / "r")])
+    if code == 0:
+        assert (got, err) == (0, "")
+        return
+    _assert_input_error(got, err)
+    assert err.startswith(f"error:input-error: '{edited}': stats document has a "
+                          "non-distribution classes.gate.probs: ")
+
+
+def test_report_oracle_refuses_a_campaign_stats_file(finished_campaign, tmp_path):
+    # a campaign's own stats.json describes the same circuit, profile and
+    # clock, but it is a Monte Carlo estimate, not an enumeration
+    camp, _ = finished_campaign
+    stats = camp / "stats.json"
+    code, out, err = run_cli(["report", "--stats", str(stats), "--oracle", str(stats),
+                              "--out", str(tmp_path / "r")])
+    assert (code, out) == (3, "")
+    assert err == (f"error:invariant-violation: oracle '{stats}' does not describe the "
+                   "campaign's run: stop_reason 'exhaustive' vs 'max-samples'\n")
+    assert not (tmp_path / "r").exists()
+
+
+def _rebuild(doc):
+    """CampaignStats of a Monte Carlo document's inputs plus ``tally`` of
+    its class counts."""
+    counts = {s: [doc["classes"][s]["counts"][c.value] for c in OutcomeClass]
+              for s in ("gate", "register")}
+    return CampaignStats(
+        circuit_name=doc["circuit"], profile_label=doc["profile"], policy_label=doc["policy"],
+        rng_seed=doc["rng_seed"], period=doc["period_ps"], settle=doc["settle_ps"],
+        stderr_target=doc["stderr_target"], target_estimate=doc["target_estimate"],
+        min_samples=doc["min_samples"], max_samples=doc["max_samples"],
+        stop_reason=doc["stop_reason"], wrapped=doc["wrapped"], **campaign.tally(counts))
+
+
+# values a stats document could plausibly hold, beside arbitrary JSON
+_STATS_VALUES = _JSON_VALUES | st.floats(0, 1) | st.integers(0, 300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_loaded_stats_documents_equal_their_rebuilt_counts(data):
+    # replace up to three leaves of a valid document; whatever still loads
+    # holds exactly what its inputs and counts decide
+    doc = json.loads(_stats_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent = doc
+        while True:
+            key = data.draw(st.sampled_from(sorted(parent)))
+            if not (isinstance(parent[key], dict) and parent[key]):
+                break
+            parent = parent[key]
+        parent[key] = data.draw(_STATS_VALUES)
+    try:
+        loaded = cli.stats_from_dict(doc)
+    except InputError:
+        return
+    rebuilt = cli.stats_json(_rebuild(doc))
+    assert json.loads(rebuilt) == doc
+    assert cli.stats_json(loaded) == rebuilt
 
 
 def _recompute(camp, tmp_path, stats_text=None, log_text=None):
@@ -1078,17 +1217,21 @@ def _recompute(camp, tmp_path, stats_text=None, log_text=None):
     ids=".".join,
 )
 def test_report_recompute_checks_stored_stderrs(finished_campaign, tmp_path, path):
+    # the stderrs are recomputed from the stored counts as the document
+    # loads, so no log is needed to catch an edited one
     camp, _ = finished_campaign
     doc = json.loads((camp / "stats.json").read_text())
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] += 0.001
-    code, out, err = _recompute(camp, tmp_path, stats_text=json.dumps(doc))
-    assert code == 3
-    assert "reproduce" not in out
-    assert err == ("error:invariant-violation: statistics recomputed from 200 log "
-                   f"rows do not match the stored ones in: {path[0]}\n")
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    code, out, err = run_cli(["report", "--stats", str(edited), "--out", str(tmp_path / "rr")])
+    assert (code, out) == (2, "")
+    assert err == (f"error:input-error: '{edited}': stats document does not agree with "
+                   f"its counts in: {'.'.join(path)}\n")
+    assert not (tmp_path / "rr").exists()
 
 
 def test_report_recompute_catches_consistent_log_edit(finished_campaign, tmp_path):
@@ -1098,7 +1241,8 @@ def test_report_recompute_catches_consistent_log_edit(finished_campaign, tmp_pat
     code, _, err = _recompute(camp, tmp_path,
                               log_text=text.replace(",0,0,NN\n", ",0,1,NF\n", 1))
     assert code == 3
-    assert err.startswith("error:invariant-violation: ")
+    assert err.startswith("error:invariant-violation: the counts of 200 log rows do not "
+                          "match the stored ones in: ")
     assert err.count("\n") == 1
 
 
@@ -1304,6 +1448,83 @@ def test_run_output_bytes_are_pinned(tmp_path, run):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir())}
     assert digests == RUN_DIGESTS[run]
+
+
+# sha256 of the report files (each name, a NUL byte and its bytes, in name
+# order) of a campaign judged against the oracle of the same run, with
+# --recompute, for every bundled circuit and profile.  Recorded before the
+# stats loader rebuilt documents from their counts: every real document
+# still loads, and reads back to the same report.
+BUNDLED_REPORT_DIGESTS = {
+    ("c17", "180nm-like"):
+        "b8ce7b0030416b8c3aa12d5188e765eb2b296207944c1ef2dea051c996dbb46d",
+    ("c17", "65nm-like"):
+        "9f9c0e5e8278c7afea56f561a3c35fba232f5b3b8fb2df693f5189a456cc56b2",
+    ("c17", "toy-equal"):
+        "9c12b60708aed741b83834e6851c8a17abbab9fb8075efaca10ca91151a439fa",
+    ("s27", "180nm-like"):
+        "5ecf75145abbb62b9aef52832ec72074a2db82a6e2ca7f4e9914c35b00961131",
+    ("s27", "65nm-like"):
+        "7b0e69ecd1be793107f0d127003a5ca1c99af08990cf57b11dc6f229a47cb02a",
+    ("s27", "toy-equal"):
+        "e4571019cd2e9b9a3f81bde489bdb3ea96ba530eb2cadca03cd31f5c1ea2645e",
+    ("decoder3to8", "180nm-like"):
+        "d3d233dc4c57fbf319227104d94e2601cd0536bf80a9bd17af5f102b6e4b82ba",
+    ("decoder3to8", "65nm-like"):
+        "4dbd787b10180fdf861dcaae004c1f9ba0ecec26b36192d8840a8683d14bb932",
+    ("decoder3to8", "toy-equal"):
+        "e73e07f058cf70ea68655d9509cd1cdff62e27d67a355cc7bcff0619d09d334b",
+    ("lfsr8", "180nm-like"):
+        "505b714a445f61ff4433a89aa6e10f0813dd4c096773c2e2d52998fc8d91c3b0",
+    ("lfsr8", "65nm-like"):
+        "75e3fd2d5adbdb796f488acafbc10598e3337b761da25eeefc94600c3e07fb85",
+    ("lfsr8", "toy-equal"):
+        "5bb29ea052a0dc931bc182300749700245451023fbe2014c82dd54dc73452c9c",
+    ("fsm3", "180nm-like"):
+        "bf2a84146af7b660bf1ffd87ddc33faba955c10325abaa76e7be148052ed5cc1",
+    ("fsm3", "65nm-like"):
+        "c740030ecaca78c72cffaaba6410bb1b0bb2ff87c3f828dfba1574a25e402929",
+    ("fsm3", "toy-equal"):
+        "2d5a12a5fed41dea7ff4979857e27919465e655b0449030205875d865f08b5e7",
+    ("toy_chain", "180nm-like"):
+        "db32ab9ec6585aa5b9b0e39fd193cdaee2944bcb59049cdea0207f30de5aa2bc",
+    ("toy_chain", "65nm-like"):
+        "69d7bba404fe5e50330631404017d593e8d2c99220d1b940d54677312b4c8cb7",
+    ("toy_chain", "toy-equal"):
+        "720321aba6263488d4fb4fb762330e8b6c1db8dd9ba4e197b91f26460c22a135",
+    ("toy_fanout", "180nm-like"):
+        "3204a7dec5d7e7ec34f141e4fcf3186b571dc97de75da8939fb11319e310aa2a",
+    ("toy_fanout", "65nm-like"):
+        "eb9e27dcd81598d130f4f39bc32419bffd3f9a0e0b1709524dda071b522a21de",
+    ("toy_fanout", "toy-equal"):
+        "80c52319e3854fb1445407b8e29f7f84c710b6f4de8ce41f4f94bbf91108f4de",
+    ("toy_mask", "180nm-like"):
+        "505fa8091ed4f7254507954f648aadb03c540c53dab73307d2dcdf546d6ef85c",
+    ("toy_mask", "65nm-like"):
+        "db2aa797477760303bc48f8785056bd5ebafb96f597c7527aea399bd3bd3a312",
+    ("toy_mask", "toy-equal"):
+        "3070907cc04bae249e98dd4b7adfea9b7939fd3228fe71fe870f38a4f3a96d89",
+}
+
+
+@pytest.mark.parametrize("circuit, tech", list(BUNDLED_REPORT_DIGESTS),
+                         ids="-".join)
+def test_bundled_runs_load_and_report_unchanged(tmp_path, circuit, tech):
+    bench = tmp_path / f"{circuit}.bench"
+    bench.write_text(bundled_bench_text(circuit))
+    common = ["--circuit", str(bench), "--tech", tech, "--stimulus", "random:8:3"]
+    camp, orc, rep = tmp_path / "c", tmp_path / "o", tmp_path / "r"
+    assert run_cli(["campaign", *common, "--max-samples", "300", "--min-samples", "50",
+                    "--out", str(camp)])[0] == 0
+    assert run_cli(["oracle", *common, "--t-grid", "7", "--out", str(orc)])[0] == 0
+    code, _, err = run_cli(["report", "--stats", str(camp / "stats.json"), "--log",
+                            str(camp / "samples.csv"), "--recompute", "--oracle",
+                            str(orc / "oracle_stats.json"), "--out", str(rep)])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256()
+    for path in sorted(rep.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == BUNDLED_REPORT_DIGESTS[circuit, tech]
 
 
 @pytest.mark.parametrize("policy", ["instant", "window-random:0.5"])
