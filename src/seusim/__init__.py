@@ -18,8 +18,8 @@ from .injector import (INSTANT, CapturePolicy, SampleResult, SimContext,
                        disturb_register, parse_policy, run_sample)
 from .netlist import (Circuit, Diagnostics, Flop, Gate, parse_bench, validate,
                       wrap_combinational)
-from .techmodel import (DrainSite, DrainTable, TechProfile, clock_period,
-                        enumerate_drains, load_bundled_profile, load_profile,
-                        load_profile_file, settle_bound)
+from .techmodel import (DrainSite, DrainTable, TechProfile, enumerate_drains,
+                        load_bundled_profile, load_profile, load_profile_file,
+                        period_and_settle)
 
 __version__ = "0.1.0"

@@ -67,9 +67,6 @@ def classify(flip_counts):
     return _OUTCOMES[_outcome_index(*flip_counts)]
 
 
-ERRONEOUS = tuple(c for c in OutcomeClass if c is not OutcomeClass.NN)
-
-
 def standard_error(p, n):
     """Binomial standard error sqrt(p*(1-p)/n)."""
     if n < 1:

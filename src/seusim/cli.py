@@ -424,7 +424,7 @@ def cmd_golden(args):
     out = Path(args.out)
     _write(out / "trace.csv", trace.to_csv())
     print(f"golden: {trace.cycle_count} cycles, {len(trace.flop_ids)} flops, "
-          f"{len(trace.net_ids)} nets -> {out / 'trace.csv'}")
+          f"{len(trace.net_masks)} nets -> {out / 'trace.csv'}")
     return 0
 
 

@@ -123,29 +123,23 @@ class Trace:
     """Golden simulation result.
 
     Bit ``c`` of ``net_masks[net]`` is the value of ``net`` during cycle
-    ``c``, for every net in ``net_ids`` order; ``flop_states[c][j]`` is the
-    state of flop ``flop_ids[j]`` during cycle ``c`` (captured at the edge
-    that started the cycle).
+    ``c``, for every net of the circuit.  A flop's state during cycle ``c``
+    (captured at the edge that started the cycle) is bit ``c`` of its
+    output net's mask.
     """
 
-    circuit_name: str
-    pi_ids: tuple
+    cycle_count: int
     flop_ids: tuple
-    net_ids: tuple
-    pi_vectors: tuple
-    flop_states: tuple
     net_masks: dict
-
-    @property
-    def cycle_count(self):
-        return len(self.pi_vectors)
 
     def net_value(self, cycle, net):
         return self.net_masks[net] >> cycle & 1
 
     def to_csv(self):
+        columns = [_column(self.net_masks[fid], self.cycle_count)
+                   for fid in self.flop_ids]
         lines = ["cycle,flop,bit"]
-        for c, row in enumerate(self.flop_states):
+        for c, row in enumerate(zip(*columns)):
             for fid, bit in zip(self.flop_ids, row):
                 lines.append(f"{c},{fid},{bit}")
         return "\n".join(lines) + "\n"
@@ -166,7 +160,7 @@ _TABLE_FLOPS, _TABLE_INPUTS, _TABLE_VARS = 8, 8, 10
 # and bit 0 inverts the result.  NOT and BUF fold XOR over their one input.
 _OPCODE = {"AND": 0, "NAND": 1, "OR": 2, "NOR": 3,
            "XOR": 4, "XNOR": 5, "BUF": 6, "NOT": 7}
-_ID, _OUTPUT, _DATA = attrgetter("id"), attrgetter("output"), attrgetter("data")
+_ID, _DATA = attrgetter("id"), attrgetter("data")
 _ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _BITS_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 # byte value -> ASCII "0" or "1" for its bit f, for f in 0..7
@@ -177,13 +171,6 @@ _BIT_ASCII = tuple(bytes(48 + (v >> f & 1) for v in range(256))
 def _column(mask, n):
     """``n`` bytes, byte c holding bit c of ``mask``."""
     return format(mask, f"0{n}b")[::-1].encode().translate(_ASCII_BITS)
-
-
-def _unpack(masks, cycles):
-    """Per-cycle tuples from per-column masks (bit c = value in cycle c)."""
-    if not masks:
-        return ((),) * cycles
-    return tuple(zip(*(_column(m, cycles) for m in masks)))
 
 
 def _evaluate(program, values, full):
@@ -273,9 +260,8 @@ def simulate_reference(circuit, stimulus):
             raise StimulusError("initial state bits must be 0/1")
 
     gate_by_id, flops = circuit.gate_by_id, circuit.flops
-    flop_outputs = tuple(map(_OUTPUT, flops))
-    net_ids = (*circuit.primary_inputs, *flop_outputs,
-               *map(_OUTPUT, circuit.gates))
+    flop_ids = tuple(map(_ID, flops))
+    net_ids = (*circuit.primary_inputs, *flop_ids, *map(_ID, circuit.gates))
     index = dict(zip(net_ids, range(len(net_ids))))
     slot = index.__getitem__
     program = []
@@ -285,9 +271,9 @@ def simulate_reference(circuit, stimulus):
         if op is None:
             raise InvariantError(f"cannot evaluate gate kind '{g.kind}'")
         inputs = g.inputs[:1] if op >= 6 else g.inputs
-        program.append((op, index[g.output], tuple(map(slot, inputs))))
+        program.append((op, index[gid], tuple(map(slot, inputs))))
     pi_slots = list(map(slot, circuit.primary_inputs))
-    flop_slots = list(map(slot, flop_outputs))
+    flop_slots = list(map(slot, flop_ids))
     data_slots = list(map(slot, map(_DATA, flops)))
 
     cycles = len(vectors)
@@ -298,7 +284,6 @@ def simulate_reference(circuit, stimulus):
                 for i in range(n_pi)]
     values = [0] * len(net_ids)
     net_masks = [0] * len(net_ids)
-    flop_masks = [0] * n_flops
     table = _step_table(program, len(net_ids), pi_slots, flop_slots,
                         data_slots)
     for c0 in range(0, cycles, _BLOCK):
@@ -323,15 +308,7 @@ def simulate_reference(circuit, stimulus):
                 break
             held = nxt
         net_masks = [m | v << c0 for m, v in zip(net_masks, values)]
-        flop_masks = [m | v << c0 for m, v in zip(flop_masks, held)]
         state = [(values[d] >> (width - 1)) & 1 for d in data_slots]
 
-    return Trace(
-        circuit_name=circuit.name,
-        pi_ids=tuple(circuit.primary_inputs),
-        flop_ids=tuple(map(_ID, flops)),
-        net_ids=net_ids,
-        pi_vectors=tuple(vectors),
-        flop_states=_unpack(flop_masks, cycles),
-        net_masks=dict(zip(net_ids, net_masks)),
-    )
+    return Trace(cycle_count=cycles, flop_ids=flop_ids,
+                 net_masks=dict(zip(net_ids, net_masks)))

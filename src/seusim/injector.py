@@ -110,9 +110,9 @@ class SimContext:
     profile: object
     period: float
     settle: float
-    # set by ``bind``: the trace, net -> ((gate id, output net, delay ps,
-    # pass mask), ...) in ``circuit.gate_fanout`` order, and data net ->
-    # [(flop position, flop id, data net), ...] in circuit flop order
+    # set by ``bind``: the trace, net -> ((gate id, delay ps, pass mask),
+    # ...) in ``circuit.gate_fanout`` order, and data net -> [(flop
+    # position, flop id, data net), ...] in circuit flop order
     trace: object = None
     passes: dict = None
     latches: dict = None
@@ -140,7 +140,7 @@ class SimContext:
                 if n != net:
                     m &= full ^ masks[n] if ctrl else masks[n]
             delay = self.profile.delay(gate.kind, len(gate.inputs))
-            return gate.id, gate.output, delay, m
+            return gate.id, delay, m
 
         passes = {net: tuple(entry(net, g) for g in gates)
                   for net, gates in self.circuit.gate_fanout.items()}
@@ -202,7 +202,7 @@ def _propagate(ctx, seed, live, debug=None):
     """
     theta = ctx.profile.filter_threshold
     masks, passes = ctx.trace.net_masks, ctx.passes
-    flop_data = ctx.circuit.flops_by_data
+    latches = ctx.latches
     net, start, width, step = seed
     single = not live & (live - 1)
     at_flops, seen = {}, {}
@@ -228,9 +228,9 @@ def _propagate(ctx, seed, live, debug=None):
             debug.append(f"pulse net={net} start={start:.2f} "
                          f"width={width:.2f} value={int(not masks[net] & m)}"
                          + (" step" if step else ""))
-        if net in flop_data:
+        if net in latches:
             at_flops.setdefault(net, []).append((start, start + width, m))
-        for gate_id, out, d, pass_mask in passes.get(net, ()):
+        for gate_id, d, pass_mask in passes.get(net, ()):
             passed = m & pass_mask
             if not passed:
                 if debug is not None:
@@ -244,7 +244,7 @@ def _propagate(ctx, seed, live, debug=None):
                     if debug is not None:
                         debug.append(f"  masked at {gate_id} (electrical)")
                     continue
-            queue.append((out, start + d, new_width, passed))
+            queue.append((gate_id, start + d, new_width, passed))
     return at_flops
 
 
@@ -306,7 +306,7 @@ def grid_flip_counts(ctx, row, times):
     edge = ctx.period
     diff = [0] * (len(times) + 1)
     for net, intervals in row.items():
-        weight = len(ctx.circuit.flops_by_data[net])
+        weight = len(ctx.latches[net])
         lo = hi = 0
         for a, b in sorted(
                 (bisect_left(times, edge, key=lambda t: t + e),

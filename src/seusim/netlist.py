@@ -40,21 +40,19 @@ CONTROLLING = {
 
 @dataclass(frozen=True)
 class Gate:
-    """One combinational gate; ``id`` equals the driven output net."""
+    """One combinational gate, named by the net it drives."""
 
     id: str
     kind: str
     inputs: tuple
-    output: str
 
 
 @dataclass(frozen=True)
 class Flop:
-    """A D flip-flop; ``id`` equals its output net."""
+    """A D flip-flop, named by its output net."""
 
     id: str
     data: str
-    output: str
 
 
 @dataclass(frozen=True)
@@ -110,14 +108,6 @@ class Circuit:
         return {n: tuple(gs) for n, gs in out.items()}
 
     @cached_property
-    def flops_by_data(self):
-        """data net -> tuple of flop ids latching it."""
-        out = {}
-        for f in self.flops:
-            out.setdefault(f.data, []).append(f.id)
-        return {n: tuple(ids) for n, ids in out.items()}
-
-    @cached_property
     def gate_order(self):
         """Topological order of gate ids (flop boundaries cut the graph).
 
@@ -126,19 +116,16 @@ class Circuit:
         combinational cycle (and, not being cached then, on every access).
         """
         gates = self.gates
-        # net -> id of its first driving gate; a net that is also a primary
-        # input has no gate driver
-        gate_driver = {g.output: g.id for g in reversed(gates)}
-        for pi in self.primary_inputs:
-            gate_driver.pop(pi, None)
+        # a net that is also a primary input has no gate driver
+        gate_driven = {g.id for g in gates}.difference(self.primary_inputs)
         indeg = {}
         succs = {g.id: [] for g in gates}
         for g in gates:
             count = 0
             for n in g.inputs:
-                if (drv := gate_driver.get(n)) is not None:
+                if n in gate_driven:
                     count += 1
-                    succs[drv].append(g.id)
+                    succs[n].append(g.id)
             indeg[g.id] = count
 
         ready = deque(g.id for g in gates if indeg[g.id] == 0)
@@ -247,9 +234,9 @@ def parse_bench(text, name="bench"):
                 if len(args) != 1:
                     raise BenchParseError(
                         "DFF takes exactly one input", lineno, col0)
-                flops.append(Flop(target, args[0], target))
+                flops.append(Flop(target, args[0]))
             else:
-                gates.append(Gate(target, kind, tuple(args), target))
+                gates.append(Gate(target, kind, tuple(args)))
             continue
 
         raise BenchParseError(f"cannot parse line: '{body.rstrip()}'",
@@ -292,15 +279,15 @@ def validate(circuit):
     errors = diags.errors
     pis, gates, flops = circuit.primary_inputs, circuit.gates, circuit.flops
     pos = circuit.primary_outputs
-    outputs = [*pis, *[g.output for g in gates], *[f.output for f in flops]]
+    outputs = [*pis, *[g.id for g in gates], *[f.id for f in flops]]
     driven = set(outputs)
     if len(driven) != len(outputs):
         # net -> number of driving cells; the cells are named only on error
         for net, count in Counter(outputs).items():
             if count > 1:
                 who = (["primary input"] * pis.count(net)
-                       + [f"gate '{g.id}'" for g in gates if g.output == net]
-                       + [f"flop '{f.id}'" for f in flops if f.output == net])
+                       + [f"gate '{g.id}'" for g in gates if g.id == net]
+                       + [f"flop '{f.id}'" for f in flops if f.id == net])
                 errors.append(Diagnostic(
                     "duplicate-driver",
                     f"net '{net}' driven by {count} cells: {', '.join(who)}"))
@@ -330,8 +317,8 @@ def validate(circuit):
                 "bad-fanin",
                 f"{kind} gate '{g.id}' must have exactly 1 input, "
                 f"has {len(ins)}"))
-        if g.output not in declared or not declared.issuperset(ins):
-            for n in (*ins, g.output):
+        if g.id not in declared or not declared.issuperset(ins):
+            for n in (*ins, g.id):
                 if n not in declared:
                     dangling(n, f"gate '{g.id}'")
     for f in flops:
@@ -383,12 +370,12 @@ def wrap_combinational(circuit):
     for pi in circuit.primary_inputs:
         pad = _fresh_net(pi + "_pi", taken)
         new_pis.append(pad)
-        flops.append(Flop(id=pi, data=pad, output=pi))
+        flops.append(Flop(id=pi, data=pad))
     new_pos = []
     for po in circuit.primary_outputs:
         q = _fresh_net(po + "_po", taken)
         new_pos.append(q)
-        flops.append(Flop(id=q, data=po, output=q))
+        flops.append(Flop(id=q, data=po))
     wrapped = Circuit(
         name=circuit.name,
         primary_inputs=tuple(new_pis),

@@ -280,10 +280,10 @@ def enumerate_drains(circuit, profile):
             rows = rows_of[g.kind] = [
                 (f"[{i}]", tpl.area, tpl.polarity, tpl.ff_node_class)
                 for i, tpl in enumerate(templates)]
-        gid, net = g.id, g.output
+        gid = g.id
         for suffix, area, polarity, node_class in rows:
             sites.append(new_site(DrainSite, (
-                gid + suffix, gid, net, area, polarity, node_class)))
+                gid + suffix, gid, gid, area, polarity, node_class)))
             gate_area += area
     templates = spec.get("DFF")
     if circuit.flops and not templates:
@@ -297,7 +297,7 @@ def enumerate_drains(circuit, profile):
         fid = f.id
         for suffix, capture, area, polarity, node_class in rows:
             sites.append(new_site(DrainSite, (
-                fid + suffix, fid, f.data if capture else f.output, area,
+                fid + suffix, fid, f.data if capture else fid, area,
                 polarity, node_class)))
             flop_area += area
 
@@ -315,17 +315,18 @@ def enumerate_drains(circuit, profile):
 def _timing(circuit, profile):
     """``(critical path, settle bound)`` from one pass over the gates.
 
-    Arrival times are kept twice: once with every source at 0 (for the
-    critical path) and once with flop outputs moving clk-to-q after the
-    edge (for the settle bound).  Each is summed as its own pass would sum
-    it, so both are exact.
+    The critical path is the longest register-to-register or
+    input-to-register combinational delay.  Arrival times are kept twice:
+    once with every source at 0 (for the critical path) and once with flop
+    outputs moving clk-to-q after the edge (for the settle bound).  Each is
+    summed as its own pass would sum it, so both are exact.
     """
     crit = dict.fromkeys(circuit.primary_inputs, 0.0)
     settle = dict(crit)
     cq = profile.ff_clk_to_q
     for f in circuit.flops:
-        crit[f.output] = 0.0
-        settle[f.output] = cq
+        crit[f.id] = 0.0
+        settle[f.id] = cq
     crit_at, settle_at = crit.__getitem__, settle.__getitem__
     gate_by_id, delays = circuit.gate_by_id, profile.gate_delay
     for gid in circuit.gate_order:
@@ -335,18 +336,22 @@ def _timing(circuit, profile):
             d = delays[g.kind, len(ins)]
         except KeyError:
             d = profile.delay(g.kind, len(ins))  # raises ProfileError
-        crit[g.output] = max(map(crit_at, ins)) + d
-        settle[g.output] = max(map(settle_at, ins)) + d
+        crit[gid] = max(map(crit_at, ins)) + d
+        settle[gid] = max(map(settle_at, ins)) + d
     return (max((crit[f.data] for f in circuit.flops), default=0.0),
             max(settle.values(), default=0.0))
 
 
-def critical_path(circuit, profile):
-    """Longest register-to-register / PI-to-register combinational delay."""
-    return _timing(circuit, profile)[0]
+def period_and_settle(circuit, profile):
+    """``(clock period, settle bound)`` in picoseconds, from one timing pass.
 
-
-def _period(profile, critical):
+    The clock period is clk-to-q + critical path + setup + margin.  The
+    settle bound is the latest time within a cycle at which any net can
+    still change: primary inputs are valid from the cycle start and flop
+    outputs move clk-to-q after the edge.  Strikes are only meaningful
+    after this bound, once the golden values are stable everywhere.
+    """
+    critical, settle = _timing(circuit, profile)
     period = (profile.ff_clk_to_q + critical + profile.ff_setup
               + profile.clock_margin)
     if profile.ff_setup + profile.ff_hold >= period:
@@ -354,25 +359,4 @@ def _period(profile, critical):
             f"profile '{profile.node_label}': setup + hold "
             f"({profile.ff_setup + profile.ff_hold}) does not fit inside the "
             f"clock period ({period})")
-    return period
-
-
-def clock_period(circuit, profile):
-    """clk-to-q + critical path + setup + margin, in picoseconds."""
-    return _period(profile, critical_path(circuit, profile))
-
-
-def settle_bound(circuit, profile):
-    """Latest time within a cycle at which any net can still change.
-
-    Primary inputs are treated as valid from the cycle start; flop outputs
-    move clk-to-q after the edge.  Strikes are only meaningful after this
-    bound, once the golden values are stable everywhere.
-    """
-    return _timing(circuit, profile)[1]
-
-
-def period_and_settle(circuit, profile):
-    """``(clock_period, settle_bound)`` from one timing pass."""
-    critical, settle = _timing(circuit, profile)
-    return _period(profile, critical), settle
+    return period, settle

@@ -149,10 +149,10 @@ def serialize_bench(circuit):
     lines += [f"OUTPUT({n})" for n in circuit.primary_outputs]
     if circuit.flops:
         lines.append("")
-        lines += [f"{f.output} = DFF({f.data})" for f in circuit.flops]
+        lines += [f"{f.id} = DFF({f.data})" for f in circuit.flops]
     if circuit.gates:
         lines.append("")
-        lines += [f"{g.output} = {g.kind}({', '.join(g.inputs)})"
+        lines += [f"{g.id} = {g.kind}({', '.join(g.inputs)})"
                   for g in circuit.gates]
     return "\n".join(lines) + "\n"
 
@@ -163,9 +163,9 @@ def driver_map(circuit):
     for pi in circuit.primary_inputs:
         out.setdefault(pi, ("pi", None))
     for g in circuit.gates:
-        out.setdefault(g.output, ("gate", g))
+        out.setdefault(g.id, ("gate", g))
     for f in circuit.flops:
-        out.setdefault(f.output, ("flop", f))
+        out.setdefault(f.id, ("flop", f))
     return out
 
 
@@ -188,8 +188,15 @@ def site_by_id(table, site_id):
 
 
 def flop_value(trace, cycle, flop_id):
-    """State of flop ``flop_id`` during ``cycle`` of a golden trace."""
-    return trace.flop_states[cycle][trace.flop_ids.index(flop_id)]
+    """State of flop ``flop_id`` during ``cycle`` of a golden trace: the
+    value of its output net."""
+    return trace.net_value(cycle, flop_id)
+
+
+def flop_states(trace):
+    """Per-cycle tuples of every flop's state, in ``trace.flop_ids`` order."""
+    return tuple(tuple(flop_value(trace, c, f) for f in trace.flop_ids)
+                 for c in range(trace.cycle_count))
 
 
 def find_site(table, cell, ff_node_class=None, polarity=None):

@@ -14,7 +14,6 @@ import pytest
 
 from seusim import cli
 from seusim.campaign import (
-    ERRONEOUS,
     CampaignConfig,
     OutcomeClass,
     classify,
@@ -169,8 +168,8 @@ def test_acceptance_3_exact_counts_and_log_recomputation(real_campaigns):
     detail = []
     for name, stats in real_campaigns.items():
         gate, reg = stats.per_class["gate"], stats.per_class["register"]
-        gate_err = sum(v for oc, v in gate.counts.items() if oc in ERRONEOUS)
-        reg_err = sum(v for oc, v in reg.counts.items() if oc in ERRONEOUS)
+        gate_err = sum(v for oc, v in gate.counts.items() if oc is not OutcomeClass.NN)
+        reg_err = sum(v for oc, v in reg.counts.items() if oc is not OutcomeClass.NN)
         identities = (
             stats.p_gm.num == gate.counts[OutcomeClass.NFM]
             and stats.p_gm.den == gate_err
@@ -297,10 +296,10 @@ def test_acceptance_6_outcome_shape_by_strike_class(real_campaigns):
     detail = []
     for name, stats in real_campaigns.items():
         gate, reg = stats.per_class["gate"], stats.per_class["register"]
-        gate_err = sum(v for oc, v in gate.counts.items() if oc in ERRONEOUS)
+        gate_err = sum(v for oc, v in gate.counts.items() if oc is not OutcomeClass.NN)
         gate_single_edge = gate.counts[OutcomeClass.NF] + gate.counts[OutcomeClass.NFM]
         gate_share = gate_single_edge / gate_err if gate_err else 1.0
-        reg_err = sum(v for oc, v in reg.counts.items() if oc in ERRONEOUS)
+        reg_err = sum(v for oc, v in reg.counts.items() if oc is not OutcomeClass.NN)
         reg_first_edge = (
             reg.counts[OutcomeClass.FN]
             + reg.counts[OutcomeClass.FF]

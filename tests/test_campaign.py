@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from seusim import campaign, injector
 from seusim.campaign import (
-    ERRONEOUS,
     LOG_COLUMNS,
     CampaignConfig,
     ClassStats,
@@ -84,11 +83,6 @@ def test_classify_buckets_by_flip_count(n1, n2):
     first = "N" if n1 == 0 else ("F" if n1 == 1 else "F_m")
     second = "N" if n2 == 0 else ("F" if n2 == 1 else "F_m")
     assert label == first + second
-
-
-def test_erroneous_set_excludes_only_nn():
-    assert OutcomeClass.NN not in ERRONEOUS
-    assert len(ERRONEOUS) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +259,8 @@ def test_campaign_metrics_agree_with_counts(small_campaign):
     _, stats = small_campaign
     gate = stats.per_class["gate"]
     reg = stats.per_class["register"]
-    gate_err = sum(v for oc, v in gate.counts.items() if oc in ERRONEOUS)
-    reg_err = sum(v for oc, v in reg.counts.items() if oc in ERRONEOUS)
+    gate_err = sum(v for oc, v in gate.counts.items() if oc is not OutcomeClass.NN)
+    reg_err = sum(v for oc, v in reg.counts.items() if oc is not OutcomeClass.NN)
     assert stats.p_gm.num == gate.counts[OutcomeClass.NFM]
     assert stats.p_gm.den == gate_err
     assert stats.p_rm.num == reg.counts[OutcomeClass.NFM]
@@ -585,7 +579,7 @@ def test_exhaustive_matches_direct_average(toy_setup):
 def test_two_cycle_trace_is_rejected(toy_setup, run):
     c, p, tr = toy_setup
     short = dataclasses.replace(
-        tr, pi_vectors=tr.pi_vectors[:2], flop_states=tr.flop_states[:2],
+        tr, cycle_count=2,
         net_masks={net: m & 3 for net, m in tr.net_masks.items()})
     cfg = CampaignConfig(circuit=c, profile=p, trace=short, rng_seed=1)
     with pytest.raises(ConfigError, match="trace must cover at least 3 cycles"):

@@ -325,6 +325,35 @@ def test_golden_writes_reference_trace(bench_dir, tmp_path):
     assert (out_dir / "trace.csv").read_text() == expected
 
 
+# sha256 of trace.csv, flop count and net count of a 130-cycle golden run
+# (three packed blocks, the last one partial) of each bundled feedback
+# circuit.  Recorded while the trace still kept per-cycle flop tuples next to
+# its net masks; any byte change to a trace shows here.
+GOLDEN_DIGESTS = {
+    "lfsr8": ("40d59ff173385f0faaf9b9504b2b4c51d3c001288dedb7127090f0de9343c7c6",
+              8, 11),
+    "s27": ("ae5bc05ee9b4494f6884f83bbc0de02d5af72fb8a09fa6084fb271e5f366f410",
+            3, 17),
+    "fsm3": ("e5e9fbbd959687ae772b4882b68c533e1e264ba42dad467fd62f27cca8bd3f10",
+             3, 10),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
+def test_golden_trace_bytes_are_pinned(tmp_path, name):
+    bench = tmp_path / f"{name}.bench"
+    bench.write_text(bundled_bench_text(name))
+    out_dir = tmp_path / "g"
+    code, out, err = run_cli(["golden", "--circuit", str(bench), "--stimulus",
+                              "random:130:7", "--out", str(out_dir)])
+    assert (code, err) == (0, "")
+    digest, flops, nets = GOLDEN_DIGESTS[name]
+    trace = out_dir / "trace.csv"
+    assert out == (f"golden: 130 cycles, {flops} flops, {nets} nets "
+                   f"-> {trace}\n")
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
 def test_golden_accepts_stimulus_file(bench_dir, tmp_path):
     stim = tmp_path / "vectors.txt"
     stim.write_text("1\n0\n1\n1\n")

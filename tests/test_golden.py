@@ -17,8 +17,8 @@ from seusim.golden import (
 from seusim.netlist import (GATE_KINDS, Circuit, Flop, Gate, parse_bench,
                             wrap_combinational)
 
-from conftest import (BUNDLED_CIRCUITS, bundled_circuit, flop_value,
-                      multiplier_bench, settled_map, truth_eval)
+from conftest import (BUNDLED_CIRCUITS, bundled_circuit, flop_states,
+                      flop_value, multiplier_bench, settled_map, truth_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +176,14 @@ def test_shift_register_states():
     )
     tr = simulate_reference(c, Stimulus.explicit([(1,), (0,), (1,), (0,)]))
     assert tr.flop_ids == ("q1", "q2")
-    assert tr.flop_states == ((0, 0), (1, 0), (0, 1), (1, 0))
+    assert flop_states(tr) == ((0, 0), (1, 0), (0, 1), (1, 0))
 
 
 def test_initial_state_is_honoured():
     c = parse_bench("INPUT(x)\nINPUT(y)\nOUTPUT(q)\nq = DFF(d)\nd = AND(x, y)\n")
     stim = Stimulus.explicit([(1, 0)] * 3, initial_state=(1,))
     tr = simulate_reference(c, stim)
-    assert tr.flop_states == ((1,), (0,), (0,))
+    assert flop_states(tr) == ((1,), (0,), (0,))
 
 
 def test_wrapped_nand_two_cycle_latency():
@@ -203,18 +203,19 @@ def test_trace_state_advances_by_settled_data():
     tr = simulate_reference(c, Stimulus.random(10, seed=5))
     for cyc in range(tr.cycle_count - 1):
         settled = settled_map(tr, cyc)
-        for i, f in enumerate(c.flops):
-            assert tr.flop_states[cyc + 1][i] == settled[f.data]
+        for f in c.flops:
+            assert flop_value(tr, cyc + 1, f.id) == settled[f.data]
 
 
 @pytest.mark.parametrize("name", ["fsm3", "toy_mask", "s27", "lfsr8"])
 def test_settled_nets_match_independent_evaluation(name):
     c = bundled_circuit(name)
-    tr = simulate_reference(c, Stimulus.random(8, seed=11))
+    stim = Stimulus.random(8, seed=11)
+    tr = simulate_reference(c, stim)
+    vectors = stim.resolve_vectors(len(c.primary_inputs))
     for cyc in range(tr.cycle_count):
-        pis = dict(zip(c.primary_inputs, tr.pi_vectors[cyc]))
-        flops = {f.output: tr.flop_states[cyc][i] for i, f in enumerate(c.flops)}
-        expected = truth_eval(c, pis, flops)
+        flops = {f.id: flop_value(tr, cyc, f.id) for f in c.flops}
+        expected = truth_eval(c, vectors[cyc], flops)
         settled = settled_map(tr, cyc)
         for net, val in expected.items():
             assert settled[net] == val, f"{name} cycle {cyc} net {net}"
@@ -222,21 +223,24 @@ def test_settled_nets_match_independent_evaluation(name):
 
 def test_simulation_restarts_from_any_cycle():
     c = bundled_circuit("lfsr8")
-    tr = simulate_reference(c, Stimulus.random(12, seed=9))
+    stim = Stimulus.random(12, seed=9)
+    tr = simulate_reference(c, stim)
     k = 5
     rest = Stimulus.explicit(
-        list(tr.pi_vectors[k:]), initial_state=tr.flop_states[k]
+        stim.resolve_vectors(len(c.primary_inputs))[k:],
+        initial_state=flop_states(tr)[k],
     )
     tr2 = simulate_reference(c, rest)
-    assert tr2.flop_states == tr.flop_states[k:]
+    assert flop_states(tr2) == flop_states(tr)[k:]
+    assert tr2.net_masks == {n: m >> k for n, m in tr.net_masks.items()}
 
 
 def test_trace_accessors():
     c = bundled_circuit("toy_chain")
     tr = simulate_reference(c, Stimulus.explicit([(1,), (1,), (0,), (1,)]))
     assert tr.cycle_count == 4
-    assert tr.circuit_name == "toy_chain"
-    assert set(tr.net_ids) == set(c.nets)
+    assert tr.flop_ids == tuple(f.id for f in c.flops)
+    assert set(tr.net_masks) == set(c.nets)
     assert tr.net_value(0, "x") == 1
     assert tr.net_value(2, "x") == 0
     assert flop_value(tr, 0, "f1") == 0
@@ -247,12 +251,14 @@ def test_net_masks_hold_the_settled_values(name):
     # bit c of a net's mask is its value in cycle c by an independent
     # evaluation, across packed blocks; settled_map reads the same bits
     c = bundled_circuit(name)
-    tr = simulate_reference(c, Stimulus.random(130, seed=2))
-    assert list(tr.net_masks) == list(tr.net_ids)
+    stim = Stimulus.random(130, seed=2)
+    tr = simulate_reference(c, stim)
+    vectors = stim.resolve_vectors(len(c.primary_inputs))
+    assert len(tr.net_masks) == len(c.nets)
     assert all(m >> tr.cycle_count == 0 for m in tr.net_masks.values())
     for cyc in range(tr.cycle_count):
-        flops = {f.output: tr.flop_states[cyc][i] for i, f in enumerate(c.flops)}
-        expected = truth_eval(c, tr.pi_vectors[cyc], flops)
+        flops = {f.id: flop_value(tr, cyc, f.id) for f in c.flops}
+        expected = truth_eval(c, vectors[cyc], flops)
         assert {net: m >> cyc & 1 for net, m in tr.net_masks.items()} == expected
         assert settled_map(tr, cyc) == expected
 
@@ -272,8 +278,7 @@ def test_random_traces_reproducible(seed):
     c = bundled_circuit("toy_fanout")
     a = simulate_reference(c, Stimulus.random(6, seed=seed))
     b = simulate_reference(c, Stimulus.random(6, seed=seed))
-    assert a.pi_vectors == b.pi_vectors
-    assert a.flop_states == b.flop_states
+    assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -324,29 +329,23 @@ def reference_simulate(circuit, stimulus):
     order = circuit.gate_order
     gate_by_id = circuit.gate_by_id
     net_ids = (tuple(circuit.primary_inputs)
-               + tuple(f.output for f in circuit.flops)
-               + tuple(g.output for g in circuit.gates))
+               + tuple(f.id for f in circuit.flops)
+               + tuple(g.id for g in circuit.gates))
 
-    states, settled_rows = [], []
+    settled_rows = []
     for vec in vectors:
         values = dict(zip(circuit.primary_inputs, vec))
         for f, bit in zip(circuit.flops, state):
-            values[f.output] = bit
+            values[f.id] = bit
         for gid in order:
             g = gate_by_id[gid]
-            values[g.output] = eval_gate(
-                g.kind, [values[n] for n in g.inputs])
-        states.append(state)
+            values[gid] = eval_gate(g.kind, [values[n] for n in g.inputs])
         settled_rows.append(tuple(values[n] for n in net_ids))
         state = tuple(values[f.data] for f in circuit.flops)
 
     return Trace(
-        circuit_name=circuit.name,
-        pi_ids=tuple(circuit.primary_inputs),
+        cycle_count=len(vectors),
         flop_ids=tuple(f.id for f in circuit.flops),
-        net_ids=net_ids,
-        pi_vectors=tuple(vectors),
-        flop_states=tuple(states),
         net_masks={net: sum(row[i] << c for c, row in enumerate(settled_rows))
                    for i, net in enumerate(net_ids)},
     )
@@ -374,7 +373,7 @@ def test_packed_matches_per_cycle_from_nonzero_state(name, cycles):
                for _ in range(cycles)]
     state = tuple(1 - i % 2 for i in range(len(c.flops)))
     tr = assert_same_trace(c, Stimulus.explicit(vectors, initial_state=state))
-    assert tr.flop_states[0] == state
+    assert flop_states(tr)[0] == state
 
 
 @pytest.mark.parametrize("wrapped", [False, True])
@@ -402,8 +401,7 @@ def random_sequential_circuit(rng, name, flops=(1, 5)):
     for j, kind in enumerate(kinds):
         fanin = 1 if kind in ("NOT", "BUF") else rng.randint(1, 4)
         gates.append(Gate(id=f"g{j}", kind=kind,
-                          inputs=tuple(rng.choice(nets) for _ in range(fanin)),
-                          output=f"g{j}"))
+                          inputs=tuple(rng.choice(nets) for _ in range(fanin))))
         nets.append(f"g{j}")
     rng.shuffle(gates)
     return Circuit(
@@ -411,8 +409,7 @@ def random_sequential_circuit(rng, name, flops=(1, 5)):
         primary_inputs=tuple(pis),
         primary_outputs=(nets[-1],),
         gates=tuple(gates),
-        flops=tuple(Flop(id=q, data=rng.choice(nets), output=q)
-                    for q in flops),
+        flops=tuple(Flop(id=q, data=rng.choice(nets)) for q in flops),
         nets=frozenset(nets),
     )
 
@@ -487,7 +484,7 @@ def test_feedback_beyond_the_state_table_iterates_to_the_same_trace(
 
 def test_packed_rejects_unknown_kind_and_non_binary_state():
     c = Circuit(name="mux", primary_inputs=("a",), primary_outputs=("m",),
-                gates=(Gate(id="m", kind="MUX", inputs=("a",), output="m"),),
+                gates=(Gate(id="m", kind="MUX", inputs=("a",)),),
                 flops=(), nets=frozenset({"a", "m"}))
     with pytest.raises(InvariantError, match="cannot evaluate gate kind 'MUX'"):
         simulate_reference(c, Stimulus.random(3, seed=1))

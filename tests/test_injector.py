@@ -656,7 +656,7 @@ def test_debug_trace_header(chain1_setup, prof):
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_wide_glitch_at_cycle_start_always_captured(depth):
-    from seusim.techmodel import clock_period
+    from seusim.techmodel import period_and_settle
 
     gates = "".join(
         f"g{i} = NOT({'A' if i == 1 else f'g{i - 1}'})\n" for i in range(1, depth + 1)
@@ -667,7 +667,8 @@ def test_wide_glitch_at_cycle_start_always_captured(depth):
     )
     # a glitch spanning the whole period launched at t=0 must always be
     # captured: the clock is sized so the deepest path lands before the edge
-    period = clock_period(c, profile_from(chain_profile_doc(clock_margin=20.0)))
+    period, _ = period_and_settle(
+        c, profile_from(chain_profile_doc(clock_margin=20.0)))
     p = profile_from(chain_profile_doc(glitch_width=period, clock_margin=20.0))
     tr = held(c, (1,))
     table = enumerate_drains(c, p)
@@ -772,6 +773,7 @@ def reference_propagate(ctx, settled, seed_event, debug=None):
     """Breadth-first search over PulseEvent objects that looks up each gate's
     controlling value, side inputs and delay at every step."""
     theta = ctx.profile.filter_threshold
+    flop_data = {f.data for f in ctx.circuit.flops}
     at_flops, seen = {}, {}
     queue = deque([seed_event])
     while queue:
@@ -785,7 +787,7 @@ def reference_propagate(ctx, settled, seed_event, debug=None):
                 f"pulse net={ev.net} start={ev.start:.2f} width={ev.width:.2f} "
                 f"value={1 - settled[ev.net]}" + (" step" if ev.step else "")
             )
-        if ev.net in ctx.circuit.flops_by_data:
+        if ev.net in flop_data:
             at_flops.setdefault(ev.net, []).append((ev.start, ev.end))
         for gate in ctx.circuit.gate_fanout.get(ev.net, ()):
             ctrl = CONTROLLING[gate.kind]
@@ -805,7 +807,7 @@ def reference_propagate(ctx, settled, seed_event, debug=None):
                         debug.append(f"  masked at {gate.id} (electrical)")
                     continue
             queue.append(
-                PulseEvent(net=gate.output, start=ev.start + d, width=new_width, step=ev.step)
+                PulseEvent(net=gate.id, start=ev.start + d, width=new_width, step=ev.step)
             )
     return at_flops
 
@@ -813,7 +815,7 @@ def reference_propagate(ctx, settled, seed_event, debug=None):
 def strike_seed(ctx, drain, t):
     """The event a gate or state-node strike at ``t`` starts from."""
     if drain.ff_node_class == "state-node":
-        net = flop_by_id(ctx.circuit)[drain.cell].output
+        net = flop_by_id(ctx.circuit)[drain.cell].id
         return PulseEvent(net=net, start=t, width=ctx.period - t, step=True)
     return PulseEvent(net=drain.net, start=t, width=ctx.profile.glitch_width)
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seusim.errors import BenchParseError, InputError, InvariantError
+from seusim.golden import Stimulus, simulate_reference
+from seusim.injector import SimContext
 from seusim.netlist import (
     CONTROLLING,
     GATE_KINDS,
@@ -21,10 +23,18 @@ from seusim.netlist import (
     validate,
     wrap_combinational,
 )
+from seusim.techmodel import load_bundled_profile
 
 from conftest import (BUNDLED_CIRCUITS, bundled_bench_text, bundled_circuit,
                       driver_map, flop_by_id, multiplier_bench,
                       serialize_bench)
+
+
+def latches(circuit):
+    """The data net -> flops index that ``SimContext.bind`` builds."""
+    trace = simulate_reference(circuit, Stimulus.random(3, seed=1))
+    profile = load_bundled_profile("toy-equal")
+    return SimContext.build(circuit, profile).bind(trace).latches
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +74,9 @@ def test_parse_flop_and_gate_kinds():
     )
     assert len(c.flops) == 1
     f = c.flops[0]
-    assert (f.id, f.data, f.output) == ("q", "d", "q")
+    assert (f.id, f.data) == ("q", "d")
     assert c.gate_by_id["d"].kind == "XOR"
-    assert c.flops_by_data["d"] == ("q",)
+    assert latches(c) == {"d": [(0, "q", "d")]}
 
 
 def test_parse_lowercase_kind_normalized():
@@ -240,10 +250,9 @@ def reference_parse_bench(text, name="bench"):
                 if len(args) != 1:
                     raise BenchParseError(
                         "DFF takes exactly one input", lineno, col0)
-                flops.append(Flop(id=target, data=args[0], output=target))
+                flops.append(Flop(id=target, data=args[0]))
             else:
-                gates.append(Gate(id=target, kind=kind,
-                                  inputs=tuple(args), output=target))
+                gates.append(Gate(id=target, kind=kind, inputs=tuple(args)))
             continue
 
         raise BenchParseError(f"cannot parse line: '{body.rstrip()}'",
@@ -396,8 +405,8 @@ def test_serialize_round_trip(name):
     assert {(g.id, g.kind, g.inputs) for g in again.gates} == {
         (g.id, g.kind, g.inputs) for g in c.gates
     }
-    assert {(f.id, f.data, f.output) for f in again.flops} == {
-        (f.id, f.data, f.output) for f in c.flops
+    assert {(f.id, f.data) for f in again.flops} == {
+        (f.id, f.data) for f in c.flops
     }
 
 
@@ -468,7 +477,7 @@ def test_validate_dangling_reference():
         name="bad",
         primary_inputs=("a",),
         primary_outputs=("z",),
-        gates=(Gate(id="z", kind="AND", inputs=("a", "ghost"), output="z"),),
+        gates=(Gate(id="z", kind="AND", inputs=("a", "ghost")),),
         flops=(),
         nets=("a", "z"),
     )
@@ -481,7 +490,7 @@ def test_validate_undriven_net():
         name="bad",
         primary_inputs=("a",),
         primary_outputs=("z",),
-        gates=(Gate(id="z", kind="AND", inputs=("a", "loose"), output="z"),),
+        gates=(Gate(id="z", kind="AND", inputs=("a", "loose")),),
         flops=(),
         nets=("a", "z", "loose"),
     )
@@ -495,7 +504,7 @@ def test_validate_bad_fanin():
         name="bad",
         primary_inputs=("a",),
         primary_outputs=("z",),
-        gates=(Gate(id="z", kind="NOT", inputs=("a", "a"), output="z"),),
+        gates=(Gate(id="z", kind="NOT", inputs=("a", "a")),),
         flops=(),
         nets=("a", "z"),
     )
@@ -508,7 +517,7 @@ def test_validate_unknown_kind_on_handbuilt_circuit():
         name="bad",
         primary_inputs=("a",),
         primary_outputs=("z",),
-        gates=(Gate(id="z", kind="MUX", inputs=("a",), output="z"),),
+        gates=(Gate(id="z", kind="MUX", inputs=("a",)),),
         flops=(),
         nets=("a", "z"),
     )
@@ -522,14 +531,14 @@ def reference_validate(circuit):
     diags = Diagnostics()
     pis, gates, flops = circuit.primary_inputs, circuit.gates, circuit.flops
     drivers = Counter(pis)
-    drivers.update(g.output for g in gates)
-    drivers.update(f.output for f in flops)
+    drivers.update(g.id for g in gates)
+    drivers.update(f.id for f in flops)
 
     for net, count in drivers.items():
         if count > 1:
             who = (["primary input"] * pis.count(net)
-                   + [f"gate '{g.id}'" for g in gates if g.output == net]
-                   + [f"flop '{f.id}'" for f in flops if f.output == net])
+                   + [f"gate '{g.id}'" for g in gates if g.id == net]
+                   + [f"flop '{f.id}'" for f in flops if f.id == net])
             diags.errors.append(Diagnostic(
                 "duplicate-driver",
                 f"net '{net}' driven by {count} cells: {', '.join(who)}"))
@@ -555,7 +564,7 @@ def reference_validate(circuit):
                 "bad-fanin",
                 f"{g.kind} gate '{g.id}' must have exactly 1 input, "
                 f"has {len(g.inputs)}"))
-        for n in (*g.inputs, g.output):
+        for n in (*g.inputs, g.id):
             if n not in nets:
                 dangling(n, f"gate '{g.id}'")
     for f in flops:
@@ -589,9 +598,9 @@ def handbuilt_circuits(draw):
     cycles.  ``nets`` is a frozenset or, as in hand-written tests, a tuple."""
     gates = tuple(
         Gate(id=out, kind=draw(st.sampled_from((*GATE_KINDS, "MUX"))),
-             inputs=tuple(draw(st.lists(_HAND_NETS, max_size=3))), output=out)
+             inputs=tuple(draw(st.lists(_HAND_NETS, max_size=3))))
         for out in draw(st.lists(_HAND_NETS, max_size=4)))
-    flops = tuple(Flop(id=q, data=draw(_HAND_NETS), output=q)
+    flops = tuple(Flop(id=q, data=draw(_HAND_NETS))
                   for q in draw(st.lists(_HAND_NETS, max_size=2)))
     nets = draw(st.lists(_HAND_NETS, max_size=5, unique=True))
     return Circuit(
@@ -666,20 +675,15 @@ def test_wrap_adds_one_flop_per_port():
     assert len(w.flops) == 4
     assert w.primary_inputs == ("a_pi", "b_pi", "c_pi")
     assert w.primary_outputs == ("y_po",)
-    f = flop_by_id(w)["a"]
-    assert (f.data, f.output) == ("a_pi", "a")
-    g = flop_by_id(w)["y_po"]
-    assert (g.data, g.output) == ("y", "y_po")
+    assert flop_by_id(w)["a"].data == "a_pi"
+    assert flop_by_id(w)["y_po"].data == "y"
     assert w.gates == c.gates
 
 
 def test_wrap_passthrough_becomes_two_flops_in_series():
     w = wrap_combinational(parse_bench("INPUT(a)\nOUTPUT(a)\n", name="pass"))
     assert w.stats() == {"inputs": 1, "outputs": 1, "gates": 0, "flops": 2, "nets": 3}
-    assert [(f.id, f.data, f.output) for f in w.flops] == [
-        ("a", "a_pi", "a"),
-        ("a_po", "a", "a_po"),
-    ]
+    assert [(f.id, f.data) for f in w.flops] == [("a", "a_pi"), ("a_po", "a")]
 
 
 def test_wrap_c17_flop_count():
@@ -761,4 +765,4 @@ def test_gate_fanout_and_driver_maps():
     assert kind == "pi"
     sinks = {g.id for g in c.gate_fanout["g1"]}
     assert sinks == {"g2"}
-    assert c.flops_by_data["g2"] == ("f1",)
+    assert latches(c) == {"g2": [(0, "f1", "g2")], "g3": [(1, "f2", "g3")]}

@@ -17,14 +17,13 @@ from seusim.techmodel import (
     DrainTable,
     DrainTemplate,
     TechProfile,
+    _timing,
     bundled_profile_names,
-    clock_period,
-    critical_path,
     enumerate_drains,
     load_bundled_profile,
     load_profile,
     load_profile_file,
-    settle_bound,
+    period_and_settle,
 )
 
 from conftest import (BUNDLED_CIRCUITS, bundled_circuit, chain_profile_doc,
@@ -402,9 +401,9 @@ def test_drain_site_net_is_the_net_its_strike_inverts(name, profile_name):
     assert {s.ff_node_class for s in sites} == {"none", "state-node", "capture-node"}
     for s in sites:
         if s.ff_node_class == "none":
-            want = c.gate_by_id[s.cell].output
+            want = c.gate_by_id[s.cell].id
         elif s.ff_node_class == "state-node":
-            want = flop_by_id(c)[s.cell].output
+            want = flop_by_id(c)[s.cell].id
         else:
             want = flop_by_id(c)[s.cell].data
         assert s.net == want, s.id
@@ -491,16 +490,16 @@ def test_clock_period_three_gate_chain():
         name="p400",
     )
     prof = profile_from(_doc())
-    assert critical_path(c, prof) == 300.0
+    assert _timing(c, prof)[0] == 300.0
     # clk-to-q + longest path + setup + margin
-    assert clock_period(c, prof) == 50.0 + 300.0 + 30.0 + 20.0
+    assert period_and_settle(c, prof)[0] == 50.0 + 300.0 + 30.0 + 20.0
 
 
 def test_clock_period_flop_to_flop():
     c = parse_bench("INPUT(x)\nOUTPUT(B)\nA = DFF(x)\nB = DFF(A)\n", name="ff")
     prof = profile_from(_doc())
-    assert critical_path(c, prof) == 0.0
-    assert clock_period(c, prof) == 100.0
+    assert _timing(c, prof)[0] == 0.0
+    assert period_and_settle(c, prof)[0] == 100.0
 
 
 def test_clock_period_takes_longest_reconvergent_arm():
@@ -510,8 +509,8 @@ def test_clock_period_takes_longest_reconvergent_arm():
         name="diamond",
     )
     prof = profile_from(_doc())
-    assert critical_path(c, prof) == 250.0  # two NOTs plus the AND
-    assert clock_period(c, prof) == 350.0
+    assert _timing(c, prof)[0] == 250.0  # two NOTs plus the AND
+    assert period_and_settle(c, prof)[0] == 350.0
 
 
 def test_clock_period_monotone_in_depth():
@@ -525,7 +524,7 @@ def test_clock_period_monotone_in_depth():
             f"INPUT(x)\nOUTPUT(B)\nA = DFF(x)\nB = DFF(g{depth})\n{gates}",
             name=f"d{depth}",
         )
-        period = clock_period(c, prof)
+        period, _ = period_and_settle(c, prof)
         assert period > last
         last = period
 
@@ -534,13 +533,12 @@ def test_clock_period_rejects_hold_heavy_profile():
     c = parse_bench("INPUT(x)\nOUTPUT(B)\nA = DFF(x)\nB = DFF(A)\n", name="ff")
     prof = profile_from(_doc(ff_hold=80.0))
     with pytest.raises(ProfileError, match=r"setup \+ hold \(110.0\)"):
-        clock_period(c, prof)
+        period_and_settle(c, prof)
 
 
 def test_settle_bound_single_gate_chain(chain1, chain_profile):
     # clk-to-q 60 plus one 100 ns inverter
-    assert settle_bound(chain1, chain_profile) == 160.0
-    assert clock_period(chain1, chain_profile) == 300.0
+    assert period_and_settle(chain1, chain_profile) == (300.0, 160.0)
 
 
 def test_settle_bound_counts_output_only_logic():
@@ -551,9 +549,8 @@ def test_settle_bound_counts_output_only_logic():
         name="hang",
     )
     prof = profile_from(_doc())
-    assert critical_path(c, prof) == 0.0
-    assert clock_period(c, prof) == 100.0
-    assert settle_bound(c, prof) == 350.0
+    assert _timing(c, prof) == (0.0, 350.0)
+    assert period_and_settle(c, prof) == (100.0, 350.0)
 
 
 def reference_arrivals(circuit, profile, pi_offset, flop_offset):
@@ -561,11 +558,11 @@ def reference_arrivals(circuit, profile, pi_offset, flop_offset):
     ``SimContext.build`` took both bounds from a single pass."""
     arrival = {n: pi_offset for n in circuit.primary_inputs}
     for f in circuit.flops:
-        arrival[f.output] = flop_offset
+        arrival[f.id] = flop_offset
     for gid in circuit.gate_order:
         g = circuit.gate_by_id[gid]
         d = profile.delay(g.kind, len(g.inputs))
-        arrival[g.output] = max(arrival[n] for n in g.inputs) + d
+        arrival[gid] = max(arrival[n] for n in g.inputs) + d
     return arrival
 
 
@@ -607,9 +604,8 @@ def test_context_timing_matches_two_pass_reference(name, profile_name):
     period = prof.ff_clk_to_q + critical + prof.ff_setup + prof.clock_margin
     settle = max(reference_arrivals(c, prof, 0.0, prof.ff_clk_to_q).values())
     assert (ctx.period, ctx.settle) == (period, settle)
-    assert (ctx.period, ctx.settle) == (clock_period(c, prof),
-                                        settle_bound(c, prof))
-    assert critical_path(c, prof) == critical
+    assert (ctx.period, ctx.settle) == period_and_settle(c, prof)
+    assert _timing(c, prof) == (critical, settle)
 
 
 def reference_enumerate_drains(circuit, profile):
@@ -618,12 +614,12 @@ def reference_enumerate_drains(circuit, profile):
     gate_area = flop_area = 0.0
     for g in circuit.gates:
         for i, tpl in enumerate(profile.drain_spec[g.kind]):
-            sites.append(DrainSite(f"{g.id}[{i}]", g.id, g.output, tpl.area,
+            sites.append(DrainSite(f"{g.id}[{i}]", g.id, g.id, tpl.area,
                                    tpl.polarity, tpl.ff_node_class))
             gate_area += tpl.area
     for f in circuit.flops:
         for i, tpl in enumerate(profile.drain_spec["DFF"]):
-            net = f.data if tpl.ff_node_class == "capture-node" else f.output
+            net = f.data if tpl.ff_node_class == "capture-node" else f.id
             sites.append(DrainSite(f"{f.id}[{i}]", f.id, net, tpl.area,
                                    tpl.polarity, tpl.ff_node_class))
             flop_area += tpl.area
