@@ -19,7 +19,6 @@ from .injector import (INSTANT, CapturePolicy, SampleResult, SimContext,
 from .netlist import (Circuit, Diagnostics, Flop, Gate, parse_bench, validate,
                       wrap_combinational)
 from .techmodel import (DrainSite, DrainTable, TechProfile, enumerate_drains,
-                        load_bundled_profile, load_profile, load_profile_file,
-                        period_and_settle)
+                        load_bundled_profile, load_profile, period_and_settle)
 
 __version__ = "0.1.0"

@@ -46,7 +46,6 @@ class OutcomeClass(enum.Enum):
 
 
 _OUTCOMES = tuple(OutcomeClass)
-_BY_LABEL = {c.value: c for c in OutcomeClass}
 
 
 def _outcome_index(n1, n2):
@@ -183,16 +182,6 @@ class ClassStats:
     probs: dict = field(default_factory=dict)
     stderrs: dict = field(default_factory=dict)
 
-    def finalize(self):
-        if self.n:
-            self.probs = {c: self.counts[c] / self.n for c in OutcomeClass}
-            self.stderrs = {c: standard_error(self.probs[c], self.n)
-                            for c in OutcomeClass}
-        else:
-            self.probs = {c: 0.0 for c in OutcomeClass}
-            self.stderrs = {c: None for c in OutcomeClass}
-        return self
-
     @property
     def erroneous(self):
         return self.n - self.counts[OutcomeClass.NN]
@@ -259,50 +248,76 @@ def _new_tallies():
     return {s: [0] * len(_OUTCOMES) for s in STRIKE_CLASSES}
 
 
-def tally(tallies):
+def tally(tallies, weighted=None):
     """Finish ``_new_tallies`` counts into the CampaignStats fields they
-    decide.
-
-    Returns {field: value} for ``per_class`` (finalized ClassStats keyed by
-    OutcomeClass), ``class_share`` (each strike class's share of the
-    samples), ``total_samples`` and the metrics ``p_m``, ``p_gm`` and
+    decide: {field: value} for ``per_class`` (ClassStats keyed by
+    OutcomeClass), ``class_share``, ``total_samples``, ``p_m``, ``p_gm`` and
     ``p_rm``.
+
+    A class's probabilities are its counts over n, with binomial stderrs
+    (0.0 and None without samples), and its share is its share of the
+    samples.  An oracle's ``weighted`` maps each strike class to its area
+    share and, if the class has samples, its area-weighted probabilities in
+    ``OutcomeClass`` order; these replace the share and the probabilities,
+    and every stderr is 0.0.
     """
-    per_class = {s: ClassStats(n=sum(row),
-                               counts=dict(zip(_OUTCOMES, row))).finalize()
-                 for s, row in tallies.items()}
-    total = sum(cs.n for cs in per_class.values())
+    total = sum(map(sum, tallies.values()))
+    per_class, class_share = {}, {}
+    for s, row in tallies.items():
+        n = sum(row)
+        probs = [c / n if n else 0.0 for c in row]
+        if weighted is None:
+            class_share[s] = n / total if total else 0.0
+            stderrs = [standard_error(p, n) if n else None for p in probs]
+        else:
+            class_share[s], area_probs = weighted[s]
+            probs = area_probs if n else probs
+            stderrs = [0.0] * len(row)
+        per_class[s] = ClassStats(n, *(dict(zip(_OUTCOMES, values))
+                                       for values in (row, probs, stderrs)))
     p_m, p_gm, p_rm = derive_metrics(per_class)
-    return {
-        "per_class": per_class,
-        "class_share": {s: per_class[s].n / total if total else 0.0
-                        for s in STRIKE_CLASSES},
-        "total_samples": total,
-        "p_m": p_m, "p_gm": p_gm, "p_rm": p_rm,
-    }
+    return {"per_class": per_class, "class_share": class_share,
+            "total_samples": total, "p_m": p_m, "p_gm": p_gm, "p_rm": p_rm}
 
 
-def _build_stats(config, ctx, tallied, stop_reason, records):
-    """CampaignStats for a finished run; ``tallied`` is ``tally``'s mapping.
+def _run_inputs(config, ctx):
+    """The ``build_stats`` inputs of a run of ``config`` on ``ctx``."""
+    return dict(circuit_name=config.circuit.name,
+                profile_label=config.profile.node_label,
+                policy_label=config.policy.label, rng_seed=config.rng_seed,
+                period=ctx.period, settle=ctx.settle,
+                stderr_target=config.stderr_target,
+                min_samples=config.min_samples, max_samples=config.max_samples)
 
-    The stopping rule always watches 1 - P_NN, recorded as the target
-    estimate ``"flip"``.
+
+def build_stats(inputs, tallies, weighted=None, records=()):
+    """The CampaignStats of a Monte Carlo run, an oracle run or a stats
+    document: ``inputs`` maps the fields a run is given (its labels, seed,
+    period, settle, sampling limits and optionally ``wrapped``) to their
+    values, ``tallies`` and ``weighted`` go to ``tally``, and every other
+    field is decided here.
+
+    The target estimate is ``"flip"``, the 1 - P_NN the stopping rule
+    watches.  The stop reason is ``exhaustive`` for an oracle's weighted
+    counts; else ``stderr-met`` when ``_criterion_met`` holds for every
+    strike class with samples and min_samples <= total <= max_samples; else
+    ``max-samples`` when the total is max_samples; else None, which no run
+    writes.
     """
-    return CampaignStats(
-        circuit_name=config.circuit.name,
-        profile_label=config.profile.node_label,
-        policy_label=config.policy.label,
-        rng_seed=config.rng_seed,
-        period=ctx.period,
-        settle=ctx.settle,
-        stderr_target=config.stderr_target,
-        target_estimate="flip",
-        min_samples=config.min_samples,
-        max_samples=config.max_samples,
-        stop_reason=stop_reason,
-        records=records,
-        **tallied,
-    )
+    tallied = tally(tallies, weighted)
+    total = tallied["total_samples"]
+    if weighted is not None:
+        stop_reason = "exhaustive"
+    elif (inputs["min_samples"] <= total <= inputs["max_samples"]
+          and all(_criterion_met(cs.n, cs.erroneous, inputs["stderr_target"])
+                  for cs in tallied["per_class"].values() if cs.n)):
+        stop_reason = "stderr-met"
+    elif total == inputs["max_samples"]:
+        stop_reason = "max-samples"
+    else:
+        stop_reason = None
+    return CampaignStats(**inputs, **tallied, target_estimate="flip",
+                         stop_reason=stop_reason, records=records)
 
 
 def strike_cycles(trace):
@@ -312,14 +327,13 @@ def strike_cycles(trace):
     return range(1, trace.cycle_count - 1)
 
 
-def run_campaign(config, sample_runner=None):
+def run_campaign(config):
     """Run the Monte Carlo campaign to the stopping rule.
 
     Sample ``i`` draws its strike from ``sample_rng(seed, i)``'s stream
     (each stream is seeded from one BLAKE2b state keyed by the seed, copied
     per index) and runs it through ``run_sample``, once per sample, in index
-    order.  ``sample_runner(sample, rng) -> SampleResult`` may replace the
-    real injector (used by tests to stub outcome behaviour).
+    order.
 
     A strike's reads do not depend on its time t, so the campaign keeps
     them per ``(drain, k)`` in one table and later strikes at the same key
@@ -328,8 +342,9 @@ def run_campaign(config, sample_runner=None):
     more keys than samples rarely repeats one.
 
     Outcomes are counted per strike class at ``_outcome_index``.  The
-    stopping rule holds once ``_criterion_met`` holds for every class with
+    campaign stops once ``_criterion_met`` holds for every class with
     samples; a sample changes one class, so only that class is re-judged.
+    ``build_stats`` names the stop reason from the final counts.
     """
     circuit, profile, trace = config.circuit, config.profile, config.trace
     cycles = strike_cycles(trace)
@@ -342,7 +357,6 @@ def run_campaign(config, sample_runner=None):
     tallies = _new_tallies()
     met = dict.fromkeys(STRIKE_CLASSES, True)
     records = []
-    stop_reason = "max-samples"
     keyed = _seed_key(config.rng_seed)
     # One generator, reseeded per sample: for an int, the C-level seed sets
     # the state Random(x) has, without Random's Python-level wrappers.
@@ -353,10 +367,7 @@ def run_campaign(config, sample_runner=None):
     for i in range(config.max_samples):
         reseed(_stable_stream(keyed, i))
         sample = sample_strike(rng, table, cycles, period, settle)
-        if sample_runner is None:
-            result = run_sample(ctx, sample, policy, rng, reads=reads)
-        else:
-            result = sample_runner(sample, rng)
+        result = run_sample(ctx, sample, policy, rng, reads=reads)
         n_e1, n_e2 = len(result.flips_e1), len(result.flips_e2)
         o = _outcome_index(n_e1, n_e2)
         drain, k, t = sample
@@ -368,10 +379,9 @@ def run_campaign(config, sample_runner=None):
         n = sum(row)
         met[sclass] = ok = _criterion_met(n, n - row[0], target)
         if ok and i >= first_stop and all(met.values()):
-            stop_reason = "stderr-met"
             break
 
-    return _build_stats(config, ctx, tally(tallies), stop_reason, records)
+    return build_stats(_run_inputs(config, ctx), tallies, records=records)
 
 
 _ORACLE_BUDGET = 10_000_000
@@ -412,7 +422,6 @@ def exhaustive_campaign(config, t_grid):
     times = [ctx.settle + i * step for i in range(t_grid)]
     strikable = (1 << k_values.stop) - (1 << k_values.start)
     tallies = _new_tallies()
-    weight_sum = {s: 0.0 for s in STRIKE_CLASSES}
     weighted = {s: [0.0] * len(_OUTCOMES) for s in STRIKE_CLASSES}
     cells = len(k_values) * t_grid
     for drain in table.sites:
@@ -446,18 +455,12 @@ def exhaustive_campaign(config, t_grid):
         for j, cnt in enumerate(drain_counts):
             row[j] += cnt
             w[j] += drain.area * (cnt / cells)
-        weight_sum[sclass] += drain.area
 
-    tallied = tally(tallies)
-    for sclass, cs in tallied["per_class"].items():
-        if weight_sum[sclass] > 0.0:
-            cs.probs = {c: w / weight_sum[sclass]
-                        for c, w in zip(_OUTCOMES, weighted[sclass])}
-        cs.stderrs = {c: 0.0 for c in OutcomeClass}
-    total_area = table.total_area
-    tallied["class_share"] = {"gate": table.gate_area / total_area,
-                              "register": table.flop_area / total_area}
-    return _build_stats(config, ctx, tallied, "exhaustive", [])
+    area = {"gate": table.gate_area, "register": table.flop_area}
+    total = sum(area.values())
+    return build_stats(_run_inputs(config, ctx), tallies, {
+        s: (a / total, [w / a for w in weighted[s]] if a else None)
+        for s, a in area.items()})
 
 
 # --- raw sample log (CSV) ---------------------------------------------------
@@ -490,6 +493,12 @@ def sample_log_text(records):
 
 
 def read_sample_log(fh):
+    """The SampleRecords of a sample log; InputError for a malformed row.
+
+    A row is malformed unless it could be a campaign's: a sample index
+    >= 0, a cycle >= 1, a finite time, a known strike class, flip counts
+    >= 0 and the outcome label of the class of its flip counts.
+    """
     reader = csv.reader(fh)
     try:
         header = next(reader, None)
@@ -500,16 +509,18 @@ def read_sample_log(fh):
             if not row:
                 continue
             try:
-                idx, drain, sclass, k, t, n1, n2, outcome = row
+                idx, drain, sclass, k, t, n1, n2, label = row
                 idx, k, t = int(idx), int(k), float(t)
-                # no campaign draws a negative index, a cycle before 1 or
-                # a non-finite time
-                if idx < 0 or k < 1 or not math.isfinite(t):
+                n1, n2 = int(n1), int(n2)
+                if (idx < 0 or k < 1 or not math.isfinite(t)
+                        or sclass not in STRIKE_CLASSES or n1 < 0 or n2 < 0):
+                    raise ValueError
+                outcome = _OUTCOMES[_outcome_index(n1, n2)]
+                if outcome._value_ != label:
                     raise ValueError
                 records.append(_new_record(SampleRecord, (
-                    idx, drain, sclass, k, t, int(n1), int(n2),
-                    _BY_LABEL[outcome])))
-            except (ValueError, KeyError):
+                    idx, drain, sclass, k, t, n1, n2, outcome)))
+            except ValueError:
                 raise InputError(f"sample log line {reader.line_num}: "
                                  f"malformed row {row}") from None
     except csv.Error as exc:
@@ -519,7 +530,7 @@ def read_sample_log(fh):
 
 
 def recompute_from_log(records):
-    """``tally`` of the per-class counts in raw log rows alone.
+    """``tally`` of the per-class counts of ``read_sample_log`` rows.
 
     Used by the report path to prove the stored statistics are re-derivable;
     the result must match the stored values exactly (same counts, same
@@ -527,14 +538,5 @@ def recompute_from_log(records):
     """
     tallies = _new_tallies()
     for rec in records:
-        row = tallies.get(rec.strike_class)
-        if row is None:
-            raise InvariantError(
-                f"unknown strike class '{rec.strike_class}' in log")
-        o = _outcome_index(rec.n_e1, rec.n_e2)
-        if _OUTCOMES[o] is not rec.outcome:
-            raise InvariantError(
-                f"log row {rec.index}: outcome {rec.outcome.value} does not "
-                f"match flip counts ({rec.n_e1}, {rec.n_e2})")
-        row[o] += 1
+        tallies[rec.strike_class][_outcome_index(rec.n_e1, rec.n_e2)] += 1
     return tally(tallies)

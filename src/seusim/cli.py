@@ -23,15 +23,15 @@ import sys
 from pathlib import Path
 
 from . import campaign as camp
-from .campaign import (STRIKE_CLASSES, CampaignConfig, CampaignStats,
-                       OutcomeClass, recompute_from_log, sample_rng,
-                       sample_strike, standard_error)
+from .campaign import (STRIKE_CLASSES, CampaignConfig, OutcomeClass,
+                       recompute_from_log, sample_rng, sample_strike,
+                       standard_error)
 from .errors import ConfigError, InputError, InvariantError, SeuSimError
 from .golden import Stimulus, parse_stimulus, simulate_reference
 from .injector import SimContext, parse_policy, run_sample
 from .netlist import parse_bench, validate, wrap_combinational
 from .techmodel import (enumerate_drains, is_finite_number, load_bundled_profile,
-                        load_profile_file)
+                        load_profile)
 
 PAPER_CLASSES = (OutcomeClass.NN, OutcomeClass.NF, OutcomeClass.FN,
                  OutcomeClass.FF)
@@ -64,7 +64,7 @@ def _load_profile(spec):
     directory's name included, is a bundled profile name."""
     p = Path(spec)
     if p.suffix == ".json" or p.is_file():
-        return load_profile_file(p)
+        return load_profile("".join(_read_lines(p, "profile")), source=str(p))
     return load_bundled_profile(spec)
 
 
@@ -127,7 +127,7 @@ _KINDS = {
 }
 
 # (JSON key, CampaignStats attribute, value kind) for the run's inputs: the
-# top-level stats.json fields that the class counts do not decide.
+# top-level stats.json fields that ``camp.build_stats`` does not decide.
 _INPUT_FIELDS = (
     ("circuit", "circuit_name", "string"),
     ("profile", "profile_label", "string"),
@@ -136,10 +136,8 @@ _INPUT_FIELDS = (
     ("period_ps", "period", "number"),
     ("settle_ps", "settle", "number"),
     ("stderr_target", "stderr_target", "number"),
-    ("target_estimate", "target_estimate", "string"),
     ("min_samples", "min_samples", "integer"),
     ("max_samples", "max_samples", "integer"),
-    ("stop_reason", "stop_reason", "string"),
     ("wrapped", "wrapped", "boolean"),
 )
 _METRIC_FIELDS = (("P_m", "p_m"), ("P_GM", "p_gm"), ("P_RM", "p_rm"))
@@ -152,7 +150,9 @@ def _metrics(stats):
 
 def stats_to_dict(stats):
     doc = {key: getattr(stats, attr) for key, attr, _ in _INPUT_FIELDS}
-    doc.update(total_samples=stats.total_samples, class_share=stats.class_share)
+    doc.update(target_estimate=stats.target_estimate,
+               stop_reason=stats.stop_reason,
+               total_samples=stats.total_samples, class_share=stats.class_share)
     doc["classes"] = {
         name: {"n": cs.n, **{
             table: {c.value: getattr(cs, table)[c] for c in OutcomeClass}
@@ -185,39 +185,49 @@ def stats_from_dict(doc):
     """Rebuild CampaignStats (without records) from a stats.json document.
 
     Only the run's inputs and the class counts are read: the inputs pass
-    the checks a run makes, each count is an integer >= 0, and the document
-    must equal the serialized ``tally`` of the counts.  An oracle document
-    (stop reason ``exhaustive``) holds area-weighted probabilities and
-    class shares, so those are read as distributions, and its stderrs are
-    0.0.  Raises InputError otherwise, naming the fields at fault.
+    the checks a run makes (the policy label is one ``parse_policy`` prints
+    back), each count is an integer >= 0, and the document must equal the
+    serialized ``camp.build_stats`` of them, which decides the stop reason
+    and every other field.  An oracle document (stop reason ``exhaustive``)
+    ran the instant policy, and its counts cannot rebuild its area-weighted
+    class shares and probabilities, so those are read as distributions.
+    Raises InputError otherwise, naming the fields at fault.
     """
     try:
-        fields = {attr: _typed(doc[key], kind, key)
+        inputs = {attr: _typed(doc[key], kind, key)
                   for key, attr, kind in _INPUT_FIELDS}
+        oracle = _typed(doc["stop_reason"], "string",
+                        "stop_reason") == "exhaustive"
         try:
-            CampaignConfig(None, None, None, *(fields[k] for k in (
+            policy = parse_policy(inputs["policy_label"])
+            if oracle and policy.kind != "instant":
+                raise ConfigError("an exhaustive run's policy must be "
+                                  f"'instant', got {policy.label!r}")
+            CampaignConfig(None, None, None, *(inputs[k] for k in (
                 "rng_seed", "max_samples", "min_samples", "stderr_target")))
         except ConfigError as exc:
             raise InputError(f"stats document: {exc}") from None
-        if not 0 <= fields["settle"] < fields["period"]:
+        inputs["policy_label"] = policy.label
+        if not 0 <= inputs["settle"] < inputs["period"]:
             raise InputError("stats document needs 0 <= settle_ps < period_ps")
         classes = doc["classes"]
         if set(classes) != set(STRIKE_CLASSES):
             raise InputError(f"stats document classes must be {STRIKE_CLASSES}")
-        fields.update(camp.tally({name: [
+        tallies = {name: [
             _typed(classes[name]["counts"][c.value], "count",
                    f"classes.{name}.counts.{c.value}") for c in OutcomeClass]
-            for name in STRIKE_CLASSES}))
-        if fields["stop_reason"] == "exhaustive":
+            for name in STRIKE_CLASSES}
+        weighted = None
+        if oracle:
             share = _typed(doc["class_share"], "distribution", "class_share")
-            fields["class_share"] = {s: share[s] for s in STRIKE_CLASSES}
-            for name, cs in fields["per_class"].items():
-                cs.stderrs = dict.fromkeys(OutcomeClass, 0.0)
-                if cs.n:
+            weighted = {name: (share[name], None) for name in STRIKE_CLASSES}
+            for name, row in tallies.items():
+                if sum(row):
                     probs = _typed(classes[name]["probs"], "distribution",
                                    f"classes.{name}.probs")
-                    cs.probs = {c: probs[c.value] for c in OutcomeClass}
-        stats = CampaignStats(records=[], **fields)
+                    weighted[name] = (share[name],
+                                      [probs[c.value] for c in OutcomeClass])
+        stats = camp.build_stats(inputs, tallies, weighted)
         differ = _differing(stats_to_dict(stats), doc)
     except KeyError as exc:
         raise InputError(f"stats document has no key {exc}") from None

@@ -23,7 +23,7 @@ from itertools import accumulate, repeat
 from operator import itemgetter, truediv
 from typing import NamedTuple
 
-from .errors import InputError, ProfileError
+from .errors import ProfileError
 from .netlist import GATE_KINDS
 
 POLARITIES = ("pulls-low", "pulls-high")
@@ -106,10 +106,6 @@ class DrainTable:
     cumulative: tuple
     gate_area: float
     flop_area: float
-
-    @property
-    def total_area(self):
-        return self.gate_area + self.flop_area
 
     def pick(self, u):
         return self.sites[bisect.bisect_right(self.cumulative, u)]
@@ -228,15 +224,6 @@ def load_profile(text, source="<profile>"):
         drain_spec=spec,
         **scalars,
     )
-
-
-def load_profile_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read profile '{path}': {exc}") from None
-    return load_profile(text, source=str(path))
 
 
 def bundled_profile_names():

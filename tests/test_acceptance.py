@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from seusim import cli
+from seusim import campaign, cli
 from seusim.campaign import (
     CampaignConfig,
     OutcomeClass,
@@ -206,7 +206,7 @@ def test_acceptance_3_exact_counts_and_log_recomputation(real_campaigns):
     )
 
 
-def test_acceptance_4_stopping_rule_calibration():
+def test_acceptance_4_stopping_rule_calibration(monkeypatch):
     circuit = parse_bench("INPUT(x)\nOUTPUT(q)\nq = DFF(x)\n", name="solo")
     profile = profile_from(
         {
@@ -228,9 +228,11 @@ def test_acceptance_4_stopping_rule_calibration():
     )
     trace = simulate_reference(circuit, Stimulus.random(5, 1))
 
-    def runner(sample, rng):
+    def runner(ctx, sample, policy, rng, reads=None):
         flips = frozenset({"q"}) if rng.random() < 0.2 else frozenset()
         return SampleResult(flips_e1=frozenset(), flips_e2=flips)
+
+    monkeypatch.setattr(campaign, "run_sample", runner)
 
     def first_qualifying(records):
         flips = 0
@@ -252,7 +254,7 @@ def test_acceptance_4_stopping_rule_calibration():
             circuit=circuit, profile=profile, trace=trace, rng_seed=seed,
             max_samples=10_000, min_samples=100, stderr_target=0.1,
         )
-        stats = run_campaign(cfg, sample_runner=runner)
+        stats = run_campaign(cfg)
         halts.append(stats.total_samples)
         if stats.stop_reason != "stderr-met":
             ok = False

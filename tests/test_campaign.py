@@ -311,7 +311,9 @@ def _flop_only_setup():
 
 
 def _bernoulli_runner(prob):
-    def runner(sample, rng):
+    """A stand-in for ``run_sample`` that flips one flop at the second edge
+    with probability ``prob``, drawn from the sample's stream."""
+    def runner(ctx, sample, policy, rng, reads=None):
         flips = frozenset({"q"}) if rng.random() < prob else frozenset()
         return SampleResult(flips_e1=frozenset(), flips_e2=flips)
 
@@ -333,13 +335,14 @@ def _first_qualifying_prefix(records, min_samples, target):
     return None
 
 
-def test_stopping_rule_halts_at_first_qualifying_sample():
+def test_stopping_rule_halts_at_first_qualifying_sample(monkeypatch):
     c, p, tr = _flop_only_setup()
     cfg = CampaignConfig(
         circuit=c, profile=p, trace=tr, rng_seed=11,
         max_samples=10_000, min_samples=100, stderr_target=0.1,
     )
-    stats = run_campaign(cfg, sample_runner=_bernoulli_runner(0.2))
+    monkeypatch.setattr(campaign, "run_sample", _bernoulli_runner(0.2))
+    stats = run_campaign(cfg)
     assert stats.stop_reason == "stderr-met"
     assert stats.per_class["gate"].n == 0
     expected = _first_qualifying_prefix(stats.records, 100, 0.1)
@@ -348,25 +351,27 @@ def test_stopping_rule_halts_at_first_qualifying_sample():
     assert 250 <= stats.total_samples <= 650
 
 
-def test_stopping_rule_ignores_flip_free_classes():
+def test_stopping_rule_ignores_flip_free_classes(monkeypatch):
     c, p, tr = _flop_only_setup()
     cfg = CampaignConfig(
         circuit=c, profile=p, trace=tr, rng_seed=3,
         max_samples=10_000, min_samples=100, stderr_target=0.1,
     )
-    stats = run_campaign(cfg, sample_runner=_bernoulli_runner(0.0))
+    monkeypatch.setattr(campaign, "run_sample", _bernoulli_runner(0.0))
+    stats = run_campaign(cfg)
     assert stats.stop_reason == "stderr-met"
     assert stats.total_samples == 100
     assert stats.per_class["register"].counts[OutcomeClass.NN] == 100
 
 
-def test_stopping_rule_gives_up_at_max_samples():
+def test_stopping_rule_gives_up_at_max_samples(monkeypatch):
     c, p, tr = _flop_only_setup()
     cfg = CampaignConfig(
         circuit=c, profile=p, trace=tr, rng_seed=11,
         max_samples=150, min_samples=100, stderr_target=0.01,
     )
-    stats = run_campaign(cfg, sample_runner=_bernoulli_runner(0.2))
+    monkeypatch.setattr(campaign, "run_sample", _bernoulli_runner(0.2))
+    stats = run_campaign(cfg)
     assert stats.stop_reason == "max-samples"
     assert stats.total_samples == 150
 
@@ -374,7 +379,7 @@ def test_stopping_rule_gives_up_at_max_samples():
 def _class_bernoulli_runner(gate_prob, register_prob):
     prob = {"gate": gate_prob, "register": register_prob}
 
-    def runner(sample, rng):
+    def runner(ctx, sample, policy, rng, reads=None):
         flips = frozenset({"q"}) if rng.random() < prob[sample.strike_class] else frozenset()
         return SampleResult(flips_e1=frozenset(), flips_e2=flips)
 
@@ -399,7 +404,8 @@ def _full_rejudgement_stop(records, min_samples, stderr_target, max_samples):
 @pytest.mark.parametrize("gate_prob, register_prob",
                          [(0.0, 0.0), (0.0, 0.3), (0.3, 0.0), (0.05, 0.6), (0.5, 1.0),
                           (0.3, 0.35), (0.6, 0.5)])
-def test_incremental_stopping_rule_matches_full_rejudgement(circuit, gate_prob, register_prob):
+def test_incremental_stopping_rule_matches_full_rejudgement(monkeypatch, circuit, gate_prob,
+                                                           register_prob):
     # the campaign re-judges only the class a sample changed; a full
     # re-judgement of both classes after every sample must stop at the same
     # index for the same reason.  A class that meets the rule at a flip can
@@ -412,14 +418,15 @@ def test_incremental_stopping_rule_matches_full_rejudgement(circuit, gate_prob, 
         c = bundled_circuit(circuit)
         p = load_bundled_profile("toy-equal")
         tr = simulate_reference(c, Stimulus.random(6, seed=2))
-    runner = _class_bernoulli_runner(gate_prob, register_prob)
+    monkeypatch.setattr(campaign, "run_sample",
+                        _class_bernoulli_runner(gate_prob, register_prob))
     for min_samples in (1, 40, 400):
         for target in (0.05, 0.1, 0.2, 0.3, 0.4):
             for seed in (1, 2, 3):
                 cfg = CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=seed,
                                      max_samples=1500, min_samples=min_samples,
                                      stderr_target=target)
-                stats = run_campaign(cfg, sample_runner=runner)
+                stats = run_campaign(cfg)
                 want = _full_rejudgement_stop(stats.records, min_samples, target, 1500)
                 assert (stats.total_samples, stats.stop_reason) == want, (
                     min_samples, target, seed)
@@ -854,6 +861,5 @@ def test_recompute_from_log_matches_campaign(small_campaign):
 def test_recompute_detects_tampered_outcome(small_campaign):
     _, stats = small_campaign
     text = sample_log_text(stats.records).replace(",NN", ",NF", 1)
-    rows = read_sample_log(io.StringIO(text))
-    with pytest.raises(InvariantError, match="does not match flip counts"):
-        recompute_from_log(rows)
+    with pytest.raises(InputError, match="malformed row"):
+        read_sample_log(io.StringIO(text))

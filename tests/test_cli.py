@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -481,6 +482,15 @@ def test_campaign_tech_directory_without_bundled_profile(bench_dir, tmp_path,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["missing", "non-utf8"])
+def test_load_profile_unreadable_is_an_input_error(tmp_path, content):
+    path = tmp_path / "p.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(InputError, match=re.escape(f"cannot read profile '{path}'")):
+        cli._load_profile(str(path))
+
+
 def _edited_profile(tmp_path, edit):
     ref = resources.files("seusim").joinpath("data/profiles/toy-equal.json")
     doc = json.loads(ref.read_text(encoding="utf-8"))
@@ -751,6 +761,8 @@ def test_report_recompute_needs_log(finished_campaign, tmp_path):
 
 
 def test_report_recompute_catches_tampering(finished_campaign, tmp_path):
+    # an outcome label that is not the class of its row's flip counts makes
+    # the row malformed
     camp, _ = finished_campaign
     tampered = tmp_path / "tampered.csv"
     tampered.write_text(
@@ -760,9 +772,8 @@ def test_report_recompute_catches_tampering(finished_campaign, tmp_path):
         ["report", "--stats", str(camp / "stats.json"),
          "--log", str(tampered), "--recompute", "--out", str(tmp_path / "r5")]
     )
-    assert code == 3
-    assert "error:invariant-violation" in err
-    assert "does not match flip counts" in err
+    _assert_input_error(code, err)
+    assert ": malformed row [" in err
 
 
 def test_report_missing_stats_file(tmp_path):
@@ -1036,7 +1047,7 @@ def test_report_rejects_non_integer_stats_counts(finished_campaign, tmp_path, pa
     [("--stats", ("classes", "gate", "counts", "NN"), 10**6,
       _DISAGREE + "class_share.gate, class_share.register, "
       "classes.gate.n, classes.gate.probs.NF, classes.gate.probs.NN, "
-      "classes.gate.stderrs.NF, classes.gate.stderrs.NN, total_samples"),
+      "classes.gate.stderrs.NF, classes.gate.stderrs.NN, stop_reason, total_samples"),
      ("--stats", ("classes", "gate", "n"), -5,
       _DISAGREE + "classes.gate.n"),
      ("--stats", ("metrics", "P_m", "den"), -3,
@@ -1152,6 +1163,61 @@ def test_report_rejects_stats_that_contradict_the_run(tmp_path, edits):
     # CampaignConfig's stderr_target check is the first to fail on all six
     assert _RUN_EDITS[edits[0] if len(edits) == 1 else "stderr-target"][2] in err
     assert not (tmp_path / "r").exists()
+
+
+# Edits of the fields a run decides or labels, each with the stderr target
+# of the s27 run it edits (0.5 stops by stderr-met after 100 samples, 0.1
+# by max-samples after 300) and the error naming the field.
+_REBUILT = "stats document " + _DISAGREE
+_DECIDED_EDITS = {
+    "stop-reason": (0.1, {"stop_reason": "banana"}, _REBUILT + "stop_reason"),
+    "max-samples-short": (0.1, {"max_samples": 100_000}, _REBUILT + "stop_reason"),
+    "stderr-met-below-min": (0.5, {"min_samples": 200}, _REBUILT + "stop_reason"),
+    "target-estimate": (0.1, {"target_estimate": "P_m"}, _REBUILT + "target_estimate"),
+    "policy-unknown": (0.1, {"policy": "bogus"},
+                       "stats document: unknown capture policy 'bogus' "
+                       "(expected 'instant' or 'window-random:<p>')"),
+    "policy-out-of-range": (0.1, {"policy": "window-random:2"},
+                            "stats document: window-random probability must be in [0, 1]"),
+    "policy-unprinted": (0.1, {"policy": "window-random:0.50"}, _REBUILT + "policy"),
+}
+
+
+@pytest.mark.parametrize("target, edits, message", list(_DECIDED_EDITS.values()),
+                         ids=list(_DECIDED_EDITS))
+def test_report_rejects_stats_a_run_would_not_write(tmp_path, target, edits, message):
+    # each of these edits used to exit 0: the stop reason and the target
+    # estimate were read back as stored, and any policy label was accepted
+    bench = tmp_path / "s27.bench"
+    bench.write_text(bundled_bench_text("s27"))
+    camp = tmp_path / "c"
+    assert run_cli(["campaign", "--circuit", str(bench), "--tech", "65nm-like", "--stimulus",
+                    "random:20:1", "--max-samples", "300", "--stderr-target", str(target),
+                    "--out", str(camp)])[0] == 0
+    doc = json.loads((camp / "stats.json").read_text())
+    assert doc["stop_reason"] == {0.1: "max-samples", 0.5: "stderr-met"}[target]
+    doc.update(edits)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    code, out, err = run_cli(["report", "--stats", str(edited), "--out", str(tmp_path / "r")])
+    _assert_input_error(code, err)
+    assert out == ""
+    assert err == f"error:input-error: '{edited}': {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_report_rejects_an_oracle_without_the_instant_policy(finished_campaign, tmp_path):
+    camp, orc = finished_campaign
+    doc = json.loads((orc / "oracle_stats.json").read_text())
+    doc["policy"] = "window-random:0.5"
+    edited = tmp_path / "oracle.json"
+    edited.write_text(json.dumps(doc))
+    code, out, err = run_cli(["report", "--stats", str(camp / "stats.json"), "--oracle",
+                              str(edited), "--out", str(tmp_path / "r")])
+    _assert_input_error(code, err)
+    assert out == ""
+    assert err == (f"error:input-error: '{edited}': stats document: an exhaustive run's "
+                   "policy must be 'instant', got 'window-random:0.5'\n")
 
 
 @pytest.mark.parametrize("shift, code", [(0.43, 2), (1e-6, 2), (1e-12, 0)],
@@ -1299,7 +1365,8 @@ def _set_field(column, value, row=0):
 
 @pytest.mark.parametrize("column,value", [
     ("t", "nan"), ("t", "inf"), ("t", "-inf"), ("k", "0"), ("k", "-7"),
-    ("sample_index", "-1"),
+    ("sample_index", "-1"), ("flips_e1", "-1"), ("flips_e2", "-1"),
+    ("strike_class", "banana"),
 ])
 def test_report_log_rejects_impossible_strike_fields(finished_campaign, tmp_path,
                                                       column, value):

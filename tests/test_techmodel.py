@@ -22,7 +22,6 @@ from seusim.techmodel import (
     enumerate_drains,
     load_bundled_profile,
     load_profile,
-    load_profile_file,
     period_and_settle,
 )
 
@@ -163,15 +162,6 @@ def test_load_profile_rejects_bad_documents(mutate, message):
 def test_load_profile_rejects_bad_json():
     with pytest.raises(ProfileError, match="not valid JSON"):
         load_profile("{not json", source="<t>")
-
-
-@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["missing", "non-utf8"])
-def test_load_profile_file_unreadable_is_an_input_error(tmp_path, content):
-    path = tmp_path / "p.json"
-    if content is not None:
-        path.write_bytes(content)
-    with pytest.raises(InputError, match=re.escape(f"cannot read profile '{path}'")):
-        load_profile_file(path)
 
 
 _JSON_VALUES = st.recursive(
