@@ -24,8 +24,8 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import ConfigError, InputError, InvariantError
-from .injector import (INSTANT, SimContext, StrikeSample, grid_flip_counts,
-                       polarity_matches, run_sample, strike_row)
+from .injector import (INSTANT, SimContext, StrikeSample, grid_ranges,
+                       judge_grid, polarity_matches, run_sample, strike_row)
 from .techmodel import enumerate_drains
 
 STRIKE_CLASSES = ("gate", "register")
@@ -392,11 +392,14 @@ def exhaustive_campaign(config, t_grid):
 
     The instant capture policy is required (nothing else is deterministic
     per sample).  A cycle in which a drain's strike has the wrong polarity
-    counts as NN at every grid time.  A gate or state-node drain propagates
-    once from t = 0 for all its other (``live``) cycles, which are grouped
-    by the flop events they carry; each group's row is judged at every grid
-    time at once by ``grid_flip_counts``, or counts as (n_e1, 0) if it has
-    no event.  A capture-node strike depends on neither t nor the cycle, so
+    counts as NN at every grid time.  A gate or state-node strike's row
+    depends on its net and node class, not on its polarity, so each struck
+    net propagates once from t = 0 for the (``live``) cycles of both
+    polarities' drains together.  Those cycles are grouped by the flop
+    events they carry; ``grid_ranges`` bisects each interval once per row
+    and ``judge_grid`` judges each group at every grid time at once, and
+    each drain adds a group's counts once per live cycle of its own in the
+    group.  A capture-node strike depends on neither t nor the cycle, so
     one strike stands for all its live cells.  Class probabilities are
     weighted by drain area within each strike class so they estimate the
     same measure Monte Carlo samples from; raw counts are also kept
@@ -421,14 +424,36 @@ def exhaustive_campaign(config, t_grid):
     step = (ctx.period - ctx.settle) / t_grid
     times = [ctx.settle + i * step for i in range(t_grid)]
     strikable = (1 << k_values.stop) - (1 << k_values.start)
-    tallies = _new_tallies()
-    weighted = {s: [0.0] * len(_OUTCOMES) for s in STRIKE_CLASSES}
-    cells = len(k_values) * t_grid
+    lives, rows = [], {}
     for drain in table.sites:
-        sclass = drain.strike_class
         golden = trace.net_masks[drain.net]
         live = strikable & (golden if polarity_matches(drain.polarity, 1)
                             else ~golden)
+        lives.append(live)
+        if live and drain.ff_node_class != "capture-node":
+            key = drain.net, drain.ff_node_class
+            first, cycles = rows.get(key, (drain, 0))
+            rows[key] = first, cycles | live
+    # each struck net's row, over the live cycles of all its drains, split
+    # into cycle groups, each judged once: [(group, [(outcome index,
+    # grid times), ...]), ...]
+    index, judged = {}, {}
+    for key, (drain, cycles) in rows.items():
+        ranges = grid_ranges(ctx, strike_row(ctx, drain, cycles), times,
+                             index)
+        groups = [cycles]
+        for m in {m for _, intervals in ranges for _, _, m in intervals}:
+            groups = [h for g in groups for h in (g & m, g & ~m) if h]
+        n_e1 = int(drain.ff_node_class == "state-node")
+        judged[key] = [(g, [(_outcome_index(n_e1, n_e2), n) for n_e2, n
+                            in judge_grid(ranges, t_grid, g).items()])
+                       for g in groups]
+
+    tallies = _new_tallies()
+    weighted = {s: [0.0] * len(_OUTCOMES) for s in STRIKE_CLASSES}
+    cells = len(k_values) * t_grid
+    for drain, live in zip(table.sites, lives):
+        sclass = drain.strike_class
         n_live = live.bit_count()
         drain_counts = [0] * len(_OUTCOMES)
         drain_counts[0] = (len(k_values) - n_live) * t_grid  # NN
@@ -438,23 +463,17 @@ def exhaustive_campaign(config, t_grid):
             drain_counts[_outcome_index(*result.flip_counts)] += (
                 n_live * t_grid)
         elif n_live:
-            n_e1 = int(drain.ff_node_class == "state-node")
-            pulses = strike_row(ctx, drain, live)
-            groups = [live]
-            for m in {m for ivs in pulses.values() for _, _, m in ivs}:
-                groups = [h for g in groups for h in (g & m, g & ~m) if h]
-            for g in groups:
-                row = {net: [iv for iv in ivs if iv[2] & g]
-                       for net, ivs in pulses.items()}
-                counts = (grid_flip_counts(ctx, row, times)
-                          if any(row.values()) else {0: t_grid})
-                for n_e2, n in counts.items():
-                    drain_counts[_outcome_index(n_e1, n_e2)] += (
-                        n * g.bit_count())
+            for g, counts in judged[drain.net, drain.ff_node_class]:
+                in_group = (g & live).bit_count()
+                if in_group:
+                    for j, n in counts:
+                        drain_counts[j] += n * in_group
+        # adding a zero count would add +0.0 to a sum that is never -0.0
         row, w = tallies[sclass], weighted[sclass]
         for j, cnt in enumerate(drain_counts):
-            row[j] += cnt
-            w[j] += drain.area * (cnt / cells)
+            if cnt:
+                row[j] += cnt
+                w[j] += drain.area * (cnt / cells)
 
     area = {"gate": table.gate_area, "register": table.flop_area}
     total = sum(area.values())
@@ -527,6 +546,26 @@ def read_sample_log(fh):
         # e.g. a field longer than csv's field size limit
         raise InputError(f"sample log line {reader.line_num}: {exc}") from None
     return records
+
+
+def stopping_row(records, min_samples, stderr_target):
+    """The index of the first of ``records`` after which a run stops by its
+    stopping rule, as ``run_campaign`` judges it (``_criterion_met`` for
+    every strike class with samples, from ``min_samples`` rows on), or None
+    if no row is such."""
+    n = dict.fromkeys(STRIKE_CLASSES, 0)
+    erroneous = dict.fromkeys(STRIKE_CLASSES, 0)
+    met = dict.fromkeys(STRIKE_CLASSES, True)
+    first_stop = min_samples - 1
+    for i, rec in enumerate(records):
+        sclass = rec.strike_class
+        n[sclass] += 1
+        erroneous[sclass] += rec.outcome is not OutcomeClass.NN
+        met[sclass] = _criterion_met(n[sclass], erroneous[sclass],
+                                     stderr_target)
+        if i >= first_stop and all(met.values()):
+            return i
+    return None
 
 
 def recompute_from_log(records):

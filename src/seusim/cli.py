@@ -25,7 +25,7 @@ from pathlib import Path
 from . import campaign as camp
 from .campaign import (STRIKE_CLASSES, CampaignConfig, OutcomeClass,
                        recompute_from_log, sample_rng, sample_strike,
-                       standard_error)
+                       standard_error, stopping_row)
 from .errors import ConfigError, InputError, InvariantError, SeuSimError
 from .golden import Stimulus, parse_stimulus, simulate_reference
 from .injector import SimContext, parse_policy, run_sample
@@ -531,8 +531,9 @@ def cmd_report(args):
 
 def _verify_recompute(stats, records):
     """Raise unless the log rows are samples 0..n-1 in order, each struck
-    inside the stored ``[settle, period)`` window, and their per-class
-    counts equal the stored ones, which decide every other stored field.
+    inside the stored ``[settle, period)`` window, their per-class counts
+    equal the stored ones, which decide every other stored field, and no
+    row before the last already met the stored stopping rule.
     """
     for i, rec in enumerate(records):
         if rec.index != i:
@@ -549,6 +550,13 @@ def _verify_recompute(stats, records):
         raise InvariantError(
             f"the counts of {len(records)} log rows do not match the stored "
             f"ones in: {', '.join(differ)}")
+    stop = stopping_row(records, stats.min_samples, stats.stderr_target)
+    if stop is not None and stop < len(records) - 1:
+        raise InvariantError(
+            f"the stopping rule already holds after log row {stop} "
+            f"(min_samples {stats.min_samples}, stderr_target "
+            f"{stats.stderr_target!r}), but the log runs to {len(records)} "
+            f"rows")
 
 
 # --- argument parsing -------------------------------------------------------

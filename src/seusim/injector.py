@@ -4,9 +4,12 @@ One sample = one drain site, one strike cycle k, one strike time t within
 the cycle.  A gate or state-node strike is played through the combinational
 fanout once, from t = 0, for one cycle or a mask of many (``strike_row``);
 its intervals at the flops, shifted by t, are then judged against the
-capture edge (``_capture_all``, or ``grid_flip_counts`` for a whole oracle
-grid).  All strikes take this one path, so debug pulse lines give each
-event's start as an offset from t.  Three masking mechanisms apply:
+capture edge (``_capture_all``, or ``grid_ranges`` and ``judge_grid`` for a
+whole oracle grid).  The row depends on the struck net and its node class,
+not on the strike's polarity, so the oracle builds and judges one row per
+struck net for the drains of both polarities.  All strikes take this one
+path, so debug pulse lines give each event's start as an offset from t.
+Three masking mechanisms apply:
 
 * logical   - a pulse passes a gate only while every side input holds a
               non-controlling golden value;
@@ -26,9 +29,8 @@ and a register strike contributes at most its own flop at e1.
 
 import math
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import ConfigError, InvariantError
@@ -293,33 +295,69 @@ def strike_row(ctx, drain, live, debug=None):
     return _propagate(ctx, (drain.net, 0.0, width, step), live, debug)
 
 
-def grid_flip_counts(ctx, row, times):
-    """{n_e2: number of grid times} of the strike whose ``strike_row`` is
-    ``row``, started at each ascending ``t`` in ``times``, policy instant.
+def grid_ranges(ctx, row, times, index=None):
+    """Each net of the ``strike_row`` ``row`` as (the number of flops
+    latching it, [(a, b, mask), ...] sorted): the interval (s, e, mask)
+    covers the edge at the ascending strike times ``times[a:b]``.
 
     This is ``capture_at_edge``'s ``start < edge <= end`` rule on a grid:
     interval (s <= e) covers the edge at t iff ``t + s < edge <= t + e``.
     Both float sums, the ones ``_capture_all`` forms, are monotone in t, so
     the covering times are one index range [a, b), found by bisection.
-    Each net's merged ranges flip every flop latching it.
+    ``index`` may keep, per offset x, the first index whose ``t + x``
+    reaches the edge, for every row judged on the same ``times``.
     """
     edge = ctx.period
-    diff = [0] * (len(times) + 1)
-    for net, intervals in row.items():
-        weight = len(ctx.latches[net])
+    index = {} if index is None else index
+
+    def first(x):
+        i = index.get(x)
+        if i is None:
+            i = index[x] = bisect_left(times, edge, key=lambda t: t + x)
+        return i
+
+    return [(len(ctx.latches[net]),
+             sorted([(first(e), first(s), m) for s, e, m in intervals]))
+            for net, intervals in row.items()]
+
+
+def judge_grid(ranges, n, group):
+    """{n_e2: number of grid times} of the ``grid_ranges`` ``ranges`` on a
+    grid of ``n`` times, from the intervals that occur in a cycle of
+    ``group``.  Each net's merged ranges flip every flop latching it; one
+    sweep over their end points counts the grid times of each total.
+    """
+    points = []
+    for weight, intervals in ranges:
         lo = hi = 0
-        for a, b in sorted(
-                (bisect_left(times, edge, key=lambda t: t + e),
-                 bisect_left(times, edge, key=lambda t: t + s))
-                for s, e, _ in intervals):
-            if a > hi:
-                diff[lo] += weight
-                diff[hi] -= weight
-                lo = a
-            hi = max(hi, b)
-        diff[lo] += weight
-        diff[hi] -= weight
-    return Counter(accumulate(diff[:-1]))
+        for a, b, m in intervals:
+            if m & group:
+                if a > hi:
+                    if lo < hi:
+                        points += (lo, weight), (hi, -weight)
+                    lo = a
+                if b > hi:
+                    hi = b
+        if lo < hi:
+            points += (lo, weight), (hi, -weight)
+    points.sort()
+    counts = {}
+    flips = done = 0
+    for x, change in points:
+        if x > done:
+            counts[flips] = counts.get(flips, 0) + x - done
+            done = x
+        flips += change
+    if n > done:
+        counts[0] = counts.get(0, 0) + n - done
+    return counts
+
+
+def grid_flip_counts(ctx, row, times):
+    """{n_e2: number of grid times} of the strike whose ``strike_row`` is
+    ``row``, started at each ascending ``t`` in ``times``, policy instant:
+    ``judge_grid`` of its ``grid_ranges`` in every cycle."""
+    return judge_grid(grid_ranges(ctx, row, times), len(times), -1)
 
 
 # The result of a strike whose polarity does not match, and of a gate

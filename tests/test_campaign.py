@@ -2,7 +2,9 @@
 
 import dataclasses
 import io
+import json
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from seusim.campaign import (
     _criterion_met,
     sample_strike,
     standard_error,
+    stopping_row,
     strike_cycles,
 )
 from seusim.errors import ConfigError, InputError, InvariantError
@@ -42,7 +45,7 @@ from seusim.injector import (
     strike_row,
 )
 from seusim.netlist import parse_bench, wrap_combinational
-from seusim.techmodel import enumerate_drains, load_bundled_profile
+from seusim.techmodel import enumerate_drains, load_bundled_profile, load_profile
 
 from conftest import (BUNDLED_CIRCUITS, bundled_circuit, dff_sites, multiplier_bench,
                       profile_from)
@@ -431,6 +434,10 @@ def test_incremental_stopping_rule_matches_full_rejudgement(monkeypatch, circuit
                 assert (stats.total_samples, stats.stop_reason) == want, (
                     min_samples, target, seed)
                 assert len(stats.records) == stats.total_samples
+                # the log replay that ``report --recompute`` runs
+                assert stopping_row(stats.records, min_samples, target) == (
+                    stats.total_samples - 1
+                    if stats.stop_reason == "stderr-met" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +616,10 @@ def _count_row_simulations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like",
-                                          "toy-equal"])
-@pytest.mark.parametrize("name", BUNDLED_CIRCUITS)
-def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
-    # reference: every (drain, cycle, grid time) simulated, then the same
-    # area weighting in the same order, so floats must agree bit for bit
-    c = bundled_circuit(name)
-    if not c.flops:
-        c = wrap_combinational(c)
-    p = load_bundled_profile(profile_name)
-    tr = simulate_reference(c, Stimulus.random(20, seed=4))
-    t_grid = 7
+def _per_cell_reference(c, p, tr, t_grid):
+    """(counts, area-weighted counts, area sums) per strike class, from
+    every (drain, cycle, grid time) simulated by ``run_sample``, weighted
+    by area in drain order as the oracle weights them."""
     ctx = SimContext.build(c, p).bind(tr)
     table = enumerate_drains(c, p)
     step = (ctx.period - ctx.settle) / t_grid
@@ -638,22 +637,42 @@ def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
             counts[site.strike_class][oc] += cnt
             weighted[site.strike_class][oc] += site.area * (cnt / cells)
         weight_sum[site.strike_class] += site.area
+    return counts, weighted, weight_sum
+
+
+@pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like",
+                                          "toy-equal"])
+@pytest.mark.parametrize("name", BUNDLED_CIRCUITS)
+def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
+    # reference: every (drain, cycle, grid time) simulated, then the same
+    # area weighting in the same order, so floats must agree bit for bit
+    c = bundled_circuit(name)
+    if not c.flops:
+        c = wrap_combinational(c)
+    p = load_bundled_profile(profile_name)
+    tr = simulate_reference(c, Stimulus.random(20, seed=4))
+    t_grid = 7
+    table = enumerate_drains(c, p)
+    cells = (tr.cycle_count - 2) * t_grid
+    counts, weighted, weight_sum = _per_cell_reference(c, p, tr, t_grid)
 
     calls = _count_row_simulations(monkeypatch)
     stats = exhaustive_campaign(
         CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=1), t_grid=t_grid
     )
     assert stats.total_samples == len(table.sites) * cells
-    # one propagation per gate or state-node drain and one strike per
-    # capture-node drain whose polarity matches in some cycle, none per
-    # cycle or grid time
+    # one propagation per struck net and node class among the gate and
+    # state-node drains whose polarity matches in some cycle, shared by
+    # both polarities' drains, and one strike per such capture-node drain;
+    # none per drain, cycle or grid time
     matching = [site for site in table.sites
                 if any(polarity_matches(site.polarity, tr.net_value(k, site.net))
                        for k in range(1, tr.cycle_count - 1))]
     capture = sum(site.ff_node_class == "capture-node" for site in matching)
-    assert calls == {"strike_row": len(matching) - capture,
-                     "run_sample": capture,
-                     "_propagate": len(matching) - capture}
+    rows = len({(site.net, site.ff_node_class) for site in matching
+                if site.ff_node_class != "capture-node"})
+    assert calls == {"strike_row": rows, "run_sample": capture,
+                     "_propagate": rows}
     assert matching
     for sclass in ("gate", "register"):
         cs = stats.per_class[sclass]
@@ -662,14 +681,72 @@ def test_exhaustive_cone_memo_is_exact(monkeypatch, name, profile_name):
                             for oc in OutcomeClass}
 
 
+def _uneven_profile(tmp_path, base):
+    """The bundled profile ``base``, edited in ``tmp_path`` so that a NOT or
+    an XOR has one drain, a NAND or a flop's state node two of unequal
+    area, and a NOR three, two of them of one polarity."""
+    doc = json.loads(resources.files("seusim").joinpath(
+        f"data/profiles/{base}.json").read_text(encoding="utf-8"))
+    spec = doc["drain_spec"]
+    spec["NOT"] = [{"area": 0.3, "polarity": "pulls-high"}]
+    spec["XOR"] = [{"area": 0.45, "polarity": "pulls-low"}]
+    spec["NAND"] = [{"area": 0.2, "polarity": "pulls-low"},
+                    {"area": 0.9, "polarity": "pulls-high"}]
+    spec["NOR"] = [{"area": 0.35, "polarity": "pulls-low"},
+                   {"area": 0.1, "polarity": "pulls-high"},
+                   {"area": 0.6, "polarity": "pulls-high"}]
+    spec["DFF"][0]["area"] = 0.4
+    path = tmp_path / f"{base}-uneven.json"
+    path.write_text(json.dumps(doc))
+    return load_profile(path.read_text(), source=str(path))
+
+
+@pytest.mark.parametrize("profile_name", ["65nm-like", "180nm-like"])
+@pytest.mark.parametrize("name", BUNDLED_CIRCUITS)
+def test_exhaustive_shared_rows_are_exact(monkeypatch, tmp_path, name,
+                                          profile_name):
+    # the drains of one struck net share its row and its grid judgments,
+    # whatever their number, polarities and areas; each drain's counts and
+    # its area-weighted share must still equal the per-cell reference
+    c = bundled_circuit(name)
+    if not c.flops:
+        c = wrap_combinational(c)
+    p = _uneven_profile(tmp_path, profile_name)
+    tr = simulate_reference(c, Stimulus.random(20, seed=4))
+    t_grid = 7
+    counts, weighted, weight_sum = _per_cell_reference(c, p, tr, t_grid)
+    calls = _count_row_simulations(monkeypatch)
+    stats = exhaustive_campaign(
+        CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=1), t_grid=t_grid
+    )
+    drains = {}
+    for site in enumerate_drains(c, p).sites:
+        if site.ff_node_class != "capture-node":
+            drains.setdefault((site.net, site.ff_node_class), []).append(site)
+    struck = [key for key, sites in drains.items()
+              if any(polarity_matches(site.polarity, tr.net_value(k, site.net))
+                     for site in sites for k in range(1, tr.cycle_count - 1))]
+    assert calls["strike_row"] == calls["_propagate"] == len(struck)
+    if name == "s27":
+        sizes = sorted(len(sites) for sites in drains.values())
+        assert sizes[0] == 1 and sizes[-1] == 3
+        assert any(len({site.area for site in sites}) == 2
+                   for sites in drains.values() if len(sites) == 2)
+    for sclass in ("gate", "register"):
+        cs = stats.per_class[sclass]
+        assert cs.counts == counts[sclass]
+        assert cs.probs == {oc: weighted[sclass][oc] / weight_sum[sclass]
+                            for oc in OutcomeClass}
+
+
 def test_exhaustive_counts_wrong_polarity_rows_without_simulating(monkeypatch):
-    # s27 under 180nm-like has 26 gate or state-node drains and 6
-    # capture-node drains.  At random:50:1000 each drain's polarity matches
-    # in some of the 48 strike cycles, and the other cycles count as NN
-    # without being simulated.  So each gate or state-node drain propagates
-    # once from t = 0, for all its matching cycles together, each
-    # capture-node drain runs one strike, and no cycle or grid time
-    # propagates again
+    # s27 under 180nm-like has 26 gate or state-node drains on 13 nets and
+    # 6 capture-node drains.  At random:50:1000 each drain's polarity
+    # matches in some of the 48 strike cycles, and the other cycles count
+    # as NN without being simulated.  So each of the 13 nets propagates
+    # once from t = 0, for the matching cycles of both its drains together,
+    # each capture-node drain runs one strike, and no drain, cycle or grid
+    # time propagates again
     c = bundled_circuit("s27")
     p = load_bundled_profile("180nm-like")
     tr = simulate_reference(c, Stimulus.random(50, 1000))
@@ -678,7 +755,7 @@ def test_exhaustive_counts_wrong_polarity_rows_without_simulating(monkeypatch):
         CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=1), t_grid=50
     )
     assert stats.total_samples == 76_800
-    assert calls == {"strike_row": 26, "run_sample": 6, "_propagate": 26}
+    assert calls == {"strike_row": 13, "run_sample": 6, "_propagate": 13}
 
 
 # ---------------------------------------------------------------------------

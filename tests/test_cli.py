@@ -1440,6 +1440,30 @@ def test_report_recompute_accepts_times_at_the_window_bounds(finished_campaign,
     assert "reproduce the stored statistics exactly" in out
 
 
+def test_report_recompute_replays_the_stopping_rule(tmp_path):
+    # this run stops by stderr-met after its 150 min_samples; with
+    # min_samples edited to 100 its counts still match, but the same run
+    # would have stopped after 100 samples, so no run writes that pair
+    bench = tmp_path / "s27.bench"
+    bench.write_text(bundled_bench_text("s27"))
+    camp = tmp_path / "c"
+    assert run_cli(["campaign", "--circuit", str(bench), "--tech", "65nm-like",
+                    "--stimulus", "random:20:1", "--max-samples", "300",
+                    "--min-samples", "150", "--stderr-target", "0.5",
+                    "--out", str(camp)])[0] == 0
+    doc = json.loads((camp / "stats.json").read_text())
+    assert (doc["total_samples"], doc["stop_reason"]) == (150, "stderr-met")
+    code, out, _ = _recompute(camp, tmp_path)
+    assert code == 0
+    assert "150 log rows reproduce the stored statistics exactly" in out
+    code, out, err = _recompute(camp, tmp_path,
+                                stats_text=json.dumps(dict(doc, min_samples=100)))
+    assert (code, out) == (3, "")
+    assert err == ("error:invariant-violation: the stopping rule already holds "
+                   "after log row 99 (min_samples 100, stderr_target 0.5), but "
+                   "the log runs to 150 rows\n")
+
+
 # sha256 of every report file for a fixed s27 campaign and oracle, with and
 # without --paper-columns.  Recorded before report was rewritten to render
 # straight from CampaignStats; any byte change to a report shows here.

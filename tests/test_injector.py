@@ -25,6 +25,8 @@ from seusim.injector import (
     _propagate,
     capture_at_edge,
     grid_flip_counts,
+    grid_ranges,
+    judge_grid,
     parse_policy,
     run_sample,
     strike_row,
@@ -232,6 +234,67 @@ def test_grid_flip_counts_match_capture_row_at_every_grid_time(data, n):
     got = grid_flip_counts(ctx, row, times)
     assert got == _per_grid_time(row, times)
     assert sum(got.values()) == n
+
+
+def _on_edge(t, edge):
+    """An offset x with ``t + x == edge`` exactly, if a neighbour of
+    ``edge - t`` gives one."""
+    x = edge - t
+    for y in (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)):
+        if t + y == edge:
+            return y
+    return x
+
+
+def _capture_brute_force(ctx, row, times, group):
+    """{n_e2: grid times}: each flop's capture judged by ``capture_at_edge``
+    at each grid time, from the intervals on its data net that occur in a
+    cycle of ``group``."""
+    counts = Counter()
+    for t in times:
+        flips = 0
+        for flop in ctx.circuit.flops:
+            captured, _ = capture_at_edge(
+                0, [(t + s, t + e) for s, e, m in row.get(flop.data, ())
+                    if m & group], ctx.period, ctx.profile)
+            flips += captured
+        counts[flips] += 1
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 7, 50]))
+def test_judge_grid_matches_capture_at_edge_in_every_cycle_group(data, n):
+    # rows whose intervals start or end exactly on the edge at a grid time
+    # or one float away, overlap on one net, and sit on nets latched by one
+    # flop (y, z) or three (x); one bisection memo serves every row on the
+    # grid, and each cycle group judged from a row's ranges must equal
+    # capture_at_edge at every grid time
+    ctx = LATCH_CTX
+    edge = ctx.period
+    step = (ctx.period - ctx.settle) / n
+    times = [ctx.settle + i * step for i in range(n)]
+    on_edge = st.sampled_from(times).map(lambda t: _on_edge(t, edge))
+    point = st.one_of(
+        on_edge,
+        on_edge.map(lambda x: math.nextafter(x, math.inf)),
+        on_edge.map(lambda x: math.nextafter(x, -math.inf)),
+        st.floats(-edge, edge))
+    interval = st.tuples(point, point, st.integers(1, 15)).map(
+        lambda v: (min(v[:2]), max(v[:2]), v[2]))
+    rows = data.draw(st.lists(
+        st.dictionaries(st.sampled_from(["x", "y", "z"]),
+                        st.lists(interval, min_size=1, max_size=6),
+                        min_size=1),
+        min_size=1, max_size=3))
+    index = {}
+    for row in rows:
+        ranges = grid_ranges(ctx, row, times, index)
+        for group in (1, 2, 4, 8, 6, 15, data.draw(st.integers(1, 15))):
+            assert (judge_grid(ranges, n, group)
+                    == _capture_brute_force(ctx, row, times, group))
+        assert (grid_flip_counts(ctx, row, times)
+                == _capture_brute_force(ctx, row, times, -1))
 
 
 # ---------------------------------------------------------------------------
