@@ -17,6 +17,8 @@ import csv
 import enum
 import math
 import random
+from functools import reduce
+from operator import or_
 # hashlib.blake2b itself, without the OpenSSL that importing hashlib loads
 from _blake2 import blake2b
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ from typing import NamedTuple
 from .errors import ConfigError, InputError, InvariantError
 from .injector import (INSTANT, SimContext, StrikeSample, grid_ranges,
                        judge_grid, polarity_matches, run_sample, strike_row)
-from .techmodel import enumerate_drains
+from .techmodel import POLARITIES, enumerate_drains
 
 STRIKE_CLASSES = ("gate", "register")
 
@@ -44,8 +46,12 @@ class OutcomeClass(enum.Enum):
     FMF = "F_mF"
     FMFM = "F_mF_m"
 
+    # identity hashing in C; the name hash Enum gives runs in Python
+    __hash__ = object.__hash__
 
-_OUTCOMES = tuple(OutcomeClass)
+
+OUTCOMES = tuple(OutcomeClass)
+OUTCOME_LABELS = tuple(c._value_ for c in OUTCOMES)
 
 
 def _outcome_index(n1, n2):
@@ -61,9 +67,14 @@ def _outcome_index(n1, n2):
     return 3 * (n1 if n1 < 2 else 2) + (n2 if n2 < 2 else 2)
 
 
+# The ``_outcome_index`` of each class a gate or state-node strike can have.
+_NN, _NF, _NFM, _FN, _FF, _FFM = (_outcome_index(n1, n2) for n1 in (0, 1)
+                                  for n2 in (0, 1, 2))
+
+
 def classify(flip_counts):
     """Map a flip-count pair (first edge, second edge) to its OutcomeClass."""
-    return _OUTCOMES[_outcome_index(*flip_counts)]
+    return OUTCOMES[_outcome_index(*flip_counts)]
 
 
 def standard_error(p, n):
@@ -245,7 +256,7 @@ def _criterion_met(n, erroneous, stderr_target):
 
 def _new_tallies():
     """{strike class: outcome counts in ``OutcomeClass`` order}, all 0."""
-    return {s: [0] * len(_OUTCOMES) for s in STRIKE_CLASSES}
+    return {s: [0] * len(OUTCOMES) for s in STRIKE_CLASSES}
 
 
 def tally(tallies, weighted=None):
@@ -273,7 +284,7 @@ def tally(tallies, weighted=None):
             class_share[s], area_probs = weighted[s]
             probs = area_probs if n else probs
             stderrs = [0.0] * len(row)
-        per_class[s] = ClassStats(n, *(dict(zip(_OUTCOMES, values))
+        per_class[s] = ClassStats(n, *(dict(zip(OUTCOMES, values))
                                        for values in (row, probs, stderrs)))
     p_m, p_gm, p_rm = derive_metrics(per_class)
     return {"per_class": per_class, "class_share": class_share,
@@ -373,7 +384,7 @@ def run_campaign(config):
         drain, k, t = sample
         sclass = drain.strike_class
         records.append(_new_record(SampleRecord, (
-            i, drain.id, sclass, k, t, n_e1, n_e2, _OUTCOMES[o])))
+            i, drain.id, sclass, k, t, n_e1, n_e2, OUTCOMES[o])))
         row = tallies[sclass]
         row[o] += 1
         n = sum(row)
@@ -395,12 +406,14 @@ def exhaustive_campaign(config, t_grid):
     counts as NN at every grid time.  A gate or state-node strike's row
     depends on its net and node class, not on its polarity, so each struck
     net propagates once from t = 0 for the (``live``) cycles of both
-    polarities' drains together.  Those cycles are grouped by the flop
-    events they carry; ``grid_ranges`` bisects each interval once per row
-    and ``judge_grid`` judges each group at every grid time at once, and
-    each drain adds a group's counts once per live cycle of its own in the
-    group.  A capture-node strike depends on neither t nor the cycle, so
-    one strike stands for all its live cells.  Class probabilities are
+    polarities' drains together.  The cycles in which a flop event occurs
+    are grouped by the events they carry; ``grid_ranges`` finds each
+    interval's grid times once per distinct offset, ``judge_grid`` judges
+    each group at every grid time at once, and each drain adds a group's
+    grid times with one flip and with more once per live cycle of its own
+    in the group.  Every other live cell flips no flop.  A capture-node
+    strike depends on neither t nor the cycle, so one strike stands for
+    all its live cells.  Class probabilities are
     weighted by drain area within each strike class so they estimate the
     same measure Monte Carlo samples from; raw counts are also kept
     (counts/n and the weighted probabilities coincide whenever site areas
@@ -424,56 +437,72 @@ def exhaustive_campaign(config, t_grid):
     step = (ctx.period - ctx.settle) / t_grid
     times = [ctx.settle + i * step for i in range(t_grid)]
     strikable = (1 << k_values.stop) - (1 << k_values.start)
+    flips_one = {p: polarity_matches(p, 1) for p in POLARITIES}
+    golden = trace.net_masks
+    # sites are unpacked: a NamedTuple field lookup is a descriptor call
     lives, rows = [], {}
     for drain in table.sites:
-        golden = trace.net_masks[drain.net]
-        live = strikable & (golden if polarity_matches(drain.polarity, 1)
-                            else ~golden)
+        _, _, net, _, polarity, node = drain
+        live = strikable & (golden[net] if flips_one[polarity]
+                            else ~golden[net])
         lives.append(live)
-        if live and drain.ff_node_class != "capture-node":
-            key = drain.net, drain.ff_node_class
+        if live and node != "capture-node":
+            key = net, node
             first, cycles = rows.get(key, (drain, 0))
             rows[key] = first, cycles | live
-    # each struck net's row, over the live cycles of all its drains, split
-    # into cycle groups, each judged once: [(group, [(outcome index,
-    # grid times), ...]), ...]
+    # each struck net's row, over the live cycles of all its drains: the
+    # cycles in which an interval occurs, split into groups that carry the
+    # same intervals, each judged once as (group, grid times with one flip,
+    # grid times with more); every other cycle flips no flop
     index, judged = {}, {}
     for key, (drain, cycles) in rows.items():
         ranges = grid_ranges(ctx, strike_row(ctx, drain, cycles), times,
                              index)
-        groups = [cycles]
-        for m in {m for _, intervals in ranges for _, _, m in intervals}:
+        masks = {m for _, intervals in ranges for _, _, m in intervals}
+        groups = [reduce(or_, masks)] if masks else []
+        for m in masks:
             groups = [h for g in groups for h in (g & m, g & ~m) if h]
-        n_e1 = int(drain.ff_node_class == "state-node")
-        judged[key] = [(g, [(_outcome_index(n_e1, n_e2), n) for n_e2, n
-                            in judge_grid(ranges, t_grid, g).items()])
-                       for g in groups]
+        judgments = judged[key] = []
+        for g in groups:
+            flips = judge_grid(ranges, t_grid, g)
+            one = flips.get(1, 0)
+            judgments.append((g, one, t_grid - flips.get(0, 0) - one))
 
     tallies = _new_tallies()
-    weighted = {s: [0.0] * len(_OUTCOMES) for s in STRIKE_CLASSES}
-    cells = len(k_values) * t_grid
+    weighted = {s: [0.0] * len(OUTCOMES) for s in STRIKE_CLASSES}
+    n_cycles = len(k_values)
+    cells = n_cycles * t_grid
     for drain, live in zip(table.sites, lives):
-        sclass = drain.strike_class
+        _, _, net, area, _, node = drain
         n_live = live.bit_count()
-        drain_counts = [0] * len(_OUTCOMES)
-        drain_counts[0] = (len(k_values) - n_live) * t_grid  # NN
-        if n_live and drain.ff_node_class == "capture-node":
-            k = (live & -live).bit_length() - 1  # first live cycle
-            result = run_sample(ctx, StrikeSample(drain, k, times[0]))
-            drain_counts[_outcome_index(*result.flip_counts)] += (
-                n_live * t_grid)
-        elif n_live:
-            for g, counts in judged[drain.net, drain.ff_node_class]:
+        nn = (n_cycles - n_live) * t_grid       # wrong-polarity cells
+        if node == "capture-node":
+            sclass, counts = "register", {_NN: nn}
+            if n_live:
+                k = (live & -live).bit_length() - 1  # first live cycle
+                result = run_sample(ctx, StrikeSample(drain, k, times[0]))
+                j = _outcome_index(*result.flip_counts)
+                counts[j] = counts.get(j, 0) + n_live * t_grid
+            counts = counts.items()
+        else:
+            one = more = 0
+            for g, n_one, n_more in judged.get((net, node), ()):
                 in_group = (g & live).bit_count()
-                if in_group:
-                    for j, n in counts:
-                        drain_counts[j] += n * in_group
-        # adding a zero count would add +0.0 to a sum that is never -0.0
+                one += n_one * in_group
+                more += n_more * in_group
+            none = n_live * t_grid - one - more
+            # a gate strike flips nothing at e1, a state-node strike its
+            # own flop
+            sclass, counts = (
+                ("gate", ((_NN, nn + none), (_NF, one), (_NFM, more)))
+                if node == "none" else
+                ("register", ((_NN, nn), (_FN, none), (_FF, one),
+                              (_FFM, more))))
+        # a zero count adds +0.0 to a sum that is never -0.0: no change
         row, w = tallies[sclass], weighted[sclass]
-        for j, cnt in enumerate(drain_counts):
-            if cnt:
-                row[j] += cnt
-                w[j] += drain.area * (cnt / cells)
+        for j, cnt in counts:
+            row[j] += cnt
+            w[j] += area * (cnt / cells)
 
     area = {"gate": table.gate_area, "register": table.flop_area}
     total = sum(area.values())
@@ -534,7 +563,7 @@ def read_sample_log(fh):
                 if (idx < 0 or k < 1 or not math.isfinite(t)
                         or sclass not in STRIKE_CLASSES or n1 < 0 or n2 < 0):
                     raise ValueError
-                outcome = _OUTCOMES[_outcome_index(n1, n2)]
+                outcome = OUTCOMES[_outcome_index(n1, n2)]
                 if outcome._value_ != label:
                     raise ValueError
                 records.append(_new_record(SampleRecord, (

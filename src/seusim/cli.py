@@ -12,20 +12,25 @@ Subcommands:
 Exit codes: 0 success, 1 usage, 2 bad input artifact, 3 invariant violation.
 Every failure prints a single machine-parsable ``error:<code>: <message>``
 line to stderr.  All output files are deterministic for a fixed seed: no
-timestamps, sorted JSON keys, fixed CSV column order, 6-significant-digit
-numbers (the raw sample log keeps full-precision strike times).
+timestamps, sorted JSON keys, fixed CSV column order.  ``stats.json`` and
+``oracle_stats.json`` hold every number in full: integers as written and
+floats as their shortest ``repr``, as ``json.dumps(indent=2,
+sort_keys=True)`` writes them; the sample log keeps full-precision strike
+times; the report's tables and text print 6 significant digits.
 """
 
 import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import campaign as camp
-from .campaign import (STRIKE_CLASSES, CampaignConfig, OutcomeClass,
-                       recompute_from_log, sample_rng, sample_strike,
-                       standard_error, stopping_row)
+from .campaign import (OUTCOME_LABELS, OUTCOMES, STRIKE_CLASSES,
+                       CampaignConfig, OutcomeClass, recompute_from_log,
+                       sample_rng, sample_strike, standard_error,
+                       stopping_row)
 from .errors import ConfigError, InputError, InvariantError, SeuSimError
 from .golden import Stimulus, parse_stimulus, simulate_reference
 from .injector import SimContext, parse_policy, run_sample
@@ -54,9 +59,17 @@ def _read_lines(path, what):
         raise InputError(f"cannot read {what} '{path}': {exc}") from None
 
 
+def _read_text(path, what):
+    """The text of an input file, read as ``_read_lines`` reads it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} '{path}': {exc}") from None
+
+
 def _load_circuit(path):
-    text = "".join(_read_lines(path, "circuit"))
-    return parse_bench(text, name=Path(path).stem)
+    return parse_bench(_read_text(path, "circuit"), name=Path(path).stem)
 
 
 def _load_profile(spec):
@@ -64,7 +77,7 @@ def _load_profile(spec):
     directory's name included, is a bundled profile name."""
     p = Path(spec)
     if p.suffix == ".json" or p.is_file():
-        return load_profile("".join(_read_lines(p, "profile")), source=str(p))
+        return load_profile(_read_text(p, "profile"), source=str(p))
     return load_bundled_profile(spec)
 
 
@@ -78,7 +91,7 @@ def _load_stimulus(spec):
             return Stimulus.random(int(parts[1]), int(parts[2]))
         except ValueError:
             raise InputError(f"bad stimulus spec '{spec}'") from None
-    return parse_stimulus("".join(_read_lines(spec, "stimulus")))
+    return parse_stimulus(_read_text(spec, "stimulus"))
 
 
 def _load_valid_circuit(path):
@@ -155,7 +168,8 @@ def stats_to_dict(stats):
                total_samples=stats.total_samples, class_share=stats.class_share)
     doc["classes"] = {
         name: {"n": cs.n, **{
-            table: {c.value: getattr(cs, table)[c] for c in OutcomeClass}
+            table: dict(zip(OUTCOME_LABELS,
+                            map(getattr(cs, table).__getitem__, OUTCOMES)))
             for table in ("counts", "probs", "stderrs")}}
         for name, cs in stats.per_class.items()}
     doc["metrics"] = {
@@ -214,8 +228,8 @@ def stats_from_dict(doc):
         if set(classes) != set(STRIKE_CLASSES):
             raise InputError(f"stats document classes must be {STRIKE_CLASSES}")
         tallies = {name: [
-            _typed(classes[name]["counts"][c.value], "count",
-                   f"classes.{name}.counts.{c.value}") for c in OutcomeClass]
+            _typed(classes[name]["counts"][label], "count",
+                   f"classes.{name}.counts.{label}") for label in OUTCOME_LABELS]
             for name in STRIKE_CLASSES}
         weighted = None
         if oracle:
@@ -226,7 +240,7 @@ def stats_from_dict(doc):
                     probs = _typed(classes[name]["probs"], "distribution",
                                    f"classes.{name}.probs")
                     weighted[name] = (share[name],
-                                      [probs[c.value] for c in OutcomeClass])
+                                      [probs[label] for label in OUTCOME_LABELS])
         stats = camp.build_stats(inputs, tallies, weighted)
         differ = _differing(stats_to_dict(stats), doc)
     except KeyError as exc:
@@ -243,7 +257,7 @@ def stats_from_dict(doc):
 def _load_stats(path):
     """(JSON document, CampaignStats) read from a stats file."""
     try:
-        doc = json.loads("".join(_read_lines(path, "stats")))
+        doc = json.loads(_read_text(path, "stats"))
     except (ValueError, RecursionError) as exc:
         raise InputError(f"'{path}' is not valid JSON: {exc}") from None
     try:
@@ -252,14 +266,46 @@ def _load_stats(path):
         raise InputError(f"'{path}': {exc}") from None
 
 
+# The text ``json.dumps`` gives each value type a stats document holds.
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+_JSON_ATOMS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: _NON_FINITE.get(text := float.__repr__(x), text),
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def json_text(doc, indent="\n"):
+    """``json.dumps(doc, indent=2, sort_keys=True)`` of a dict with str keys
+    whose values are dicts like it, str, int, float, bool or None.
+
+    ``json.dumps`` indents with its pure-Python encoder only; this writes
+    the same text with the C string escape and the numbers' own ``repr``.
+    """
+    if not doc:
+        return "{}"
+    inner = indent + "  "
+    keys = sorted(doc)
+    values = [json_text(value, inner) if type(value) is dict
+              else _JSON_ATOMS[type(value)](value)
+              for value in map(doc.__getitem__, keys)]
+    return ("{" + inner + ("," + inner).join(map(
+        "{}: {}".format, map(encode_basestring_ascii, keys), values))
+        + indent + "}")
+
+
 def stats_json(stats):
-    return json.dumps(stats_to_dict(stats), indent=2, sort_keys=True) + "\n"
+    return json_text(stats_to_dict(stats)) + "\n"
 
 
 def _write(path, text):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    data = text.encode()
+    if not path.parent.is_dir():
+        path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 # --- report -----------------------------------------------------------------
@@ -493,10 +539,9 @@ def cmd_oracle(args):
                             rng_seed=args.seed)
     stats = camp.exhaustive_campaign(config, t_grid=args.t_grid)
     stats.wrapped = wrapped
-    out = Path(args.out)
-    _write(out / "oracle_stats.json", stats_json(stats))
-    print(f"oracle: {stats.total_samples} enumerated samples "
-          f"-> {out / 'oracle_stats.json'}")
+    path = Path(args.out) / "oracle_stats.json"
+    _write(path, stats_json(stats))
+    print(f"oracle: {stats.total_samples} enumerated samples -> {path}")
     return 0
 
 

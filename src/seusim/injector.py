@@ -28,9 +28,8 @@ and a register strike contributes at most its own flop at e1.
 """
 
 import math
-from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError, InvariantError
@@ -149,7 +148,8 @@ class SimContext:
         latches = {}
         for pos, flop in enumerate(self.circuit.flops):
             latches.setdefault(flop.data, []).append((pos, flop.id, flop.data))
-        return replace(self, trace=trace, passes=passes, latches=latches)
+        return SimContext(self.circuit, self.profile, self.period,
+                          self.settle, trace, passes, latches)
 
 
 def capture_at_edge(golden, intervals, edge, profile, policy=INSTANT,
@@ -298,27 +298,43 @@ def strike_row(ctx, drain, live, debug=None):
 def grid_ranges(ctx, row, times, index=None):
     """Each net of the ``strike_row`` ``row`` as (the number of flops
     latching it, [(a, b, mask), ...] sorted): the interval (s, e, mask)
-    covers the edge at the ascending strike times ``times[a:b]``.
+    covers the edge at the ascending strike times ``times[a:b]``, and an
+    interval that covers it at no grid time is left out.
 
     This is ``capture_at_edge``'s ``start < edge <= end`` rule on a grid:
     interval (s <= e) covers the edge at t iff ``t + s < edge <= t + e``.
     Both float sums, the ones ``_capture_all`` forms, are monotone in t, so
-    the covering times are one index range [a, b), found by bisection.
-    ``index`` may keep, per offset x, the first index whose ``t + x``
-    reaches the edge, for every row judged on the same ``times``.
+    the covering times are one index range [first(e), first(s)), where
+    first(x) is the first index whose ``t + x`` reaches the edge.  A guess
+    from the grid's spacing is moved to that index by comparing the very
+    sums, so any ascending ``times`` give the exact range.  ``index`` may
+    keep first(x) per offset x for every row judged on the same ``times``.
     """
-    edge = ctx.period
+    edge, n = ctx.period, len(times)
+    t0 = times[0]
+    step = (times[-1] - t0) / (n - 1) if n > 1 else 0.0
     index = {} if index is None else index
 
     def first(x):
         i = index.get(x)
         if i is None:
-            i = index[x] = bisect_left(times, edge, key=lambda t: t + x)
+            i = (edge - x - t0) / step if step else 0.0
+            i = 0 if not i > 0 else n if i >= n else math.ceil(i)
+            while i and times[i - 1] + x >= edge:
+                i -= 1
+            while i < n and times[i] + x < edge:
+                i += 1
+            index[x] = i
         return i
 
-    return [(len(ctx.latches[net]),
-             sorted([(first(e), first(s), m) for s, e, m in intervals]))
-            for net, intervals in row.items()]
+    ranges = []
+    for net, intervals in row.items():
+        covered = [(a, b, m) for s, e, m in intervals
+                   if (a := first(e)) < (b := first(s))]
+        if covered:
+            covered.sort()
+            ranges.append((len(ctx.latches[net]), covered))
+    return ranges
 
 
 def judge_grid(ranges, n, group):

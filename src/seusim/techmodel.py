@@ -40,8 +40,7 @@ _SCALAR_FIELDS = ("ff_setup", "ff_hold", "ff_clk_to_q", "clock_margin",
 _DELAY_KEY_RE = re.compile(r"([A-Z]+)(\d+)$")
 
 
-@dataclass(frozen=True)
-class DrainTemplate:
+class DrainTemplate(NamedTuple):
     """One drain site of a library cell: sensitive area and strike behaviour."""
 
     area: float                 # um^2
@@ -141,7 +140,7 @@ def load_profile(text, source="<profile>"):
 
     # ``0 < v <= _FLOAT_MAX`` after the type test is ``is_finite_number(v)
     # and v > 0``: it is false for NaN, infinities and out-of-range ints.
-    numbers, fmax = _NUMBER_TYPES, _FLOAT_MAX
+    numbers, fmax, new_template = _NUMBER_TYPES, _FLOAT_MAX, tuple.__new__
     label = _require(doc, "node_label")
     raw_delay = _require(doc, "gate_delay")
     if not isinstance(raw_delay, dict):
@@ -214,7 +213,8 @@ def load_profile(text, source="<profile>"):
                 raise ProfileError(
                     f"gate kind '{kind}' cannot carry ff_node_class "
                     f"'{node_class}'")
-            templates.append(DrainTemplate(float(area), pol, node_class))
+            templates.append(new_template(DrainTemplate, (
+                float(area), pol, node_class)))
         spec[kind] = tuple(templates)
 
     return TechProfile(

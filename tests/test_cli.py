@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 
 from seusim import campaign, cli
 from seusim.campaign import (LOG_COLUMNS, CampaignConfig, CampaignStats, ClassStats,
-                             OutcomeClass, read_sample_log, recompute_from_log,
-                             run_campaign)
+                             OutcomeClass, exhaustive_campaign, read_sample_log,
+                             recompute_from_log, run_campaign)
 from seusim.errors import InputError
 from seusim.golden import Stimulus, simulate_reference
-from seusim.netlist import parse_bench
+from seusim.netlist import parse_bench, wrap_combinational
 from seusim.techmodel import load_bundled_profile
 
+from conftest import BUNDLED_CIRCUITS as BUNDLED_CIRCUIT_NAMES
 from conftest import bundled_bench_text
 
 
@@ -928,6 +929,93 @@ def test_stats_json_round_trip(finished_campaign):
     text = (camp / "stats.json").read_text()
     stats = cli.stats_from_dict(json.loads(text))
     assert cli.stats_json(stats) == text
+
+
+# strings with quotes, backslashes, control and non-ASCII characters and
+# lone surrogates, which the writer escapes as json.dumps does
+_JSON_NAMES = (st.text(st.characters(exclude_categories=()), max_size=6)
+               | st.sampled_from(["", '"', "\\", "\x00\x1f\n", "\u00e9\u6f22",
+                                  "\ud800", "\udfff"]))
+_JSON_SCALARS = (st.none() | st.booleans() | _JSON_NAMES
+                 | st.integers(-2**70, 2**70)
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 2**64 - 1]))
+_JSON_DOCS = st.recursive(
+    st.dictionaries(_JSON_NAMES, _JSON_SCALARS, max_size=4),
+    lambda inner: st.dictionaries(_JSON_NAMES, inner | _JSON_SCALARS, max_size=4),
+    max_leaves=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+def test_json_text_matches_json_dumps(doc):
+    assert cli.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_text_writes_non_finite_floats_as_json_dumps_does(value):
+    doc = {"x": {"y": value}, "z": {}}
+    assert cli.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_CIRCUIT_NAMES))
+def test_stats_documents_of_bundled_runs_match_json_dumps(name):
+    # the campaign and oracle documents of every bundled profile
+    circuit = parse_bench(bundled_bench_text(name), name=name)
+    if not circuit.flops:
+        circuit = wrap_combinational(circuit)
+    for tech in ("180nm-like", "65nm-like", "toy-equal"):
+        config = CampaignConfig(
+            circuit=circuit, profile=load_bundled_profile(tech),
+            trace=simulate_reference(circuit, Stimulus.random(8, 3)), rng_seed=3,
+            max_samples=300, min_samples=50)
+        for stats in (run_campaign(config), exhaustive_campaign(config, t_grid=7)):
+            doc = cli.stats_to_dict(stats)
+            assert cli.stats_json(stats) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["campaign", "oracle"])
+def test_overflowing_clock_period_stops_before_writing(bench_dir, tmp_path, command):
+    # clk-to-q + clock margin overflow the period to inf, so no strike time
+    # lies inside [0, period) and no document with a non-finite number is
+    # written
+    doc = json.loads((resources.files("seusim") / "data" / "profiles"
+                      / "180nm-like.json").read_text(encoding="utf-8"))
+    doc.update(clock_margin=1e308, ff_clk_to_q=1e308)
+    tech = tmp_path / "overflow.json"
+    tech.write_text(json.dumps(doc))
+    bench = tmp_path / "s27.bench"
+    bench.write_text(bundled_bench_text("s27"))
+    out = tmp_path / "out"
+    code, _, err = run_cli([command, "--circuit", str(bench), "--tech", str(tech),
+                            "--stimulus", "random:10:1", "--out", str(out)])
+    assert code == 3
+    time = "nan" if command == "oracle" else "inf"
+    assert err == (f"error:invariant-violation: strike time {time} outside the "
+                   "clock period [0, inf)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", ["golden", "campaign", "oracle", "report"])
+def test_out_on_a_regular_file_is_an_io_error(finished_campaign, bench_dir, tmp_path,
+                                              command, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    run = ["--circuit", str(bench_dir / "toy_chain.bench"), "--tech", "toy-equal",
+           "--stimulus", "random:6:2"]
+    argv = {
+        "golden": ["golden", "--circuit", str(bench_dir / "toy_chain.bench"),
+                   "--stimulus", "random:6:2"],
+        "campaign": ["campaign", *run, "--max-samples", "200", "--min-samples", "50"],
+        "oracle": ["oracle", *run, "--t-grid", "5"],
+        "report": ["report", "--stats", str(finished_campaign[0] / "stats.json")],
+    }[command]
+    out = blocker / "sub" if below else blocker
+    code, _, err = run_cli(argv + ["--out", str(out)])
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:io-error: ")
+    assert blocker.read_text() == "a file, not a directory\n"
 
 
 @functools.lru_cache(maxsize=None)
