@@ -17,6 +17,7 @@ import csv
 import enum
 import math
 import random
+from bisect import bisect_right
 from functools import reduce
 from operator import or_
 # hashlib.blake2b itself, without the OpenSSL that importing hashlib loads
@@ -179,9 +180,9 @@ class SampleRecord(NamedTuple):
     outcome: OutcomeClass
 
 
-# A SampleRecord from a tuple of its fields, without the Python-level
-# ``__new__`` a NamedTuple call goes through.
-_new_record = tuple.__new__
+# A SampleRecord or StrikeSample from a tuple of its fields, without the
+# Python-level ``__new__`` a NamedTuple call goes through.
+_new_tuple = tuple.__new__
 
 
 @dataclass
@@ -356,6 +357,11 @@ def run_campaign(config):
     campaign stops once ``_criterion_met`` holds for every class with
     samples; a sample changes one class, so only that class is re-judged.
     ``build_stats`` names the stop reason from the final counts.
+
+    The loop body is one strike with no helper frames but ``run_sample``:
+    it repeats ``_stable_stream``, ``sample_strike`` (``DrainTable.pick``
+    and ``randrange``'s ``getrandbits`` rejection loop), ``_outcome_index``
+    and ``_criterion_met`` inline, draw for draw and float for float.
     """
     circuit, profile, trace = config.circuit, config.profile, config.trace
     cycles = strike_cycles(trace)
@@ -366,30 +372,56 @@ def run_campaign(config):
              else None)
 
     tallies = _new_tallies()
-    met = dict.fromkeys(STRIKE_CLASSES, True)
+    # per strike class, in STRIKE_CLASSES order: outcome counts, samples,
+    # erroneous samples and whether _criterion_met holds
+    rows = [tallies[s] for s in STRIKE_CLASSES]
+    ns, errs = [0] * len(rows), [0] * len(rows)
+    met = [True] * len(rows)
     records = []
+    append = records.append
     keyed = _seed_key(config.rng_seed)
     # One generator, reseeded per sample: for an int, the C-level seed sets
     # the state Random(x) has, without Random's Python-level wrappers.
     rng = random.Random(0)
     reseed = super(random.Random, rng).seed
-    period, settle = ctx.period, ctx.settle
+    rand, getrandbits = rng.random, rng.getrandbits
+    # per site: the drain, its id, its strike class and that class's
+    # position in STRIKE_CLASSES
+    sites = [(d, d.id, d.strike_class, STRIKE_CLASSES.index(d.strike_class))
+             for d in table.sites]
+    cum = table.cumulative
+    k_start, width = cycles.start, len(cycles)
+    k_bits = width.bit_length()
+    settle, span = ctx.settle, ctx.period - ctx.settle
     first_stop = config.min_samples - 1     # the first index that may stop
     for i in range(config.max_samples):
-        reseed(_stable_stream(keyed, i))
-        sample = sample_strike(rng, table, cycles, period, settle)
-        result = run_sample(ctx, sample, policy, rng, reads=reads)
-        n_e1, n_e2 = len(result.flips_e1), len(result.flips_e2)
-        o = _outcome_index(n_e1, n_e2)
-        drain, k, t = sample
-        sclass = drain.strike_class
-        records.append(_new_record(SampleRecord, (
-            i, drain.id, sclass, k, t, n_e1, n_e2, OUTCOMES[o])))
-        row = tallies[sclass]
-        row[o] += 1
-        n = sum(row)
-        met[sclass] = ok = _criterion_met(n, n - row[0], target)
-        if ok and i >= first_stop and all(met.values()):
+        # reseed from _stable_stream(keyed, i)
+        h = keyed.copy()
+        h.update(i.to_bytes(8, "little"))
+        reseed(int.from_bytes(h.digest(), "little"))
+        # sample_strike: the site, k = randrange(start, stop), then t
+        drain, drain_id, sclass, c = sites[bisect_right(cum, rand())]
+        r = getrandbits(k_bits)
+        while r >= width:
+            r = getrandbits(k_bits)
+        k = k_start + r
+        t = settle + rand() * span
+        flips_e1, flips_e2, _ = run_sample(
+            ctx, _new_tuple(StrikeSample, (drain, k, t)), policy, rng,
+            reads=reads)
+        n_e1, n_e2 = len(flips_e1), len(flips_e2)
+        # _outcome_index(n_e1, n_e2)
+        o = 3 * (n_e1 if n_e1 < 2 else 2) + (n_e2 if n_e2 < 2 else 2)
+        append(_new_tuple(SampleRecord, (
+            i, drain_id, sclass, k, t, n_e1, n_e2, OUTCOMES[o])))
+        rows[c][o] += 1
+        # _criterion_met for the class this sample changed
+        n = ns[c] = ns[c] + 1
+        erroneous = errs[c] = errs[c] + (o != _NN)
+        p = erroneous / n
+        met[c] = ok = not (
+            p > 0.0 and math.sqrt(p * (1.0 - p) / n) >= target * p)
+        if ok and i >= first_stop and all(met):
             break
 
     return build_stats(_run_inputs(config, ctx), tallies, records=records)
@@ -566,7 +598,7 @@ def read_sample_log(fh):
                 outcome = OUTCOMES[_outcome_index(n1, n2)]
                 if outcome._value_ != label:
                     raise ValueError
-                records.append(_new_record(SampleRecord, (
+                records.append(_new_tuple(SampleRecord, (
                     idx, drain, sclass, k, t, n1, n2, outcome)))
             except ValueError:
                 raise InputError(f"sample log line {reader.line_num}: "

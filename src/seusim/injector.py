@@ -103,6 +103,11 @@ class SampleResult(NamedTuple):
         return (len(self.flips_e1), len(self.flips_e2))
 
 
+# A SampleResult from a tuple of its fields, without the Python-level
+# ``__new__`` a NamedTuple call goes through.
+_new_result = tuple.__new__
+
+
 @dataclass(frozen=True)
 class SimContext:
     """Per-(circuit, profile) precomputation; ``bind`` adds a trace's."""
@@ -263,23 +268,38 @@ def _capture_all(ctx, reads, t, policy, rng, debug=None):
     in circuit flop order, so window-random draws come in a fixed order.  A
     strike that flips no flop and grazes none returns the reads' shared
     undisturbed result.
+
+    The flop loop is ``capture_at_edge`` inline, on the same sums: an
+    interval that covers the edge wins over any that only graze it, and a
+    flop that is only grazed counts one window hit and, under
+    ``window-random``, draws once from ``rng``.
     """
     settled, disturbed = reads
     edge, profile = ctx.period, ctx.profile
+    setup_start, hold_end = edge - profile.ff_setup, edge + profile.ff_hold
+    p = policy.p if policy.kind == "window-random" else None
     flips, hits = [], 0
     for flop_id, golden_next, intervals in disturbed:
-        captured, hit = capture_at_edge(
-            golden_next, [(t + s, t + e) for s, e in intervals], edge,
-            profile, policy, rng)
-        hits += hit
-        if captured != golden_next:
-            flips.append(flop_id)
-            if debug is not None:
-                debug.append(f"capture flop={flop_id} edge={edge:.2f} "
-                             f"captured={captured} golden={golden_next}")
+        grazed = False
+        for s, e in intervals:
+            start, end = t + s, t + e
+            if start < edge <= end:
+                break
+            grazed = grazed or (start <= hold_end and end > setup_start)
+        else:
+            if not grazed:
+                continue
+            hits += 1
+            if p is None or not rng.random() < p:
+                continue
+        flips.append(flop_id)
+        if debug is not None:
+            debug.append(f"capture flop={flop_id} edge={edge:.2f} "
+                         f"captured={1 - golden_next} golden={golden_next}")
     if not flips and not hits:
         return settled
-    return SampleResult(settled.flips_e1, frozenset(flips), hits)
+    return _new_result(SampleResult, (settled.flips_e1, frozenset(flips),
+                                      hits))
 
 
 def strike_row(ctx, drain, live, debug=None):

@@ -292,6 +292,12 @@ def enumerate_drains(circuit, profile):
         raise ProfileError(
             f"circuit '{circuit.name}' exposes no drain sites")
     total = gate_area + flop_area
+    # each area is finite, but their sums can overflow; then every share
+    # but the last is 0.0 and the oracle's class shares are NaN
+    if not total <= _FLOAT_MAX:
+        raise ProfileError(
+            f"profile '{profile.node_label}': the drain areas of circuit "
+            f"'{circuit.name}' sum past the float range")
     # the running sum adds each site's share in site order, as a loop would
     cum = list(accumulate(map(truediv, map(_AREA, sites), repeat(total))))
     cum[-1] = 1.0

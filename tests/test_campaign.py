@@ -441,6 +441,73 @@ def test_incremental_stopping_rule_matches_full_rejudgement(monkeypatch, circuit
 
 
 # ---------------------------------------------------------------------------
+# the strike draw: run_campaign draws each strike inline, and must draw what
+# sample_strike draws through the public random API
+
+
+def _public_api_draw(table, cycles, period, settle, seed, index):
+    """(drain, k, t, RNG state afterwards) of sample ``index``, drawn with
+    the public ``random`` API: ``DrainTable.pick``, ``randrange`` and
+    ``random``."""
+    rng = sample_rng(seed, index)
+    drain = table.pick(rng.random())
+    k = rng.randrange(cycles.start, cycles.stop)
+    t = settle + rng.random() * (period - settle)
+    return drain, k, t, rng.getstate()
+
+
+@pytest.mark.parametrize("cycle_count", [3, 4, 5, 49, 50, 66, 67],
+                         ids=lambda n: f"width-{n - 2}")
+def test_campaign_draws_follow_the_public_random_api(monkeypatch, cycle_count):
+    # Each row's drain, k and repr(t) are those the public API draws from
+    # sample_rng(seed, i), and run_sample gets the generator in the state
+    # those draws leave, so window-random draws follow from the same state.
+    # The strike-cycle widths cover randrange's getrandbits rejection loop
+    # at 1 bit (width 1 still draws), just below and at a power of two and
+    # one past it.  The runner's flip counts run 0..3 at each edge, so every
+    # outcome class and the inline outcome index meet classify's.
+    c = bundled_circuit("s27")
+    p = load_bundled_profile("65nm-like")
+    tr = simulate_reference(c, Stimulus.random(cycle_count, seed=4))
+    ctx = SimContext.build(c, p).bind(tr)
+    table = enumerate_drains(c, p)
+    cycles = strike_cycles(tr)
+    assert len(cycles) == cycle_count - 2
+    seen = []
+
+    def runner(ctx, sample, policy, rng, reads=None):
+        seen.append((sample, rng.getstate()))
+        n1, n2 = len(seen) % 4, len(seen) // 4 % 4
+        return SampleResult(frozenset(f"a{j}" for j in range(n1)),
+                            frozenset(f"b{j}" for j in range(n2)))
+
+    monkeypatch.setattr(campaign, "run_sample", runner)
+    for seed in (0, 1, 2, 7, 99, 12345, 2**32 + 1, 2**64 - 1):
+        seen.clear()
+        stats = run_campaign(CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=seed,
+                                            max_samples=300, stderr_target=1e-6))
+        assert len(stats.records) == len(seen) == 300
+        for j, (rec, (sample, state)) in enumerate(zip(stats.records, seen)):
+            drain, k, t, want_state = _public_api_draw(
+                table, cycles, ctx.period, ctx.settle, seed, rec.index)
+            where = (seed, rec.index)
+            assert type(sample) is StrikeSample, where
+            assert (sample.drain, sample.k, repr(sample.t)) == (drain, k, repr(t)), where
+            assert (rec.drain_id, rec.strike_class, rec.k, repr(rec.t)) == (
+                drain.id, drain.strike_class, k, repr(t)), where
+            assert state == want_state, where
+            assert sample == sample_strike(sample_rng(seed, rec.index), table, cycles,
+                                           ctx.period, ctx.settle), where
+            assert (rec.n_e1, rec.n_e2) == ((j + 1) % 4, (j + 1) // 4 % 4), where
+            assert rec.outcome is classify((rec.n_e1, rec.n_e2)), where
+        for sclass, cs in stats.per_class.items():
+            rows = [rec for rec in stats.records if rec.strike_class == sclass]
+            assert cs.n == len(rows)
+            assert cs.counts == {oc: sum(rec.outcome is oc for rec in rows)
+                                 for oc in OutcomeClass}
+
+
+# ---------------------------------------------------------------------------
 # derived metrics
 
 

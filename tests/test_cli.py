@@ -996,6 +996,30 @@ def test_overflowing_clock_period_stops_before_writing(bench_dir, tmp_path, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["campaign", "oracle"])
+def test_drain_area_sum_past_float_range_stops_before_writing(tmp_path, command):
+    # each area of 1e308 is finite, but their sum is not: the sampler would
+    # draw every strike at the last site and the oracle would write NaN
+    # class shares that report refuses
+    doc = json.loads((resources.files("seusim") / "data" / "profiles"
+                      / "180nm-like.json").read_text(encoding="utf-8"))
+    for sites in doc["drain_spec"].values():
+        for site in sites:
+            site["area"] = 1e308
+    tech = tmp_path / "huge-areas.json"
+    tech.write_text(json.dumps(doc))
+    bench = tmp_path / "s27.bench"
+    bench.write_text(bundled_bench_text("s27"))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli([command, "--circuit", str(bench), "--tech", str(tech),
+                                 "--stimulus", "random:10:1", "--out", str(out)])
+    assert code == 2
+    assert err == ("error:profile-error: profile '180nm-like': the drain areas of "
+                   "circuit 's27' sum past the float range\n")
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
 @pytest.mark.parametrize("command", ["golden", "campaign", "oracle", "report"])
 def test_out_on_a_regular_file_is_an_io_error(finished_campaign, bench_dir, tmp_path,

@@ -176,6 +176,54 @@ def test_capture_window_random_needs_rng(prof):
         capture_at_edge(1, [(310.0, 315.0)], 300.0, prof, policy=CapturePolicy("window-random", 0.5))
 
 
+_POLICIES = (INSTANT, CapturePolicy("window-random", 0.0),
+             CapturePolicy("window-random", 0.5), CapturePolicy("window-random", 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), policy=st.sampled_from(_POLICIES), seed=st.integers(0, 2**32))
+def test_capture_all_matches_capture_at_edge_per_flop(data, policy, seed):
+    # _capture_all judges each disturbed flop inline; capture_at_edge on the
+    # same shifted intervals, flop by flop in order, must give the same flip
+    # set, window hits, debug lines and RNG state afterwards.  Offsets land
+    # t + x exactly on the edge, on edge - ff_setup and on edge + ff_hold, or
+    # near them, or anywhere.
+    ctx = LATCH_CTX
+    edge, prof = ctx.period, ctx.profile
+    marks = (edge, edge - prof.ff_setup, edge + prof.ff_hold)
+    t = data.draw(st.one_of(st.floats(0.0, edge, exclude_max=True),
+                            st.sampled_from([0.0, ctx.settle])))
+    exact = st.sampled_from(marks).map(lambda mark: _on_edge(t, mark))
+    near = st.tuples(exact, st.sampled_from([-1.0, -0.5, 0.5, 1.0])).map(sum)
+    offset = st.one_of(exact, near, st.floats(-edge, edge))
+    interval = st.tuples(offset, offset).map(lambda ends: tuple(sorted(ends)))
+    flops = data.draw(st.lists(st.tuples(st.integers(0, 1),
+                                         st.lists(interval, max_size=4)), max_size=6))
+    disturbed = tuple((f"q{i}", golden, tuple(intervals))
+                      for i, (golden, intervals) in enumerate(flops))
+    settled = data.draw(st.sampled_from([SampleResult(frozenset(), frozenset()),
+                                         SampleResult(frozenset(["q9"]), frozenset())]))
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    lines = []
+    got = _capture_all(ctx, (settled, disturbed), t, policy, rng, lines)
+
+    flips, hits, want_lines = set(), 0, []
+    for flop_id, golden, intervals in disturbed:
+        captured, hit = capture_at_edge(golden, [(t + s, t + e) for s, e in intervals],
+                                        edge, prof, policy, ref_rng)
+        hits += hit
+        if captured != golden:
+            flips.add(flop_id)
+            want_lines.append(f"capture flop={flop_id} edge={edge:.2f} "
+                              f"captured={captured} golden={golden}")
+    assert got.flips_e1 == settled.flips_e1
+    assert (got.flips_e2, got.window_hits) == (flips, hits)
+    assert rng.getstate() == ref_rng.getstate()
+    assert lines == want_lines
+    if not flips and not hits:
+        assert got is settled
+
+
 # ---------------------------------------------------------------------------
 # a strike row judged over a whole oracle grid
 

@@ -431,6 +431,32 @@ def test_enumerate_drains_missing_kind():
         enumerate_drains(c, profile_from(doc))
 
 
+@pytest.mark.parametrize("gate_area, state_area", [
+    (1e308, 1.0),           # the gate areas overflow on their own
+    (1.0, 1e308),           # the flop areas do
+    (5e307, 5e307),         # each class sums to 1e308, both together do not
+], ids=["gate", "flop", "sum"])
+def test_enumerate_drains_rejects_area_sums_past_float_range(
+        nand_dff_circuit, gate_area, state_area):
+    # every area is finite on its own, but a sum of inf would leave every
+    # cumulative weight but the last 0.0 and the oracle's shares NaN
+    doc = _doc(drain_spec={"NAND": gate_sites(gate_area),
+                           "DFF": dff_sites(state_area, 1.0)})
+    with pytest.raises(ProfileError, match="sum past the float range"):
+        enumerate_drains(nand_dff_circuit, profile_from(doc))
+
+
+def test_enumerate_drains_keeps_large_finite_area_sums(nand_dff_circuit):
+    # 2 gate sites and 4 flop sites of max/8 each sum to 3/4 of max
+    eighth = sys.float_info.max / 8
+    doc = _doc(drain_spec={"NAND": gate_sites(eighth),
+                           "DFF": dff_sites(eighth, eighth)})
+    tab = enumerate_drains(nand_dff_circuit, profile_from(doc))
+    assert (tab.gate_area, tab.flop_area) == (2 * eighth, 4 * eighth)
+    assert tab.cumulative[0] == pytest.approx(1 / 6)
+    assert tab.cumulative[-1] == 1.0
+
+
 def test_scaling_all_areas_preserves_cumulative(nand_dff_circuit, nand_dff_table):
     doubled = _doc(drain_spec={"NAND": gate_sites(1.0), "DFF": dff_sites(2.0, 1.0)})
     tab2 = enumerate_drains(nand_dff_circuit, profile_from(doubled))
