@@ -488,8 +488,8 @@ def exhaustive_campaign(config, t_grid):
     # grid times with more); every other cycle flips no flop
     index, judged = {}, {}
     for key, (drain, cycles) in rows.items():
-        ranges = grid_ranges(ctx, strike_row(ctx, drain, cycles), times,
-                             index)
+        row = strike_row(ctx, drain, cycles, after_settle=True)
+        ranges = grid_ranges(ctx, row, times, index)
         masks = {m for _, intervals in ranges for _, _, m in intervals}
         groups = [reduce(or_, masks)] if masks else []
         for m in masks:

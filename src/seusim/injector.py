@@ -9,6 +9,10 @@ whole oracle grid).  The row depends on the struck net and its node class,
 not on the strike's polarity, so the oracle builds and judges one row per
 struck net for the drains of both polarities.  All strikes take this one
 path, so debug pulse lines give each event's start as an offset from t.
+A row judged only at ``t >= settle`` (a campaign's cached reads, the
+oracle's rows) stops following an event once even ``t = settle`` cannot
+land it at a flop before the hold window closes, by the net's *reach* to a
+flop; a debug replay and a strike before ``settle`` follow every event.
 Three masking mechanisms apply:
 
 * logical   - a pulse passes a gate only while every side input holds a
@@ -18,7 +22,8 @@ Three masking mechanisms apply:
               2*(w - d), wider pulses pass unchanged;
 * latching-window - a disturbance only matters if the capturing flop sees it
               across the clock edge (or, under the window-random policy,
-              probabilistically when it grazes the setup/hold window).
+              probabilistically when it grazes the setup/hold window);
+              the reach horizon applies it during propagation.
 
 Observation convention: flips_e1 compares the register file immediately
 before the capture edge that ends the strike cycle against golden, flips_e2
@@ -116,12 +121,17 @@ class SimContext:
     profile: object
     period: float
     settle: float
-    # set by ``bind``: the trace, net -> ((gate id, delay ps, pass mask),
-    # ...) in ``circuit.gate_fanout`` order, and data net -> [(flop
-    # position, flop id, data net), ...] in circuit flop order
+    # set by ``bind``: the trace; net -> ((gate id, delay ps, pass mask,
+    # reach), ...) in ``circuit.gate_fanout`` order, where reach is the
+    # least gate-delay sum from the gate's net to a flop data net (0 at a
+    # data net, inf with no path); data net -> [(flop position, flop id,
+    # data net), ...] in circuit flop order; and the horizon, the bound on
+    # an event's ``start + reach`` past which no strike at ``t >= settle``
+    # lands it in time
     trace: object = None
     passes: dict = None
     latches: dict = None
+    horizon: float = None
 
     @classmethod
     def build(cls, circuit, profile):
@@ -135,26 +145,58 @@ class SimContext:
                    settle=settle)
 
     def bind(self, trace):
-        """This context bound to ``trace``; a fan-out entry's pass mask holds
-        the cycles in which no side input of its gate is controlling."""
+        """This context bound to ``trace``.
+
+        A fan-out entry's pass mask holds the cycles in which no side input
+        of its gate is controlling; an XOR or XNOR that reads the net an
+        even number of times never passes its pulse, since the toggles
+        cancel.  Reach is one reverse pass over ``circuit.gate_order``; it
+        ignores logical masking, so it bounds every sensitized path from
+        below.  Only a gate's reach is kept: every event but a seed is on
+        a gate's net.
+        """
+        circuit, profile = self.circuit, self.profile
         masks = trace.net_masks
         full = (1 << trace.cycle_count) - 1
+        fanout = circuit.gate_fanout
+        delay = {g.id: profile.delay(g.kind, len(g.inputs))
+                 for g in circuit.gates}
+        latches = {}
+        for pos, flop in enumerate(circuit.flops):
+            latches.setdefault(flop.data, []).append((pos, flop.id, flop.data))
+        reach = dict.fromkeys(latches, 0.0)
+        for net in reversed(circuit.gate_order):
+            if net not in reach:
+                r = math.inf
+                for g in fanout.get(net, ()):
+                    x = delay[g.id] + reach[g.id]
+                    if x < r:
+                        r = x
+                reach[net] = r
 
         def entry(net, gate):
             ctrl, m = CONTROLLING[gate.kind], full
-            for n in gate.inputs if ctrl is not None else ():
-                if n != net:
-                    m &= full ^ masks[n] if ctrl else masks[n]
-            delay = self.profile.delay(gate.kind, len(gate.inputs))
-            return gate.id, delay, m
+            if ctrl is None:
+                if not gate.inputs.count(net) % 2:
+                    m = 0
+            else:
+                for n in gate.inputs:
+                    if n != net:
+                        m &= full ^ masks[n] if ctrl else masks[n]
+            return gate.id, delay[gate.id], m, reach[gate.id]
 
         passes = {net: tuple(entry(net, g) for g in gates)
-                  for net, gates in self.circuit.gate_fanout.items()}
-        latches = {}
-        for pos, flop in enumerate(self.circuit.flops):
-            latches.setdefault(flop.data, []).append((pos, flop.id, flop.data))
-        return SimContext(self.circuit, self.profile, self.period,
-                          self.settle, trace, passes, latches)
+                  for net, gates in fanout.items()}
+        # The prune compares float sums of at most n nonnegative terms (a
+        # reach, an event's start, a path's sum to a flop), each within a
+        # relative n * 2**-53 of its real value, and each one that decides
+        # a kept interval lies below the hold end: a margin of 8n * 2**-53
+        # of the hold end covers their rounding.
+        hold_end = self.period + profile.ff_hold
+        n = len(circuit.gates) + 2
+        horizon = hold_end - self.settle + hold_end * n * 2.0 ** -50
+        return SimContext(circuit, profile, self.period, self.settle, trace,
+                          passes, latches, horizon)
 
 
 def capture_at_edge(golden, intervals, edge, profile, policy=INSTANT,
@@ -195,7 +237,7 @@ def _attenuate(width, delay, theta):
     return 2.0 * (width - delay)
 
 
-def _propagate(ctx, seed, live, debug=None):
+def _propagate(ctx, seed, live, debug=None, after_settle=False):
     """Event-wise propagation through the combinational fanout of a bound
     ``ctx``, in every cycle of the ``live`` mask at once.
 
@@ -206,10 +248,24 @@ def _propagate(ctx, seed, live, debug=None):
     step (which ends past every capture edge) on its net at an earlier or
     equal start.  Restricted to cycle c, the events and their order are
     those of a call with ``live = 1 << c``; debug lines assume such a call.
+
+    ``after_settle`` cuts the row at the latching-window horizon, for a
+    seed at 0 judged at strike times ``t >= ctx.settle`` only: a step to a
+    gate whose ``start + reach`` passes ``ctx.horizon`` is not followed,
+    and an interval with ``settle + start > period + ff_hold`` is not kept.
+    Such an interval starts after the hold window closes at every such
+    ``t``, and so do an event's descendants and every later event under
+    its key, so the row is the full row without those intervals, in the
+    same order, and every judgment at ``t >= settle`` is unchanged.
     """
     theta = ctx.profile.filter_threshold
     masks, passes = ctx.trace.net_masks, ctx.passes
     latches = ctx.latches
+    if after_settle:
+        settle, hold_end = ctx.settle, ctx.period + ctx.profile.ff_hold
+        horizon = ctx.horizon
+    else:
+        settle, hold_end, horizon = 0.0, math.inf, math.inf
     net, start, width, step = seed
     single = not live & (live - 1)
     at_flops, seen = {}, {}
@@ -235,13 +291,16 @@ def _propagate(ctx, seed, live, debug=None):
             debug.append(f"pulse net={net} start={start:.2f} "
                          f"width={width:.2f} value={int(not masks[net] & m)}"
                          + (" step" if step else ""))
-        if net in latches:
+        if net in latches and settle + start <= hold_end:
             at_flops.setdefault(net, []).append((start, start + width, m))
-        for gate_id, d, pass_mask in passes.get(net, ()):
+        for gate_id, d, pass_mask, reach in passes.get(net, ()):
             passed = m & pass_mask
             if not passed:
                 if debug is not None:
                     debug.append(f"  masked at {gate_id} (logical)")
+                continue
+            new_start = start + d
+            if new_start + reach > horizon:
                 continue
             if step:
                 new_width = width
@@ -251,7 +310,7 @@ def _propagate(ctx, seed, live, debug=None):
                     if debug is not None:
                         debug.append(f"  masked at {gate_id} (electrical)")
                     continue
-            queue.append((gate_id, start + d, new_width, passed))
+            queue.append((gate_id, new_start, new_width, passed))
     return at_flops
 
 
@@ -302,17 +361,20 @@ def _capture_all(ctx, reads, t, policy, rng, debug=None):
                                       hits))
 
 
-def strike_row(ctx, drain, live, debug=None):
+def strike_row(ctx, drain, live, debug=None, after_settle=False):
     """The ``_propagate`` row a matching strike at a gate or state-node
     ``drain`` leaves at the flops, started at ``t = 0`` in the cycles of
     ``live``.  A gate drain starts a glitch of ``glitch_width`` on its net;
     a state-node drain holds its flipped bit for a whole period, past the
     capture edge.  Delays and widths do not depend on the strike time, so a
-    strike at ``t`` captures these intervals shifted by ``t``.
+    strike at ``t`` captures these intervals shifted by ``t``.  With
+    ``after_settle`` the row is cut at the latching-window horizon and
+    serves strike times ``t >= ctx.settle`` only.
     """
     step = drain.ff_node_class != "none"
     width = ctx.period if step else ctx.profile.glitch_width
-    return _propagate(ctx, (drain.net, 0.0, width, step), live, debug)
+    return _propagate(ctx, (drain.net, 0.0, width, step), live, debug,
+                      after_settle)
 
 
 def grid_ranges(ctx, row, times, index=None):
@@ -412,16 +474,17 @@ def _disturbed(ctx, row, k):
                      hit for net in row for hit in latches[net]))
 
 
-def disturb_gate(ctx, drain, k, debug=None):
+def disturb_gate(ctx, drain, k, debug=None, after_settle=False):
     """The reads of a glitch at a gate output drain in cycle ``k``.
 
     A gate strike can never alter the register file within the strike cycle,
     so flips_e1 is structurally empty here.
     """
-    return _EMPTY, _disturbed(ctx, strike_row(ctx, drain, 1 << k, debug), k)
+    row = strike_row(ctx, drain, 1 << k, debug, after_settle)
+    return _EMPTY, _disturbed(ctx, row, k)
 
 
-def disturb_register(ctx, drain, k, debug=None):
+def disturb_register(ctx, drain, k, debug=None, after_settle=False):
     """The reads of a strike at a flop drain (state-node or capture-node)."""
     if drain.ff_node_class == "capture-node":
         # A capture-node strike corrupts the value being latched: the flop
@@ -432,7 +495,7 @@ def disturb_register(ctx, drain, k, debug=None):
             debug.append(f"capture flop={drain.cell} edge={ctx.period:.2f} "
                          f"captured={1 - golden} golden={golden}")
         return SampleResult(frozenset(), frozenset([drain.cell])), ()
-    row = strike_row(ctx, drain, 1 << k, debug)
+    row = strike_row(ctx, drain, 1 << k, debug, after_settle)
     return (SampleResult(frozenset([drain.cell]), frozenset()),
             _disturbed(ctx, row, k))
 
@@ -451,13 +514,20 @@ def run_sample(ctx, sample, policy=INSTANT, rng=None, debug=None, reads=None):
     ``disturb_register``.  ``_capture_all`` then judges them at ``t``.  A
     campaign may pass one dict as ``reads`` for all its strikes against one
     trace and drain table: the reads of each ``(drain id, k)`` are kept there
-    and reused by later strikes at other times.  A debug replay passes no
-    ``reads``, so it builds them afresh and logs every event.
+    and reused by later strikes at other times.
+
+    Only a strike at ``t >= settle`` reads or fills ``reads``, and with no
+    ``debug`` it builds its row cut at the latching-window horizon.  A
+    strike before ``settle`` builds its full row afresh; a debug replay
+    passes no ``reads`` and logs every event.
     """
     drain, k, t = sample
     if not 0.0 <= t < ctx.period:
         raise InvariantError(
             f"strike time {t} outside the clock period [0, {ctx.period})")
+    after_settle = t >= ctx.settle
+    if not after_settle:
+        reads = None
     got = None if reads is None else reads.get((drain.id, k))
     if got is None and not 1 <= k <= ctx.trace.cycle_count - 2:
         raise InvariantError(
@@ -465,6 +535,7 @@ def run_sample(ctx, sample, policy=INSTANT, rng=None, debug=None, reads=None):
     if policy.kind == "window-random" and rng is None:
         raise ConfigError("window-random policy needs an RNG stream")
     if got is None:
+        cut = after_settle and debug is None
         if debug is not None:
             debug.append(f"sample drain={drain.id} class={drain.strike_class} "
                          f"k={k} t={t:.2f} polarity={drain.polarity}")
@@ -475,9 +546,9 @@ def run_sample(ctx, sample, policy=INSTANT, rng=None, debug=None, reads=None):
                              f"(net={drain.net} value={value})")
             got = _EMPTY, ()
         elif drain.ff_node_class == "none":
-            got = disturb_gate(ctx, drain, k, debug)
+            got = disturb_gate(ctx, drain, k, debug, cut)
         else:
-            got = disturb_register(ctx, drain, k, debug)
+            got = disturb_register(ctx, drain, k, debug, cut)
         if reads is not None:
             reads[drain.id, k] = got
     if not got[1]:

@@ -100,10 +100,11 @@ class Circuit:
 
     @cached_property
     def gate_fanout(self):
-        """net -> tuple of gates reading it, in declaration order."""
+        """net -> tuple of gates reading it, in declaration order, once
+        per gate however many of its inputs the net drives."""
         out = {}
         for g in self.gates:
-            for n in g.inputs:
+            for n in dict.fromkeys(g.inputs):
                 out.setdefault(n, []).append(g)
         return {n: tuple(gs) for n, gs in out.items()}
 

@@ -825,6 +825,70 @@ def test_exhaustive_counts_wrong_polarity_rows_without_simulating(monkeypatch):
     assert calls == {"strike_row": 13, "run_sample": 6, "_propagate": 13}
 
 
+@pytest.mark.parametrize("kind, follows", [("XOR", False), ("XNOR", False), ("AND", True)])
+def test_gate_reading_the_struck_net_twice(kind, follows):
+    # g = XOR(A, A) is constant, so a state-node strike on A never reaches
+    # B: each such cell flips A alone (FN), never A and B (FF).  AND(A, A)
+    # follows A
+    c = parse_bench(f"INPUT(x)\nOUTPUT(B)\nA = DFF(x)\nB = DFF(g)\ng = {kind}(A, A)\n",
+                    name="twice")
+    p = load_bundled_profile("65nm-like")
+    tr = simulate_reference(c, Stimulus.random(10, 1))
+    stats = exhaustive_campaign(
+        CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=1), t_grid=10)
+    counts = stats.per_class["register"].counts
+    # 2 flops x 8 strike cycles x 10 grid times of matching state-node strikes
+    assert counts[OutcomeClass.FN] + counts[OutcomeClass.FF] == 160
+    assert (counts[OutcomeClass.FF] > 0) == follows
+
+
+def test_campaign_and_oracle_rows_stop_at_the_horizon(monkeypatch):
+    # A work guard: on mul8 the full rows of state-node strikes hold
+    # intervals that start after the hold window closes even for a strike
+    # at t = settle.  No row that a campaign (with its reads table) or the
+    # oracle builds keeps one
+    c = wrap_combinational(parse_bench(multiplier_bench(8), name="mul8"))
+    p = load_bundled_profile("65nm-like")
+    tr = simulate_reference(c, Stimulus.random(6, seed=2))
+    rows = []
+
+    def recording(*args, _fn=injector._propagate, **kwargs):
+        rows.append(_fn(*args, **kwargs))
+        return rows[-1]
+
+    monkeypatch.setattr(injector, "_propagate", recording)
+    sites = enumerate_drains(c, p).sites
+    cfg = CampaignConfig(circuit=c, profile=p, trace=tr, rng_seed=3,
+                         max_samples=4 * len(sites), stderr_target=1e-6,
+                         policy=CapturePolicy("window-random", 0.5))
+    run_campaign(cfg)
+    n_campaign = len(rows)
+    exhaustive_campaign(dataclasses.replace(cfg, policy=INSTANT), t_grid=5)
+    assert 0 < n_campaign < len(rows)
+    monkeypatch.undo()
+
+    ctx = SimContext.build(c, p).bind(tr)
+
+    def late(row):
+        return [s for intervals in row.values() for s, _, _ in intervals
+                if ctx.settle + s > ctx.period + p.ff_hold]
+
+    assert not [s for row in rows for s in late(row)]
+    # the full rows hold such intervals, and the cut rows follow fewer than
+    # half their events, so the horizon prunes propagation itself
+    every = (1 << tr.cycle_count) - 1
+    full_late, followed = 0, [0, 0]
+    for d in sites:
+        if d.ff_node_class == "state-node":
+            for after_settle in (False, True):
+                lines = []
+                row = strike_row(ctx, d, every, lines, after_settle)
+                followed[after_settle] += sum(x.startswith("pulse") for x in lines)
+                full_late += not after_settle and bool(late(row))
+    assert full_late
+    assert 2 * followed[True] < followed[False]
+
+
 # ---------------------------------------------------------------------------
 # the per-campaign reads table: a strike's t-independent reads are kept per
 # (drain, k) and judged again at each later strike time

@@ -1,5 +1,6 @@
 """Tests for pulse injection, masking, and edge-capture semantics."""
 
+import dataclasses
 import math
 import random
 import signal
@@ -8,7 +9,7 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from seusim.errors import ConfigError, InvariantError
@@ -37,10 +38,13 @@ from seusim.techmodel import enumerate_drains, load_bundled_profile
 from conftest import (
     BUNDLED_CIRCUITS,
     CHAIN2,
+    CHAIN3,
     bundled_circuit,
     chain_profile_doc,
+    dff_sites,
     find_site,
     flop_by_id,
+    gate_sites,
     multiplier_bench,
     profile_from,
     settled_map,
@@ -1089,6 +1093,44 @@ def test_run_sample_allows_pre_settle_times(chain1_setup, prof):
     assert r.flips_e2 == frozenset()
 
 
+def test_pre_settle_strike_neither_reads_nor_fills_cut_reads(prof):
+    # Three inverters from A to B: period 500, settle 360, hold end 520.  At
+    # t >= settle a step from A reaches g3 at t + 300, after the hold window
+    # closes, so the cut row is empty; a strike at t = 10 lands it.  A reads
+    # table filled by the post-settle strike must not answer it, and keeps
+    # its entry
+    c = parse_bench(CHAIN3, name="chain3")
+    tr = held(c, (1,))
+    ctx = SimContext.build(c, prof).bind(tr)
+    assert (ctx.period, ctx.settle) == (500.0, 360.0)
+    site = find_site(enumerate_drains(c, prof), "A", "state-node", "pulls-low")
+    reads = {}
+    late = run_sample(ctx, StrikeSample(drain=site, k=1, t=ctx.settle), reads=reads)
+    assert late.flips_e2 == frozenset()
+    filled = dict(reads)
+    assert filled[site.id, 1][1] == ()
+    early = run_sample(ctx, StrikeSample(drain=site, k=1, t=10.0), reads=reads)
+    assert early == run_sample(ctx, StrikeSample(drain=site, k=1, t=10.0))
+    assert early.flips_e2 == {"B"}
+    assert reads == filled and reads[site.id, 1] is filled[site.id, 1]
+
+
+def test_bind_reach_and_one_fanout_entry_per_gate(prof):
+    # r feeds x, y and w; y is the only data net; w = XOR(r, r) is constant
+    # and reaches no flop, and neither does z
+    c = parse_bench(
+        "INPUT(a)\nOUTPUT(q)\nr = DFF(a)\nq = DFF(y)\nx = NOT(r)\n"
+        "y = XOR(x, r)\nz = NOT(x)\nw = XOR(r, r)\n", name="reach")
+    tr = held(c, (1,))
+    ctx = SimContext.build(c, prof).bind(tr)
+    inf, full = math.inf, (1 << tr.cycle_count) - 1
+    assert ctx.passes["r"] == (("x", 100.0, full, 50.0), ("y", 50.0, full, 0.0),
+                               ("w", 50.0, 0, inf))
+    assert ctx.passes["x"] == (("y", 50.0, full, 0.0), ("z", 100.0, full, inf))
+    hold_end = ctx.period + prof.ff_hold
+    assert hold_end - ctx.settle < ctx.horizon < hold_end - ctx.settle + 1e-9
+
+
 def test_sim_context_rejects_unsettleable_circuit():
     c = parse_bench(
         "INPUT(x)\nOUTPUT(g3)\nA = DFF(x)\ng1 = NOT(A)\ng2 = NOT(g1)\ng3 = NOT(g2)\n",
@@ -1114,3 +1156,169 @@ def test_run_sample_deterministic(chain1_setup, prof):
     a = strike(c, prof, tr, site, 205.0, policy=pol, rng=random.Random(7))
     b = strike(c, prof, tr, site, 205.0, policy=pol, rng=random.Random(7))
     assert (a.flips_e1, a.flips_e2, a.window_hits) == (b.flips_e1, b.flips_e2, b.window_hits)
+
+
+# ---------------------------------------------------------------------------
+# the latching-window horizon: a row cut for strike times t >= settle
+
+
+def _hold_end(ctx):
+    return ctx.period + ctx.profile.ff_hold
+
+
+def _before_horizon(ctx, row):
+    """``row`` without the intervals that start after the hold window
+    closes for a strike at ``t = settle``."""
+    cut = {net: [iv for iv in ivs if ctx.settle + iv[0] <= _hold_end(ctx)]
+           for net, ivs in row.items()}
+    return {net: ivs for net, ivs in cut.items() if ivs}
+
+
+def _landing_times(ctx, row):
+    """``settle``, the last float before the period, and each strike time
+    that puts an interval start of ``row`` exactly on the edge or on the
+    hold end, and one ulp either side of it, within [settle, period)."""
+    edge = ctx.period
+    times = {ctx.settle, math.nextafter(edge, 0.0)}
+    for ivs in row.values():
+        for s, _, _ in ivs:
+            for target in (edge, _hold_end(ctx)):
+                t = _on_edge(s, target)
+                for u in (t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)):
+                    if ctx.settle <= u < edge:
+                        times.add(u)
+    return sorted(times)
+
+
+def assert_horizon_row_judges_like_full_row(ctx, drain, k, stream):
+    """The cut row of ``drain`` in cycle ``k`` is its full row without the
+    intervals past the horizon, each net's intervals in the same order, and
+    both judge alike at every ``_landing_times`` time under both policies,
+    RNG state included.  Returns the number of intervals cut."""
+    full = strike_row(ctx, drain, 1 << k)
+    cut = strike_row(ctx, drain, 1 << k, after_settle=True)
+    assert cut == _before_horizon(ctx, full), (drain.id, k)
+    reads = [(SampleResult(frozenset(), frozenset()), _disturbed(ctx, row, k))
+             for row in (full, cut)]
+    for t in _landing_times(ctx, full):
+        for policy in (INSTANT, CapturePolicy("window-random", 0.5)):
+            rngs = [random.Random(stream), random.Random(stream)]
+            got = [_capture_all(ctx, r, t, policy, rng) for r, rng in zip(reads, rngs)]
+            assert got[0] == got[1], (drain.id, k, t, policy.kind)
+            assert rngs[0].getstate() == rngs[1].getstate(), (drain.id, k, t)
+    return sum(map(len, full.values())) - sum(map(len, cut.values()))
+
+
+def fractional_profile():
+    """65nm-like with fractional gate delays, so path sums round, and a
+    clock margin small enough that deep paths pass the horizon."""
+    import json
+
+    from seusim.techmodel import load_profile
+
+    raw = json.loads(_bundled_profile_text("65nm-like"))
+    raw["gate_delay"] = {key: v + (0.3, -0.1, -0.3)[i % 3]
+                         for i, (key, v) in enumerate(raw["gate_delay"].items())}
+    raw["clock_margin"] = 15.7
+    return load_profile(json.dumps(raw), source="<fractional>")
+
+
+def _horizon_configs():
+    for name in BUNDLED_CIRCUITS:
+        for profile_name in ("65nm-like", "180nm-like", "toy-equal", "fractional"):
+            yield name, profile_name
+    yield "mul8", "65nm-like"
+    yield "mul8", "fractional"
+
+
+@pytest.mark.parametrize("name, profile_name", list(_horizon_configs()))
+def test_horizon_row_is_the_full_row_cut_at_the_hold_end(name, profile_name):
+    # every gate and state-node drain in every strikable cycle
+    if name == "mul8":
+        c = parse_bench(multiplier_bench(8), name=name)
+    else:
+        c = bundled_circuit(name)
+    if not c.flops:
+        c = wrap_combinational(c)
+    if profile_name == "fractional":
+        p = fractional_profile()
+    else:
+        p = load_bundled_profile(profile_name)
+    tr = simulate_reference(c, Stimulus.random(8, seed=6))
+    ctx = SimContext.build(c, p).bind(tr)
+    draw = random.Random(f"{name}/{profile_name}")
+    cut = 0
+    for drain in enumerate_drains(c, p).sites:
+        if drain.ff_node_class != "capture-node":
+            for k in range(1, tr.cycle_count - 1):
+                cut += assert_horizon_row_judges_like_full_row(
+                    ctx, drain, k, draw.getrandbits(32))
+    if profile_name == "fractional":
+        assert cut
+
+
+@st.composite
+def random_dags(draw):
+    """A context bound to a random circuit: gates over flop outputs and
+    earlier gates, where a gate may read one net twice.  Delays and timing
+    figures are fractional, so path sums round, or small whole numbers, so
+    interval starts fall exactly on the hold end at t = settle."""
+    n_flops, n_gates = draw(st.integers(1, 4)), draw(st.integers(1, 14))
+    nets = [f"q{j}" for j in range(n_flops)]
+    lines = ["INPUT(i0)"]
+    for j in range(n_gates):
+        kind = draw(st.sampled_from(sorted(CONTROLLING)))
+        fanin = 1 if kind in ("NOT", "BUF") else draw(st.integers(2, 3))
+        ins = draw(st.lists(st.sampled_from(nets), min_size=fanin, max_size=fanin))
+        lines.append(f"g{j} = {kind}({', '.join(ins)})")
+        nets.append(f"g{j}")
+    for j in range(n_flops):
+        lines.append(f"q{j} = DFF({draw(st.sampled_from(['i0', *nets]))})")
+    lines.append(f"OUTPUT({nets[-1]})")
+    c = parse_bench("\n".join(lines) + "\n", name="dag")
+    if draw(st.booleans()):
+        ps, small, margin = st.floats(0.5, 150.0), st.floats(0.5, 40.0), st.floats(0.5, 300.0)
+    else:
+        ps, small, margin = (st.integers(1, n).map(float) for n in (30, 10, 30))
+    delays = {f"{kind}{n}": draw(ps) for kind in CONTROLLING
+              for n in ((1,) if kind in ("NOT", "BUF") else (2, 3))}
+    hold = draw(small)
+    p = profile_from(chain_profile_doc(
+        gate_delay=delays, ff_setup=draw(small), ff_hold=hold,
+        ff_clk_to_q=draw(ps), clock_margin=hold + draw(margin),
+        glitch_width=draw(ps),
+        filter_threshold=draw(st.floats(0.5, 1.5)),
+        drain_spec={**{kind: gate_sites() for kind in CONTROLLING}, "DFF": dff_sites()}))
+    tr = simulate_reference(c, Stimulus.random(6, seed=draw(st.integers(0, 99))))
+    try:
+        return SimContext.build(c, p).bind(tr)
+    except ConfigError:     # a dangling gate may settle after the period
+        reject()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ctx=random_dags(), stream=st.integers(0, 2**32 - 1))
+def test_horizon_row_is_exact_on_random_dags(ctx, stream):
+    for drain in enumerate_drains(ctx.circuit, ctx.profile).sites:
+        if drain.ff_node_class != "capture-node":
+            for k in range(1, ctx.trace.cycle_count - 1):
+                assert_horizon_row_judges_like_full_row(ctx, drain, k, stream)
+
+
+def test_horizon_cut_keeps_no_interval_past_the_hold_end():
+    # With the prune lifted (an infinite horizon), a cut row still keeps
+    # just the intervals of the full row that start before the hold window
+    # closes at t = settle
+    c = wrap_combinational(parse_bench(multiplier_bench(8), name="mul8"))
+    p = load_bundled_profile("65nm-like")
+    tr = simulate_reference(c, Stimulus.random(6, seed=2))
+    ctx = dataclasses.replace(SimContext.build(c, p).bind(tr), horizon=math.inf)
+    every = (1 << tr.cycle_count) - 1
+    shorter = 0
+    for drain in enumerate_drains(c, p).sites:
+        if drain.ff_node_class == "state-node":
+            full = strike_row(ctx, drain, every)
+            cut = strike_row(ctx, drain, every, after_settle=True)
+            assert cut == _before_horizon(ctx, full), drain.id
+            shorter += cut != full
+    assert shorter
